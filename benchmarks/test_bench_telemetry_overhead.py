@@ -52,10 +52,12 @@ def test_bench_telemetry_disabled_overhead(benchmark):
     for app in workload.apps:
         stage1.get(app, config, seed=9, n_instructions=_INSTRUCTIONS)
 
+    # Both sides pin the reference replay: the guards live in its hot
+    # loop, while ``telemetry=None`` alone would take the replay kernel.
     def run_plain():
         return run_workload(
             workload, "Re-NUCA", config, seed=9,
-            n_instructions=_INSTRUCTIONS, stage1=stage1,
+            n_instructions=_INSTRUCTIONS, stage1=stage1, use_kernel=False,
         )
 
     def run_all_off():

@@ -390,41 +390,6 @@ class Cache:
         """True when fault retirement has capped any set's live ways."""
         return self._way_limits is not None
 
-    def iter_lines(self):
-        """Yield ``(set_idx, line, dirty, aux)`` over all resident lines.
-
-        Sets come in index order; within a set, lines come in LRU -> MRU
-        order (the recency order native-LRU replacement consults).  Used
-        by the replay kernel to snapshot a warmed bank into its array
-        representation.
-        """
-        for set_idx, line, entry in self._array.iter_all():
-            yield set_idx, line, bool(entry[_DIRTY]), entry[_AUX]
-
-    def export_lines(
-        self, *, lazy_entries: bool = False
-    ) -> tuple[list[int], list[int], list[list]]:
-        """Bulk counterpart of :meth:`iter_lines` (kernel snapshot path).
-
-        Returns ``(counts, lines, entries)``: per-set line counts, every
-        resident line address in set order (LRU -> MRU within a set) and
-        the matching live ``[dirty, aux]`` state lists (an iterator over
-        them when ``lazy_entries``; consume before mutating the cache).
-        The entries are the cache's own mutable state — callers must
-        treat them as read-only.
-        """
-        return self._array.bulk_export(lazy_payloads=lazy_entries)
-
-    def set_views(self) -> list[dict[int, list]]:
-        """The live per-set tag->state dicts (see ``SetAssocArray.set_views``).
-
-        Lazy counterpart of :meth:`export_lines`'s entry column: the
-        kernel keeps these views and resolves a line's ``[dirty, aux]``
-        state positionally only on the rare eviction path instead of
-        materialising half a million entries up front.  Read-only.
-        """
-        return self._array.set_views()
-
     def occupancy(self) -> int:
         """Valid lines currently resident."""
         return self._array.total_occupancy()

@@ -6,14 +6,12 @@ reference at every cache level lands here — so each set is a plain
 used first, most-recently-used last.  A hit re-inserts its tag (one
 ``pop`` + one store, both C-level hash operations), which moves it to
 the end exactly like ``OrderedDict.move_to_end`` but keeps the sets as
-ordinary dicts — whose C-level iteration is several times faster, which
-is what makes whole-array snapshots (:meth:`SetAssocArray.bulk_export`,
-the replay kernel's warm-state import) cheap.
+ordinary dicts, which the stage-1 kernel can drive directly
+(:meth:`SetAssocArray.set_views`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Iterator
 
 from repro.common.errors import ConfigError, SimulationError
@@ -113,37 +111,12 @@ class SetAssocArray:
             for tag, payload in ways.items():
                 yield set_idx, tag, payload
 
-    def bulk_export(
-        self, *, lazy_payloads: bool = False
-    ) -> tuple[list[int], list[int], Any]:
-        """Whole-array snapshot as three flat columns (the kernel's bulk path).
-
-        Returns ``(counts, tags, payloads)``: per-set occupancy, then all
-        tags and their payloads concatenated in set order (LRU -> MRU
-        within each set) — the same traversal as :meth:`iter_all`, but
-        built entirely from C-level iterators so snapshotting a full LLC
-        costs milliseconds instead of a per-line Python loop.  With
-        ``lazy_payloads`` the payload column is a single-use iterator
-        (valid only until the array is next mutated), sparing callers
-        that stream-reduce it the cost of materialising half a million
-        entries.
-        """
-        sets = self._sets
-        payloads = chain.from_iterable(map(dict.values, sets))
-        return (
-            list(map(len, sets)),
-            list(chain.from_iterable(sets)),
-            payloads if lazy_payloads else list(payloads),
-        )
-
     def set_views(self) -> list[dict[int, Any]]:
         """The live per-set dicts, in set order (package-internal).
 
-        Bulk counterpart of :meth:`ways` for snapshot consumers that
-        resolve payloads lazily (the replay kernel): ``views[s]`` is set
-        ``s``'s tag->payload dict in LRU -> MRU order, valid until the
-        array is next mutated.  Callers must treat the dicts as
-        read-only.
+        Bulk counterpart of :meth:`ways` for the stage-1 kernel, which
+        drives the sets in place from its hot loop: ``views[s]`` is set
+        ``s``'s tag->payload dict in LRU -> MRU order.
         """
         return self._sets
 

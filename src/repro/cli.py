@@ -363,7 +363,9 @@ def _cmd_sweep(args) -> int:
     schemes = tuple(args.schemes)
 
     # Always carry a Telemetry handle so the engine's ``jobs.*``
-    # accounting (cache hits, executions, resumes) can be reported.
+    # accounting (cache hits, executions, resumes, replay paths) can be
+    # reported; a bare handle does not instrument the cells, which stay
+    # on the replay kernel.
     telemetry = _make_telemetry(args) or Telemetry()
 
     def _narrate(job) -> None:

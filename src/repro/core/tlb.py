@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.lru import SetAssocArray
 from repro.common.errors import SimulationError
 from repro.common.units import log2_exact
@@ -150,6 +152,37 @@ class EnhancedTlb:
             self._backing[page] &= ~bit
             if not self._backing[page]:
                 del self._backing[page]
+
+    def load_warm_state(self, lines, mapped) -> None:
+        """Install the state an LLC warm-up leaves behind, without replaying it.
+
+        The closed form of the reference warm-up on a fresh TLB: ``lines``
+        is this core's whole duplicate-free warm stream in install order
+        (each install reads, then sets, its line's mapping bit — two
+        touches of one page) and ``mapped`` the lines that end the
+        warm-up LLC-resident with their bit set.  Each TLB set then holds
+        its ``assoc`` most recently touched pages in LRU -> MRU order,
+        every MBV is the OR of its page's mapped bits, and the MBVs of
+        the other pages sit in the backing store.  Statistics are left
+        untouched (only the reference warm-up counts lookups).
+        """
+        if self._array.total_occupancy() or self._backing:
+            raise SimulationError("load_warm_state needs a fresh TLB")
+        shift, mask = self._line_shift, self._line_mask
+        mbv: dict[int, int] = {}
+        for line in np.asarray(mapped, dtype=np.int64).tolist():
+            page = line >> shift
+            mbv[page] = mbv.get(page, 0) | (1 << (line & mask))
+        # Distinct pages, most recently touched first.
+        pages = (np.asarray(lines, dtype=np.int64) >> shift).tolist()
+        recency = list(dict.fromkeys(reversed(pages)))
+        per_set: dict[int, list[int]] = {}
+        for page in reversed(recency):
+            per_set.setdefault(page & self._set_mask, []).append(page)
+        for set_idx, set_pages in per_set.items():
+            for page in set_pages[-self._array.assoc:]:
+                self._array.insert(set_idx, page, [mbv.pop(page, 0)])
+        self._backing = mbv
 
     # -- internals ----------------------------------------------------------------
 

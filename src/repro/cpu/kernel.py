@@ -10,7 +10,7 @@ numpy element-wise ops per commit) and method dispatch for the CPT, MSHR
 file, stream prefetcher and memory pipe.  This module replays the same
 bundle chunks with
 
-* the live per-set tag dicts (:meth:`~repro.cache.cache.Cache.set_views`)
+* the live per-set tag dicts (:meth:`~repro.cache.lru.SetAssocArray.set_views`)
   mutated in place — a hit is one C-level ``pop`` + re-insert, a fill
   evicts ``next(iter(ways))``; the warmed ``Cache`` objects' arrays *are*
   the kernel's L1/L2/L3 state, so warm-up and final content need no

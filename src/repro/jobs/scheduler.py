@@ -7,6 +7,14 @@ in-process (``max_workers=1``, the exact legacy serial path: shared
 :class:`~repro.sim.runner.Stage1Cache`, parent telemetry threaded
 straight through) or on a ``ProcessPoolExecutor``.
 
+A telemetry handle serves two purposes that are kept apart: its
+registry collects the engine accounting (the ``jobs.*`` counters,
+including each worker's ``jobs.stage1.*`` and ``jobs.replay.*``
+counts), and only when it instruments cells (event trace, interval
+dumps, profiler — :attr:`~repro.telemetry.Telemetry.instruments_cells`)
+is it handed to the simulations, which then take the reference replay.
+A plain accounting handle leaves every cell on the replay kernel.
+
 Determinism guarantee: per-job randomness derives from
 ``(seed, workload, scheme)`` (see :mod:`repro.common.rng`), never from
 scheduling, so a parallel sweep's results are field-for-field equal to
@@ -209,6 +217,13 @@ class _Outcome:
     span_state: list | None = None
 
 
+def _cell_telemetry(telemetry: Telemetry | None) -> Telemetry | None:
+    """The handle a cell's simulation gets: only an instrumenting one."""
+    if telemetry is not None and telemetry.instruments_cells:
+        return telemetry
+    return None
+
+
 def _worker_store_root(cache: Stage1Cache) -> str | None:
     return str(cache.store.root) if cache.store is not None else None
 
@@ -254,8 +269,9 @@ def _execute_payload(payload: _Payload) -> _Outcome:
             n_instructions=payload.spec.n_instructions,
             stage1=_WORKER_STAGE1,
             fault_config=payload.spec.fault,
-            telemetry=telemetry,
+            telemetry=_cell_telemetry(telemetry),
             spans=recorder,
+            accounting=telemetry.registry if telemetry is not None else None,
         )
     wall_time_s = time.perf_counter() - started
     span_state = recorder.export_state() if recorder is not None else None
@@ -434,7 +450,9 @@ def run_jobs(
             ``stage1`` shared across cells and ``telemetry`` threaded
             directly into the simulations; >1 fans out over a process
             pool with per-worker stage-1 caches and post-hoc telemetry
-            merging.
+            merging.  Either way the cells only see ``telemetry`` when
+            it instruments them; its registry always collects the
+            engine accounting.
         cache: a :class:`~repro.jobs.cache.ResultCache` (or its root
             directory) consulted before executing and updated after.
         stage1_store: a :class:`~repro.sim.stage1_store.Stage1Store`
@@ -540,6 +558,7 @@ def run_jobs(
         telemetry.registry.counter("jobs.recovery.quarantined")
         telemetry.registry.counter("jobs.stage1.hits")
         telemetry.registry.counter("jobs.stage1.misses")
+        telemetry.registry.counter("jobs.replay.kernel")
         if cache is not None:
             cache.bind_telemetry(telemetry.registry)
         if stage1_store is not None:
@@ -842,7 +861,9 @@ def _run_serial(
     """In-process execution: the legacy sequential sweep, plus retries.
 
     Serial runs thread the parent telemetry (and so its profiler)
-    straight through, so per-job phase totals are not separable; ledger
+    straight through when it instruments cells, and otherwise hand the
+    cells only its registry for the engine accounting.  Per-job phase
+    totals are therefore not separable; ledger
     records get an empty ``profile`` and the parent profiler keeps the
     whole picture.  The watchdog does not apply here (there is no
     second process to kill); chaos ``kill``/``exit`` rules would take
@@ -879,8 +900,11 @@ def _run_serial(
                         n_instructions=job.spec.n_instructions,
                         stage1=stage1,
                         fault_config=job.spec.fault,
-                        telemetry=telemetry,
+                        telemetry=_cell_telemetry(telemetry),
                         spans=span_recorder,
+                        accounting=(
+                            telemetry.registry if telemetry is not None else None
+                        ),
                     )
                 break
             except ReproError as exc:

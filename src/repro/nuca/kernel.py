@@ -21,25 +21,25 @@ and batches all side-channel accounting:
   objects, but with hoisted locals, the array bank engine and per-record
   candidate banks computed from small precomputed tables.
 
+The warm state the kernel replays from is built directly as arrays by
+:func:`warm_state` (the closed form of the reference warm-up), so the
+kernel path never fills the per-bank ``Cache`` objects at all.
+
 Equivalence contract: for every supported configuration the kernel
 produces **field-for-field identical** :class:`~repro.sim.metrics.\
 WorkloadSchemeResult`s to the reference path (including float fields —
 all floating-point accumulation replicates the reference's operation
 order).  The kernel transfers *statistics* back into the live objects
 (LLC stats, mesh traffic, wear counters, memory pipe/row state, policy
-counters); the per-bank ``Cache`` content is intentionally left at its
-warm-up state — nothing on the un-instrumented path reads it after the
-measured phase.
+counters); the per-bank ``Cache`` objects stay empty — nothing on the
+un-instrumented path reads them.
 
 The kernel never engages when telemetry or fault injection is attached
-(those need the object graph's event hooks); :func:`kernel_supported`
+(those need the object graph's event hooks); :func:`kernel_fallback_reason`
 is the single gate.
 """
 
 from __future__ import annotations
-
-from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from repro.nuca.naive import NaivePolicy
 from repro.nuca.private import PrivatePolicy
 from repro.nuca.rnuca import RNucaPolicy
 from repro.nuca.snuca import SNucaPolicy
-
-#: Extracts the dirty flag from a cache payload ``[dirty, aux]`` list.
-_DIRTY_SLOT = itemgetter(0)
 
 
 class ArrayBanks:
@@ -85,89 +82,15 @@ class ArrayBanks:
         self.critical = np.zeros((total_sets, assoc), dtype=bool)
         self.occ = np.zeros(total_sets, dtype=np.int64)
         self.index: dict[int, int] = {}
-        #: With ``from_llc(..., lazy_payloads=True)``: the live per-set
-        #: tag->``[dirty, aux]`` dicts of every bank, flat in global-set
-        #: order.  Way ``w`` of a warm set is the ``w``-th dict value
-        #: (prefill scatters in export order), so a replay loop can
-        #: resolve a warm line's payload positionally on the rare
-        #: eviction path instead of materialising every column up front.
-        self.set_dicts: list[dict] | None = None
         self.clock = 0
 
     @classmethod
-    def from_llc(
-        cls,
-        llc,
-        *,
-        aux: bool = True,
-        index: bool = True,
-        lazy_payloads: bool = False,
-    ) -> "ArrayBanks":
-        """Snapshot a (warmed) :class:`~repro.nuca.llc.NucaLLC`'s content.
-
-        Built from the banks' bulk exports (C-level traversal) rather
-        than a per-line Python loop — a full 8 MiB-per-bank LLC holds
-        half a million warm lines, so this runs before every kernel
-        replay and must stay cheap.  ``aux=False`` skips decoding the
-        per-line ``(owner, critical)`` payloads (the criticality-blind
-        replays never read them), leaving those matrices at defaults.
-        ``index=False`` skips building the probe index (see
-        :meth:`prefill_many`) — the replay loops populate it lazily
-        instead, since a stream only ever probes its own few thousand
-        distinct addresses.  ``lazy_payloads=True`` goes further and
-        skips every payload column (dirty, owner, critical): only tags
-        and occupancy are scattered, and :attr:`set_dicts` keeps the
-        live per-set dicts so a replay loop can read a warm line's
-        payload positionally when it is actually needed — which is only
-        on eviction, a few percent of records.
-        """
+    def for_llc(cls, llc) -> "ArrayBanks":
+        """Empty arrays with an LLC's bank geometry."""
         cache0 = llc.banks[0].cache
-        state = cls(
+        return cls(
             len(llc.banks), cache0.num_sets, cache0.config.assoc, cache0.index_shift
         )
-        counts_parts: list[list[int]] = []
-        lines_parts: list[list[int]] = []
-        entry_parts: list = []
-        for bank in llc.banks:
-            counts, bank_lines, entries = bank.cache.export_lines(
-                lazy_entries=lazy_payloads or not aux
-            )
-            counts_parts.append(counts)
-            lines_parts.append(bank_lines)
-            entry_parts.append(entries)
-        counts_all = np.asarray(
-            list(chain.from_iterable(counts_parts)), dtype=np.int64
-        )
-        lines = np.asarray(list(chain.from_iterable(lines_parts)), dtype=np.int64)
-        total = int(counts_all.sum())
-        gsets = np.repeat(
-            np.arange(len(counts_all), dtype=np.int64), counts_all
-        )
-        if lazy_payloads:
-            state.set_dicts = list(
-                chain.from_iterable(bank.cache.set_views() for bank in llc.banks)
-            )
-            state.prefill_many(lines, gsets, index=index)
-            return state
-        dirty = np.fromiter(
-            map(_DIRTY_SLOT, chain.from_iterable(entry_parts)),
-            dtype=bool,
-            count=total,
-        )
-        owner = critical = None
-        if aux and total:
-            aux_vals = [e[1] for e in chain.from_iterable(entry_parts)]
-            owner = np.asarray([a[0] for a in aux_vals], dtype=np.int16)
-            critical = np.asarray([a[1] for a in aux_vals], dtype=bool)
-        state.prefill_many(
-            lines,
-            gsets,
-            dirty=dirty,
-            owner=owner,
-            critical=critical,
-            index=index,
-        )
-        return state
 
     def prefill_many(
         self,
@@ -190,7 +113,7 @@ class ArrayBanks:
         it the batch duplicate check): the replay loops resolve index
         misses by scanning the home set's tags and memoising the hit, so
         prebuilding entries for every warm line — the single most
-        expensive part of a full-LLC snapshot — is wasted work there.
+        expensive part of installing a full LLC — is wasted work there.
         """
         n = len(lines)
         if n == 0:
@@ -198,7 +121,7 @@ class ArrayBanks:
         lines = np.asarray(lines, dtype=np.int64)
         gsets = np.asarray(gsets, dtype=np.int64)
         if np.all(gsets[:-1] <= gsets[1:]):
-            # Already set-ordered (the snapshot path): skip the argsort.
+            # Already set-ordered (the warm_state path): skip the argsort.
             s = gsets
             sorted_lines = lines
             stamps = self.clock + np.arange(n, dtype=np.int64)
@@ -238,69 +161,149 @@ class ArrayBanks:
                 )
 
 
-def kernel_supported(llc) -> bool:
-    """True when the fast kernel can replay this LLC bit-exactly.
+#: Why a run took the reference replay, one name per refusal of
+#: :func:`kernel_fallback_reason` plus ``env`` (``REPRO_KERNEL=0``) and
+#: ``pinned`` (``use_kernel=False``), which the runner decides.
+FALLBACK_REASONS = ("telemetry", "faults", "policy", "cache-mode", "env", "pinned")
+
+
+def kernel_fallback_reason(llc) -> str | None:
+    """Why the kernel cannot replay this LLC bit-exactly (None: it can).
 
     The kernel handles the pristine, un-instrumented configuration of the
-    five paper schemes: no telemetry, no fault injection, no link
-    tracking, no per-line wear histogram, native LRU with full
-    associativity and zero set rotation.  Anything else (D-NUCA's
-    migration, alternative replacement policies, retired frames) follows
-    the reference object graph.
+    five paper schemes: no telemetry or NoC link tracking (``telemetry``),
+    no fault injection or per-line wear histogram (``faults``), one of
+    the five paper policies (``policy``; D-NUCA's migration stays on the
+    reference graph), native LRU with full associativity and zero set
+    rotation (``cache-mode``).  Everything it checks is fixed when the
+    LLC is built, so the answer is the same before and after warm-up.
     """
-    if llc.telemetry is not None or llc.faults is not None:
-        return False
-    if llc.mesh.track_links or llc.wear.track_lines:
-        return False
+    if llc.telemetry is not None or llc.mesh.track_links:
+        return "telemetry"
+    if llc.faults is not None or llc.wear.track_lines:
+        return "faults"
     ptype = type(llc.policy)
     if ptype not in (SNucaPolicy, RNucaPolicy, PrivatePolicy, NaivePolicy):
         from repro.core.renuca import ReNucaPolicy
 
         if ptype is not ReNucaPolicy:
-            return False
+            return "policy"
     for bank in llc.banks:
         cache = bank.cache
         if cache.rotation or cache.has_way_limits or cache.replacement != "lru":
-            return False
-    return True
+            return "cache-mode"
+    return None
 
 
-def replay(llc, merged, *, cpts=None, threshold=0.0, block_cycles=0.0) -> np.ndarray:
+def kernel_supported(llc) -> bool:
+    """True when the fast kernel can replay this LLC bit-exactly."""
+    return kernel_fallback_reason(llc) is None
+
+
+def _static_banks(policy, core: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """Vectorized ``place``/``locate`` of S-NUCA, Private and R-NUCA."""
+    ptype = type(policy)
+    if ptype is SNucaPolicy:
+        return line & (policy.num_banks - 1)
+    if ptype is PrivatePolicy:
+        return core.astype(np.int64)
+    rids = np.asarray(policy.rids, dtype=np.int64)
+    idx = (line + rids[core] + 1) & (policy.cluster_size - 1)
+    return np.asarray(policy.clusters, dtype=np.int64)[core, idx]
+
+
+def warm_state(llc, lines, cores, critical) -> ArrayBanks:
+    """The warmed LLC as arrays: the kernel path's closed-form warm-up.
+
+    ``lines``/``cores``/``critical`` are the whole warm stream in install
+    order (what the reference warm-up feeds ``NucaLLC.prefill_many``).
+    The stream must be duplicate-free, so every line misses and is
+    filled, and each placement is a pure function of (core, line,
+    critical) — Naive's min-write placement starting from zero wear is
+    round-robin over the banks, ties going to the lowest.  Under LRU
+    with no hits each set then ends holding the last ``assoc`` lines
+    inserted into it, in insertion order; warm-up wear is a bincount of
+    the fill banks (added to ``llc.wear``, for the caller to reset).
+    The policy metadata the replay reads is installed for the
+    survivors: Naive's directory, and Re-NUCA's TLB Mapping Bits (the
+    critical survivors OR-ed per page).  Dirty flags stay all-false.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    cores = np.asarray(cores, dtype=np.int64)
+    critical = np.asarray(critical, dtype=bool)
+    n = len(lines)
+    ordered = np.sort(lines)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise SimulationError(
+            "warm stream repeats a line; the array warm-up needs a miss-only stream"
+        )
+    state = ArrayBanks.for_llc(llc)
+    policy = llc.policy
+    ptype = type(policy)
+    if ptype is NaivePolicy:
+        bank = np.arange(n, dtype=np.int64) % policy.num_banks
+    elif ptype in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
+        bank = _static_banks(policy, cores, lines)
+    else:  # Re-NUCA: critical fills near the core, the rest spread.
+        bank = np.where(
+            critical,
+            _static_banks(policy._rnuca, cores, lines),
+            _static_banks(policy._snuca, cores, lines),
+        )
+    gset = bank * state.num_sets + (
+        (lines >> state.index_shift) & (state.num_sets - 1)
+    )
+    order = np.argsort(gset, kind="stable")
+    sorted_gset = gset[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_gset[1:] != sorted_gset[:-1]))
+    )
+    ends = np.repeat(np.append(starts[1:], n), np.diff(np.append(starts, n)))
+    keep = order[ends - np.arange(n) <= state.assoc]
+    state.prefill_many(
+        lines[keep], gset[keep],
+        owner=cores[keep], critical=critical[keep], index=False,
+    )
+    llc.wear.add_writes(np.bincount(bank, minlength=llc.wear.num_banks))
+    if ptype is NaivePolicy:
+        policy._directory.update(zip(lines[keep].tolist(), bank[keep].tolist()))
+    elif ptype not in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
+        mapped = keep[critical[keep]]
+        for core, tlb in enumerate(policy.tlbs):
+            mine = cores == core
+            tlb.load_warm_state(lines[mine], lines[mapped[cores[mapped] == core]])
+    return state
+
+
+def replay(
+    llc, merged, *, state: ArrayBanks, cpts=None, threshold=0.0, block_cycles=0.0,
+) -> np.ndarray:
     """Replay a merged stream through the kernel; returns per-record latency.
 
-    Drop-in replacement for the reference measured loop: ``llc`` must be
-    warmed and measurement-reset, ``merged`` is the runner's
+    Drop-in replacement for the reference measured loop: ``state`` is
+    the warm state from :func:`warm_state` (consumed: the replay mutates
+    it), ``llc`` the measurement-reset controller whose statistics and
+    policy metadata the replay updates, ``merged`` the runner's
     ``_MergedStream``.  ``cpts``/``threshold``/``block_cycles`` feed the
     Re-NUCA criticality loop and are ignored by the blind policies.
     """
     policy = llc.policy
     ptype = type(policy)
-    line = merged.line
-    if ptype is SNucaPolicy:
+    if ptype in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
         # S-NUCA's bank is a pure function of the line address, so a
         # line is resident in at most one set — probe hints can skip
         # the home-set guard.
         return _replay_static(
-            llc, merged, line & (policy.num_banks - 1), multi_copy=False
-        )
-    if ptype is PrivatePolicy:
-        return _replay_static(
-            llc, merged, merged.core.astype(np.int64), multi_copy=True
-        )
-    if ptype is RNucaPolicy:
-        core = merged.core.astype(np.int64)
-        rids = np.asarray(policy.rids, dtype=np.int64)
-        idx = (line + rids[core] + 1) & (policy.cluster_size - 1)
-        clusters = np.asarray(policy.clusters, dtype=np.int64)
-        return _replay_static(
-            llc, merged, clusters[core, idx], multi_copy=True
+            llc, merged, state,
+            _static_banks(policy, merged.core.astype(np.int64), merged.line),
+            multi_copy=ptype is not SNucaPolicy,
         )
     if ptype is NaivePolicy:
-        return _replay_naive(llc, merged)
+        return _replay_naive(llc, merged, state)
     from repro.core.renuca import ReNucaPolicy
 
     if ptype is ReNucaPolicy:
-        return _replay_renuca(llc, merged, cpts, threshold, block_cycles)
+        return _replay_renuca(llc, merged, state, cpts, threshold, block_cycles)
     raise SimulationError(f"replay kernel cannot drive policy {policy.name!r}")
 
 
@@ -318,7 +321,7 @@ def _mem_params(memory) -> tuple[float, float, int, int, int, float, dict]:
     )
 
 
-def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
+def _replay_static(llc, merged, state, bank_vec, *, multi_copy: bool) -> np.ndarray:
     """S-NUCA / R-NUCA / Private: pure-function mapping, no criticality.
 
     Everything derivable from (core, line) alone is vectorized up front;
@@ -328,7 +331,6 @@ def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
     where one line can be resident in several banks and a probe hint
     must be checked against the record's home set.
     """
-    state = ArrayBanks.from_llc(llc, index=False, lazy_payloads=True)
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
@@ -384,12 +386,7 @@ def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
     # ``stamp0 + i`` (> 0), so touched lines outrank untouched warm ones
     # and each other in record order, matching the reference's clock.
     age_f = [0] * len(tags_f)
-    # Dirty state is an overlay over the warm payloads: the loop records
-    # its own writes here and falls back to the live set dicts (by way
-    # position) only when evicting a line it never wrote.
-    sets_l = state.set_dicts
-    dirty_over: dict[int, bool] = {}
-    dirty_get = dirty_over.get
+    dirty_f = state.dirty.reshape(-1).tolist()
     stamp0 = state.clock
     hits = bytearray(n)
     lat_l = [0.0] * n
@@ -411,7 +408,7 @@ def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
                 pos = None
         if is_wb:
             if pos is not None:
-                dirty_over[pos] = True
+                dirty_f[pos] = True
                 age_f[pos] = stamp0 + i
                 hits[i] = 1
                 continue
@@ -448,11 +445,7 @@ def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
             pos2 = base + seg.index(min(seg))
             vline = tags_f[pos2]
             index_pop(vline, None)
-            vdirty = dirty_get(pos2)
-            if vdirty is None:
-                # Untouched warm line: way k is the k-th dict value.
-                vdirty = next(islice(sets_l[gs].values(), pos2 - base, None))[0]
-            if vdirty:
+            if dirty_f[pos2]:
                 ts = ts_l[i]
                 start = ts if ts > pipe_free else pipe_free
                 queue_acc += start - ts
@@ -466,7 +459,7 @@ def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
                 mem_writes += 1
         tags_f[pos2] = line_i
         age_f[pos2] = stamp0 + i
-        dirty_over[pos2] = fill_dirty
+        dirty_f[pos2] = fill_dirty
         index[line_i] = pos2
 
     state.clock = stamp0 + n
@@ -499,7 +492,7 @@ def _replay_static(llc, merged, bank_vec, *, multi_copy: bool) -> np.ndarray:
     return np.asarray(lat_l, dtype=np.float32)
 
 
-def _replay_naive(llc, merged) -> np.ndarray:
+def _replay_naive(llc, merged, state) -> np.ndarray:
     """Naive oracle: exact directory + min-write-bank placement.
 
     Placement feeds back through the live wear counters, so the whole
@@ -509,7 +502,6 @@ def _replay_naive(llc, merged) -> np.ndarray:
     consistency invariants (and post-run inspection) are preserved.
     """
     policy = llc.policy
-    state = ArrayBanks.from_llc(llc, index=False, lazy_payloads=True)
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
@@ -544,11 +536,9 @@ def _replay_naive(llc, merged) -> np.ndarray:
     index_get = index.get
     tags_f = state.tags.reshape(-1).tolist()
     occ_l = state.occ.tolist()
-    # Zero warm stamps + lazy dirty overlay; see _replay_static.
+    # Zero warm stamps; see _replay_static.
     age_f = [0] * len(tags_f)
-    sets_l = state.set_dicts
-    dirty_over: dict[int, bool] = {}
-    dirty_get = dirty_over.get
+    dirty_f = state.dirty.reshape(-1).tolist()
     num_sets = state.num_sets
     set_mask = num_sets - 1
     index_shift = state.index_shift
@@ -585,7 +575,7 @@ def _replay_naive(llc, merged) -> np.ndarray:
                             "resident but the bank array disagrees"
                         ) from None
                     index[line_i] = pos
-                dirty_over[pos] = True
+                dirty_f[pos] = True
                 age_f[pos] = stamp0 + i
                 bw[bank] += 1
                 wb_hits += 1
@@ -650,14 +640,11 @@ def _replay_naive(llc, merged) -> np.ndarray:
             pos2 = base + seg.index(min(seg))
             vline = tags_f[pos2]
             index.pop(vline, None)
-            vdirty = dirty_get(pos2)
-            if vdirty is None:
-                vdirty = next(islice(sets_l[gs].values(), pos2 - base, None))[0]
-            victim = (vline, vdirty)
+            victim = (vline, dirty_f[pos2])
         bw[place] += 1
         tags_f[pos2] = line_i
         age_f[pos2] = stamp0 + i
-        dirty_over[pos2] = fill_dirty
+        dirty_f[pos2] = fill_dirty
         index[line_i] = pos2
         directory[line_i] = place
         if victim is not None:
@@ -700,7 +687,7 @@ def _replay_naive(llc, merged) -> np.ndarray:
     return np.asarray(lat_l, dtype=np.float32)
 
 
-def _replay_renuca(llc, merged, cpts, threshold, block_cycles) -> np.ndarray:
+def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndarray:
     """Re-NUCA: scalar loop with in-order CPT feedback on the array engine.
 
     The live :class:`~repro.core.tlb.EnhancedTlb` and
@@ -712,7 +699,6 @@ def _replay_renuca(llc, merged, cpts, threshold, block_cycles) -> np.ndarray:
     precomputed tables and flat arrays.
     """
     policy = llc.policy
-    state = ArrayBanks.from_llc(llc, index=False, lazy_payloads=True)
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
@@ -755,15 +741,13 @@ def _replay_renuca(llc, merged, cpts, threshold, block_cycles) -> np.ndarray:
     index = state.index
     index_get = index.get
     tags_f = state.tags.reshape(-1).tolist()
-    # Zero warm stamps (ties resolve to the warm LRU way) and lazy
-    # payload overlays; see _replay_static.  Owner is only read when a
-    # victim's mapping bit must be cleared, so warm owners stay in the
-    # live set dicts until then.  The predictor's criticality verdict is
-    # recorded in the TLB mapping bits — nothing reads it per-frame.
+    # Zero warm stamps (ties resolve to the warm LRU way); see
+    # _replay_static.  Owner is read when a victim's mapping bit must be
+    # cleared.  The predictor's criticality verdict is recorded in the
+    # TLB mapping bits — nothing reads it per-frame.
     age_f = [0] * len(tags_f)
-    sets_l = state.set_dicts
-    dirty_over: dict[int, bool] = {}
-    owner_over: dict[int, int] = {}
+    dirty_f = state.dirty.reshape(-1).tolist()
+    owner_f = state.owner.reshape(-1).tolist()
     occ_l = state.occ.tolist()
     num_sets = state.num_sets
     set_mask = num_sets - 1
@@ -802,7 +786,7 @@ def _replay_renuca(llc, merged, cpts, threshold, block_cycles) -> np.ndarray:
                 except ValueError:
                     pos = None
             if pos is not None:
-                dirty_over[pos] = True
+                dirty_f[pos] = True
                 age_f[pos] = stamp0 + i
                 bw[bank] += 1
                 wb_hits += 1
@@ -884,20 +868,12 @@ def _replay_renuca(llc, merged, cpts, threshold, block_cycles) -> np.ndarray:
                     pos2 = base + seg.index(min(seg))
                     vline = tags_f[pos2]
                     index.pop(vline, None)
-                    vdirty = dirty_over.get(pos2)
-                    vowner = owner_over.get(pos2)
-                    if vdirty is None or vowner is None:
-                        pl = next(islice(sets_l[gs_p].values(), pos2 - base, None))
-                        if vdirty is None:
-                            vdirty = pl[0]
-                        if vowner is None:
-                            vowner = pl[1][0]
-                    victim = (vline, vdirty, vowner)
+                    victim = (vline, dirty_f[pos2], owner_f[pos2])
                 bw[place] += 1
                 tags_f[pos2] = line_i
                 age_f[pos2] = stamp0 + i
-                dirty_over[pos2] = False
-                owner_over[pos2] = core
+                dirty_f[pos2] = False
+                owner_f[pos2] = core
                 index[line_i] = pos2
                 tlb.set_mapping_bit(line_i, critical)
                 if critical:
@@ -942,20 +918,12 @@ def _replay_renuca(llc, merged, cpts, threshold, block_cycles) -> np.ndarray:
             pos2 = base + seg.index(min(seg))
             vline = tags_f[pos2]
             index.pop(vline, None)
-            vdirty = dirty_over.get(pos2)
-            vowner = owner_over.get(pos2)
-            if vdirty is None or vowner is None:
-                pl = next(islice(sets_l[gs_p].values(), pos2 - base, None))
-                if vdirty is None:
-                    vdirty = pl[0]
-                if vowner is None:
-                    vowner = pl[1][0]
-            victim = (vline, vdirty, vowner)
+            victim = (vline, dirty_f[pos2], owner_f[pos2])
         bw[place] += 1
         tags_f[pos2] = line_i
         age_f[pos2] = stamp0 + i
-        dirty_over[pos2] = fill_dirty
-        owner_over[pos2] = core
+        dirty_f[pos2] = fill_dirty
+        owner_f[pos2] = core
         index[line_i] = pos2
         tlb.set_mapping_bit(line_i, critical)
         noncrit_allocs += 1

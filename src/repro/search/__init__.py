@@ -36,7 +36,6 @@ from repro.search.pareto import (
 from repro.search.samplers import (
     grid_points,
     halton_points,
-    mutate_point,
     random_points,
 )
 from repro.search.space import (
@@ -66,7 +65,6 @@ __all__ = [
     "halton_points",
     "hypervolume",
     "load_space",
-    "mutate_point",
     "pareto_indices",
     "parse_objectives",
     "point_id_of",

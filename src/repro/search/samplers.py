@@ -12,8 +12,6 @@ across serial and parallel execution (the driver never re-samples).
   inverse in consecutive primes, one prime per dimension; no
   dependencies beyond stdlib).  Covers the space far more evenly than
   random draws at small ``n``.
-* :func:`mutate_point` / :func:`evolve_points` — seeded local-search
-  neighbourhood moves for evolutionary drivers.
 """
 
 from __future__ import annotations
@@ -85,50 +83,3 @@ def halton_points(space: SearchSpace, n: int, *, seed: int | None = None) -> lis
             for d, dim in enumerate(space.dimensions)
         })
     return out
-
-
-def mutate_point(space: SearchSpace, values: dict, rng) -> dict:
-    """One local move: re-draw a single randomly chosen dimension.
-
-    Int dimensions step ±1 grid position, float dimensions jitter by up
-    to a fifth of the range, choices re-draw uniformly; the mutated
-    point always stays inside the space.
-    """
-    dims = space.dimensions
-    dim = dims[int(rng.integers(len(dims)))]
-    mutated = dict(values)
-    grid = dim.grid()
-    if dim.kind == "float":
-        u = float(rng.random())
-        # Jitter around the current value in unit space.
-        span = dim.hi - dim.lo
-        if span > 0 and not dim.log:
-            current = (float(values[dim.name]) - dim.lo) / span
-            u = min(1.0, max(0.0, current + (u - 0.5) * 0.4))
-        mutated[dim.name] = dim.from_unit(u)
-    elif dim.kind == "int":
-        idx = grid.index(values[dim.name]) if values[dim.name] in grid else 0
-        idx = max(0, min(len(grid) - 1, idx + (1 if rng.random() < 0.5 else -1)))
-        mutated[dim.name] = grid[idx]
-    else:
-        mutated[dim.name] = grid[int(rng.integers(len(grid)))]
-    return mutated
-
-
-def evolve_points(
-    space: SearchSpace,
-    parents: list[dict],
-    n: int,
-    *,
-    seed: int | None,
-) -> list[dict]:
-    """``n`` mutants of ``parents`` (round-robin), seeded and stable."""
-    if not parents:
-        raise ReproError("evolution needs at least one parent point")
-    if n <= 0:
-        raise ReproError("sample count must be positive")
-    rng = derive_rng(seed, "search", "evolve")
-    return [
-        mutate_point(space, parents[i % len(parents)], rng)
-        for i in range(n)
-    ]

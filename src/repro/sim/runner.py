@@ -31,7 +31,7 @@ from repro.faults.injector import FaultInjector
 from repro.mem.model import MainMemory
 from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, make_policy
-from repro.nuca.kernel import kernel_supported
+from repro.nuca.kernel import ArrayBanks, kernel_fallback_reason, warm_state
 from repro.nuca.kernel import replay as kernel_replay
 from repro.obs.spans import DISABLED_SPANS
 from repro.reram.endurance import lifetimes_for_banks
@@ -255,28 +255,26 @@ def _merge_streams(results: list[Stage1Result]) -> _MergedStream:
     )
 
 
-def _warm_llc(
+def _warm_blocks(
     llc,
     workload: Workload,
     config: SystemConfig,
     results1: list[Stage1Result],
     *,
     seed: int | None,
-) -> None:
-    """Install each core's L3-resident working set, then zero the meters.
+):
+    """Each core's warm-up install blocks: ``(core, lines, critical)``.
 
-    Mirrors the paper's warm-up phase: without it, short runs would count
-    one compulsory miss per working-set line, drowning the steady-state
-    hit rates of cache-friendly applications.  The caller is responsible
-    for :meth:`~repro.nuca.llc.NucaLLC.reset_measurement` afterwards (it
-    may want to snapshot warm-up wear or apply faults first).
+    ``lines`` is an int64 array of the block's line addresses, in install
+    order; ``critical`` the block's per-line criticality draws (None for
+    criticality-blind policies).
 
     For criticality-consuming policies (Re-NUCA), each resident line is
     installed with the criticality its last long-run fetch would have
     carried: in steady state a line's mapping reflects the predictor's
     verdict at its most recent refetch, so lines are prefilled critical
     with the app's measured predicted-critical fetch fraction.  (For the
-    other policies placement ignores criticality, so the flag is inert.)
+    other policies placement ignores criticality, so no draws are made.)
     """
     from repro.common.rng import derive_rng
     from repro.trace.profiles import get_profile
@@ -294,15 +292,71 @@ def _warm_llc(
                 p_critical = float(s.predicted[fetches].mean())
         rng = derive_rng(seed, "prefill", workload.name, core)
         for block in warm_sets(params, l2_lines=config.l2.num_lines)["l3"]:
+            lines = np.arange(block.start, block.stop, block.step, dtype=np.int64)
             # One rng.random(len(block)) draw per block, exactly as the
             # historical per-line loop consumed it — warm-up criticality
             # stays deterministic per (seed, workload, core, block).
-            lines = [line + offset for line in block]
-            if p_critical > 0.0:
-                crit_draws = rng.random(len(block)) < p_critical
-                llc.prefill_many(core, lines, critical=crit_draws.tolist())
-            else:
-                llc.prefill_many(core, lines)
+            critical = (
+                rng.random(len(block)) < p_critical if p_critical > 0.0 else None
+            )
+            yield core, lines + offset, critical
+
+
+def _warm_llc(
+    llc,
+    workload: Workload,
+    config: SystemConfig,
+    results1: list[Stage1Result],
+    *,
+    seed: int | None,
+) -> None:
+    """Install each core's L3-resident working set through the object graph.
+
+    Mirrors the paper's warm-up phase: without it, short runs would count
+    one compulsory miss per working-set line, drowning the steady-state
+    hit rates of cache-friendly applications.  This is the reference
+    warm-up (one policy/``Cache`` fill per line); the kernel path builds
+    the same end state as arrays (:func:`_warm_arrays`).  The caller is
+    responsible for :meth:`~repro.nuca.llc.NucaLLC.reset_measurement`
+    afterwards (it may want to snapshot warm-up wear or apply faults
+    first).
+    """
+    for core, lines, critical in _warm_blocks(
+        llc, workload, config, results1, seed=seed
+    ):
+        llc.prefill_many(
+            core, lines.tolist(),
+            critical=None if critical is None else critical.tolist(),
+        )
+
+
+def _warm_arrays(
+    llc,
+    workload: Workload,
+    config: SystemConfig,
+    results1: list[Stage1Result],
+    *,
+    seed: int | None,
+) -> ArrayBanks:
+    """The kernel path's warm-up: the same stream, built as arrays.
+
+    Concatenates :func:`_warm_blocks` and hands it to
+    :func:`~repro.nuca.kernel.warm_state`, which leaves the per-bank
+    ``Cache`` objects empty and returns the warm :class:`ArrayBanks`.
+    """
+    cores, lines, critical = [], [], []
+    for core, block, draws in _warm_blocks(
+        llc, workload, config, results1, seed=seed
+    ):
+        cores.append(np.full(len(block), core, dtype=np.int64))
+        lines.append(block)
+        critical.append(
+            np.zeros(len(block), dtype=bool) if draws is None else draws
+        )
+    return warm_state(
+        llc, np.concatenate(lines), np.concatenate(cores),
+        np.concatenate(critical),
+    )
 
 
 @dataclass
@@ -314,6 +368,12 @@ class ReplayInputs:
     stream, and the criticality-predictor state for schemes that consume
     it.  Benches and equivalence tests use this to time / drive the
     replay in isolation from stage 1 and warm-up.
+
+    ``path`` is the replay the run takes: ``"kernel"`` or
+    ``"reference.<reason>"`` (see :func:`_replay_path`).  On the kernel
+    path the warm content lives in ``state`` only — the LLC's per-bank
+    ``Cache`` objects stay empty — and on the reference path ``state``
+    is None.
     """
 
     results1: list[Stage1Result]
@@ -327,6 +387,8 @@ class ReplayInputs:
     cpts: list[CriticalityPredictor] | None
     threshold: float
     block_cycles: float
+    path: str
+    state: ArrayBanks | None
 
 
 def prepare_replay(
@@ -341,12 +403,18 @@ def prepare_replay(
     telemetry: Telemetry | None = None,
     prof=DISABLED_PROFILER,
     spans=DISABLED_SPANS,
+    use_kernel: bool | None = None,
 ) -> ReplayInputs:
     """Build the warmed stage-2 state without running the measured loop.
 
     Factored out of :func:`run_workload` so throughput benches can time
     the replay alone (stage 1 and warm-up excluded) and so equivalence
-    tests can drive the kernel and reference paths from identical state.
+    tests can drive the kernel and reference paths from identical inputs.
+
+    The replay path (``use_kernel``, see :func:`run_workload`) is decided
+    on the empty LLC, before warm-up: the kernel path builds its warm
+    state directly as arrays (:func:`~repro.nuca.kernel.warm_state`),
+    the reference path fills the object graph line by line.
     """
     config = config or baseline_config()
     if workload.num_cores != config.num_cores:
@@ -382,8 +450,13 @@ def prepare_replay(
     llc = NucaLLC(
         config, policy, mesh, memory, wear, faults=injector, telemetry=telemetry
     )
+    path = _replay_path(use_kernel, llc)
+    state = None
     with prof.phase("warm-up"), spans.span("warm-up"):
-        _warm_llc(llc, workload, config, results1, seed=seed)
+        if path == "kernel":
+            state = _warm_arrays(llc, workload, config, results1, seed=seed)
+        else:
+            _warm_llc(llc, workload, config, results1, seed=seed)
         if injector is not None:
             llc.apply_faults(wear.snapshot())
         llc.reset_measurement()
@@ -414,25 +487,32 @@ def prepare_replay(
         cpts=cpts,
         threshold=config.criticality.threshold_percent / 100.0,
         block_cycles=config.criticality.block_cycles,
+        path=path,
+        state=state,
     )
 
 
-def _kernel_engaged(use_kernel: bool | None, telemetry, prep: ReplayInputs) -> bool:
-    """Resolve the ``use_kernel`` tri-state against the prepared run."""
-    instrumented = telemetry is not None or prep.injector is not None
-    if use_kernel is None:
-        if instrumented or os.environ.get("REPRO_KERNEL", "1") == "0":
-            return False
-        return kernel_supported(prep.llc)
+def _replay_path(use_kernel: bool | None, llc: NucaLLC) -> str:
+    """Resolve the ``use_kernel`` tri-state against the (empty) LLC.
+
+    Returns ``"kernel"`` or ``"reference.<reason>"``: a
+    :func:`~repro.nuca.kernel.kernel_fallback_reason`, ``env``
+    (``REPRO_KERNEL=0``) or ``pinned`` (``use_kernel=False``).
+    """
+    if use_kernel is False:
+        return "reference.pinned"
+    reason = kernel_fallback_reason(llc)
     if use_kernel:
-        if instrumented or not kernel_supported(prep.llc):
+        if reason is not None:
             raise ReproError(
-                "the replay kernel cannot drive this run (telemetry/fault "
-                "instrumentation attached, or an unsupported policy or "
-                "cache mode); drop use_kernel=True to use the reference path"
+                f"the replay kernel cannot drive this run (fallback "
+                f"reason: {reason}); drop use_kernel=True to use the "
+                "reference path"
             )
-        return True
-    return False
+        return "kernel"
+    if reason is None and os.environ.get("REPRO_KERNEL", "1") == "0":
+        reason = "env"
+    return "kernel" if reason is None else f"reference.{reason}"
 
 
 def run_workload(
@@ -448,6 +528,7 @@ def run_workload(
     ledger=None,
     use_kernel: bool | None = None,
     spans=None,
+    accounting=None,
 ) -> WorkloadSchemeResult:
     """Stage-2 simulation of one workload under one NUCA scheme.
 
@@ -481,7 +562,8 @@ def run_workload(
     cannot run); ``False`` pins the reference object-graph path.  Both
     paths produce field-for-field identical results (see
     ``docs/PERFORMANCE.md``); ``REPRO_KERNEL=0`` in the environment
-    disables auto-engagement globally.
+    disables auto-engagement globally.  The path taken is the ``measure``
+    span's ``path`` attribute.
 
     ``spans`` — a :class:`~repro.obs.spans.SpanRecorder` — brackets the
     run's phases (stage1 / warm-up / measure / reduce) as spans for the
@@ -490,10 +572,18 @@ def run_workload(
     the measured loop, so a spans-only run keeps the vectorized kernel
     engaged.  Defaults to ``telemetry.spans`` when a handle carries
     one, else to the disabled recorder.
+
+    ``accounting`` — a :class:`~repro.telemetry.StatsRegistry` — receives
+    the engine counters of the run without instrumenting it: the stage-1
+    memo's ``jobs.stage1.*`` and one ``jobs.replay.kernel`` or
+    ``jobs.replay.reference.<reason>`` count.  The sweep engine passes
+    its own registry here; defaults to ``telemetry.registry``.
     """
     stage1 = Stage1Cache() if stage1 is None else stage1
-    if telemetry is not None:
-        stage1.bind_telemetry(telemetry.registry)
+    if accounting is None and telemetry is not None:
+        accounting = telemetry.registry
+    if accounting is not None:
+        stage1.bind_telemetry(accounting)
     if spans is None:
         spans = (
             telemetry.spans
@@ -510,7 +600,7 @@ def run_workload(
         workload, scheme, config,
         seed=seed, n_instructions=n_instructions, stage1=stage1,
         fault_config=fault_config, telemetry=telemetry, prof=prof,
-        spans=spans,
+        spans=spans, use_kernel=use_kernel,
     )
     results1 = prep.results1
     mesh = prep.mesh
@@ -545,11 +635,10 @@ def run_workload(
         intervals = IntervalSeries(telemetry.interval_instructions)
         snapshot = telemetry.registry.snapshot
 
-    fast = _kernel_engaged(use_kernel, telemetry, prep)
-    with prof.phase("measure"), spans.span("measure", kernel=fast):
-        if fast:
+    with prof.phase("measure"), spans.span("measure", path=prep.path):
+        if prep.state is not None:
             scheme_lat_sorted = kernel_replay(
-                llc, merged,
+                llc, merged, state=prep.state,
                 cpts=cpts, threshold=prep.threshold,
                 block_cycles=prep.block_cycles,
             )
@@ -626,6 +715,8 @@ def run_workload(
         intervals=intervals,
     )
     result.energy_mj = energy_of_result(result, config).total_mj
+    if accounting is not None:
+        accounting.counter(f"jobs.replay.{prep.path}").inc()
 
     if ledger is not None:
         from repro.jobs.spec import JobSpec
@@ -772,7 +863,10 @@ def run_matrix(
     invoked before each stage-2 run (the benches use it for narration).
     ``fault_config`` applies the same fault-injection point to every cell.
     ``telemetry`` is shared by every cell: counters accumulate across the
-    grid while gauges always reflect the most recent run.
+    grid while gauges always reflect the most recent run.  Only a handle
+    that instruments cells (trace, intervals, profiler) reaches the
+    simulations; a registry-only handle collects the engine accounting
+    and leaves the cells on the replay kernel.
 
     The grid is resolved by the sweep engine (see ``docs/SWEEPS.md``):
 

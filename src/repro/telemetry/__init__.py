@@ -108,6 +108,21 @@ class Telemetry:
         else:
             self.spans = spans
 
+    @property
+    def instruments_cells(self) -> bool:
+        """True when runs need this handle inside the simulation.
+
+        Event tracing, interval dumps and the phase profiler hook into
+        the run itself (and so keep it on the reference replay); a
+        registry-only handle is engine accounting, which the sweep
+        engine collects without instrumenting its cells.
+        """
+        return (
+            self.trace is not None
+            or self.interval_instructions > 0
+            or self.profiler.enabled
+        )
+
     def phase(self, name: str):
         """Shorthand for ``telemetry.profiler.phase(name)``."""
         return self.profiler.phase(name)

@@ -278,3 +278,80 @@ class TestObservabilityCommands:
 
         records = RunLedger(ledger).load()
         assert len(records) == 1 and records[0].scheme == "Re-NUCA"
+
+
+class TestSweepReplayPath:
+    """A plain ``repro sweep`` runs its cells on the replay kernel."""
+
+    CELL = ("sweep", "--workloads", "1", "--schemes", "S-NUCA",
+            "--instructions", "2000", "--seed", "1")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """stdout and ``--out`` bytes of serial, ``-j 2`` and REPRO_KERNEL=0."""
+        import contextlib
+        import io
+
+        root = tmp_path_factory.mktemp("replay-path")
+        outputs = {}
+        for name, extra, env in (
+            ("serial", (), "1"),
+            ("parallel", ("-j", "2"), "1"),
+            ("reference", (), "0"),
+        ):
+            out = root / f"{name}.json"
+            stdout = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, \
+                    contextlib.redirect_stdout(stdout):
+                mp.setenv("REPRO_KERNEL", env)
+                assert main([*self.CELL, *extra, "--out", str(out)]) == 0
+            outputs[name] = (stdout.getvalue(), out.read_bytes())
+        return outputs
+
+    @staticmethod
+    def _accounting(stdout, prefix):
+        return [
+            line.strip() for line in stdout.splitlines()
+            if line.strip().startswith(prefix)
+        ]
+
+    @pytest.mark.parametrize("name", ["serial", "parallel"])
+    def test_cell_takes_the_kernel(self, runs, name):
+        stdout, _ = runs[name]
+        assert "jobs.replay.kernel = 1" in self._accounting(stdout, "jobs.replay")
+        assert self._accounting(stdout, "jobs.replay.reference") == []
+
+    def test_env_override_is_counted_as_reference(self, runs):
+        stdout, _ = runs["reference"]
+        assert self._accounting(stdout, "jobs.replay") == [
+            "jobs.replay.kernel = 0", "jobs.replay.reference.env = 1",
+        ]
+
+    def test_stage1_accounting_unchanged(self, runs):
+        stage1 = {
+            name: self._accounting(stdout, "jobs.stage1")
+            for name, (stdout, _) in runs.items()
+        }
+        assert stage1["serial"] == [
+            "jobs.stage1.entries = 11", "jobs.stage1.evictions = 0",
+            "jobs.stage1.hits = 5", "jobs.stage1.misses = 11",
+        ]
+        assert stage1["parallel"] == stage1["serial"] == stage1["reference"]
+
+    def test_matrix_byte_identical_to_reference_path(self, runs):
+        assert runs["serial"][1] == runs["reference"][1]
+        assert runs["parallel"][1] == runs["reference"][1]
+
+    def test_smoke_baseline_reproduces_bit_identically(self, tmp_path):
+        import json
+        from pathlib import Path
+
+        baseline = Path(__file__).resolve().parents[1] / "baselines" / "smoke.json"
+        out = tmp_path / "smoke.json"
+        code = main([
+            "sweep", "--workloads", "1", "--schemes", "S-NUCA", "Re-NUCA",
+            "--instructions", "6000", "--seed", "1", "--label", "ci-smoke",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text()) == json.loads(baseline.read_text())

@@ -29,7 +29,6 @@ from repro.search import (
     halton_points,
     hypervolume,
     load_space,
-    mutate_point,
     pareto_indices,
     parse_objectives,
     point_id_of,
@@ -38,7 +37,6 @@ from repro.search import (
     run_search,
 )
 from repro.search.drivers import _propose
-from repro.search.samplers import evolve_points
 from repro.sim.runner import Stage1Cache
 
 CONFIG4 = scaled_config(baseline_config(), cores=4)
@@ -167,17 +165,6 @@ class TestSamplers:
         assert grid[0] == pytest.approx(1.0)
         assert grid[-1] == pytest.approx(100.0)
 
-    def test_mutation_stays_inside_space(self, rng):
-        values = grid_points(SPACE)[0]
-        for _ in range(50):
-            values = mutate_point(SPACE, values, rng)
-            SPACE.encode(values, base=CONFIG4)  # must stay valid
-
-    def test_evolve_deterministic(self):
-        parents = grid_points(SPACE)[:2]
-        a = evolve_points(SPACE, parents, 10, seed=5)
-        assert a == evolve_points(SPACE, parents, 10, seed=5)
-        assert len(a) == 10
 
 
 # -- pareto -------------------------------------------------------------------
