@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.units import is_power_of_two
 
@@ -130,3 +132,19 @@ class SetAssocArray:
         for ways in self._sets:
             ways.clear()
         return drained
+
+
+def lru_survivors(set_idx: np.ndarray, assoc: int) -> np.ndarray:
+    """Closed form of filling empty LRU sets with a miss-only stream.
+
+    ``set_idx[i]`` is the set of the ``i``-th install.  Every install
+    misses, so each set ends holding its last ``assoc`` installs in
+    insertion order.  Returns their indices grouped by ascending set,
+    in insertion (LRU -> MRU) order within a set.
+    """
+    n = len(set_idx)
+    order = np.argsort(set_idx, kind="stable")
+    sorted_sets = set_idx[order]
+    starts = np.flatnonzero(np.r_[True, sorted_sets[1:] != sorted_sets[:-1]])
+    ends = np.repeat(np.r_[starts[1:], n], np.diff(np.r_[starts, n]))
+    return order[ends - np.arange(n) <= assoc]

@@ -12,9 +12,12 @@ bundle chunks with
 
 * the live per-set tag dicts (:meth:`~repro.cache.lru.SetAssocArray.set_views`)
   mutated in place — a hit is one C-level ``pop`` + re-insert, a fill
-  evicts ``next(iter(ways))``; the warmed ``Cache`` objects' arrays *are*
-  the kernel's L1/L2/L3 state, so warm-up and final content need no
-  translation;
+  evicts ``next(iter(ways))``; the ``Cache`` objects' arrays *are* the
+  kernel's L1/L2/L3 state, so the final content needs no translation;
+* the warm-up installed in closed form (:func:`warm_caches`): each set's
+  steady-state survivors are computed with numpy and written into those
+  same dicts, one ``dict.update`` per set instead of one
+  ``Cache.allocate`` per line;
 * the ROB interval arithmetic, CPT issue-query/commit-update, MSHR
   occupancy, stream-prefetch detector and open-row memory pipe inlined as
   local scalars and plain dicts (zero per-record allocations), preserving
@@ -24,8 +27,10 @@ bundle chunks with
   (the meter updates are commutative integer adds, unlike the CPT's
   order-sensitive issue/commit interleaving, which stays inline).
 
-Equivalence contract: for every supported configuration the kernel
-produces a **field-for-field identical**
+Equivalence contract: the closed-form warm-up leaves the same per-set
+content as the reference ``AppSimulator._warm_caches`` (its oracle),
+and for every supported configuration the kernel produces a
+**field-for-field identical**
 :class:`~repro.cpu.core.Stage1Result` to the reference path — Table II
 statistics, criticality meters and the full L3 reference stream
 including ``stall``/``slack``/``mlp``.  Statistics are transferred back
@@ -43,6 +48,7 @@ from collections import OrderedDict, deque
 
 import numpy as np
 
+from repro.cache.lru import lru_survivors
 from repro.common.errors import SimulationError
 from repro.common.rng import derive_rng
 from repro.trace.generator import bundles_for_instructions, generate_trace
@@ -68,6 +74,68 @@ def kernel_supported(sim) -> bool:
     return True
 
 
+def warm_caches(sim, base_line: int) -> None:
+    """Closed-form counterpart of ``AppSimulator._warm_caches``.
+
+    Each cache's warm stream (:func:`~repro.trace.synthetic.warm_sets`)
+    is a duplicate-free concatenation of ranges, so under native LRU
+    every install misses and each set ends holding its last ``assoc``
+    inserts, in insertion order.  Those survivors are computed with numpy
+    and written into the live per-set dicts, each with a fresh
+    ``[dirty, None]`` payload (the kernel mutates payloads in place).
+    Dirty flags follow ``l2_dirty_stride``; statistics are reset, as the
+    reference warm-up leaves them.  The caller guarantees
+    :func:`kernel_supported` (the set index is ``line & (num_sets - 1)``).
+    """
+    from repro.trace.synthetic import warm_sets
+
+    sets = warm_sets(sim.params, l2_lines=sim.config.l2.num_lines)
+    window = _range_lines(sets["l2_dirty_window"])
+    stride = sets["l2_dirty_stride"]
+    l2_clean = _range_lines(*sets["l2_clean"])
+    l2_dirty = np.zeros(len(l2_clean) + len(window), dtype=bool)
+    if stride:
+        l2_dirty[len(l2_clean)::stride] = True
+    _install_lru(sim.l1d, _range_lines(sets["l1"]) + base_line)
+    _install_lru(sim.l2, np.concatenate((l2_clean, window)) + base_line, l2_dirty)
+    _install_lru(sim.l3, _range_lines(*sets["l3"]) + base_line)
+
+
+def _range_lines(*blocks: range) -> np.ndarray:
+    """Concatenate ``range`` blocks into one int64 line array."""
+    return np.concatenate(
+        [np.arange(b.start, b.stop, b.step, dtype=np.int64) for b in blocks]
+    )
+
+
+def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> None:
+    """Leave ``cache`` as LRU-filling an empty cache with ``lines`` would."""
+    from repro.cache.cache import CacheStats
+
+    views = cache._array.set_views()
+    if any(views):
+        raise SimulationError(f"{cache.name}: closed-form warm-up needs an empty cache")
+    ordered = np.sort(lines)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise SimulationError(
+            f"{cache.name}: warm stream repeats a line; the closed-form "
+            "warm-up needs a miss-only stream"
+        )
+    cache.stats = CacheStats()
+    set_idx = lines & (cache.num_sets - 1)
+    keep = lru_survivors(set_idx, cache.config.assoc)
+    kept_sets = set_idx[keep]
+    sets_l, firsts = np.unique(kept_sets, return_index=True)
+    bounds = np.r_[firsts, len(keep)].tolist()
+    line_l = lines[keep].tolist()
+    if dirty is None:
+        payloads = [[False, None] for _ in line_l]
+    else:
+        payloads = [[d, None] for d in dirty[keep].tolist()]
+    for s, lo, hi in zip(sets_l.tolist(), bounds, bounds[1:]):
+        views[s].update(zip(line_l[lo:hi], payloads[lo:hi]))
+
+
 def characterize(sim, n_instructions: int, *, base_line: int = 0):
     """Kernel counterpart of :meth:`~repro.cpu.core.AppSimulator.run`."""
     from repro.cache.cache import CacheStats
@@ -79,7 +147,7 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
 
     if n_instructions <= 0:
         raise SimulationError("instruction budget must be positive")
-    sim._warm_caches(base_line)
+    warm_caches(sim, base_line)
     params = sim.params
     profile = sim.profile
     rng = derive_rng(sim.seed, "trace", profile.name)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cache.lru import lru_survivors
 from repro.common.errors import SimulationError
 from repro.nuca.naive import NaivePolicy
 from repro.nuca.private import PrivatePolicy
@@ -253,13 +254,7 @@ def warm_state(llc, lines, cores, critical) -> ArrayBanks:
     gset = bank * state.num_sets + (
         (lines >> state.index_shift) & (state.num_sets - 1)
     )
-    order = np.argsort(gset, kind="stable")
-    sorted_gset = gset[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_gset[1:] != sorted_gset[:-1]))
-    )
-    ends = np.repeat(np.append(starts[1:], n), np.diff(np.append(starts, n)))
-    keep = order[ends - np.arange(n) <= state.assoc]
+    keep = lru_survivors(gset, state.assoc)
     state.prefill_many(
         lines[keep], gset[keep],
         owner=cores[keep], critical=critical[keep], index=False,
@@ -691,12 +686,15 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     """Re-NUCA: scalar loop with in-order CPT feedback on the array engine.
 
     The live :class:`~repro.core.tlb.EnhancedTlb` and
-    :class:`~repro.core.criticality.CriticalityPredictor` objects are
-    driven in exactly the reference call sequence (mapping-bit reads,
-    allocation-time bit sets, eviction-time bit clears, issue-time ratio
-    reads, commit-time ground-truth updates), so their internal LRU and
-    counter state stays bit-identical while everything around them uses
-    precomputed tables and flat arrays.
+    :class:`~repro.core.criticality.CriticalityPredictor` state — each
+    TLB's per-set page dicts and MBV backing store, each predictor's PC
+    table — is driven inline in exactly the reference sequence
+    (mapping-bit reads, allocation-time bit sets, eviction-time bit
+    clears, issue-time ratio reads, commit-time ground-truth updates), so
+    it stays bit-identical while everything around it uses precomputed
+    tables and flat arrays.  The rare paths (TLB refill, CPT insertion,
+    victim bit clear) are small local helpers; lookup/hit counters are
+    derived from per-core record counts and transferred at the end.
     """
     policy = llc.policy
     mesh = llc.mesh
@@ -717,6 +715,76 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     rids_l = list(rnuca.rids)
     cmask = rnuca._mask
     tlbs = policy.tlbs
+    # EnhancedTlb internals: page -> [mbv] per set (LRU -> MRU), backing
+    # store of non-resident pages' MBVs.  Every core's TLB shares one
+    # geometry (the config's).
+    tlb_sets = [tlb._array.set_views() for tlb in tlbs]
+    backings = [tlb._backing for tlb in tlbs]
+    page_shift = tlbs[0]._line_shift
+    bit_mask = tlbs[0]._line_mask
+    tlb_mask = tlbs[0]._set_mask
+    tlb_assoc = tlbs[0]._array.assoc
+    refills0 = [tlb.stats.refills for tlb in tlbs]
+    # Write-back misses read the mapping bit twice (see below).
+    wb_rereads = [0] * len(tlbs)
+    cpt_tables = [cpt._table for cpt in cpts]
+    cpt_cap = cpts[0].config.table_entries
+    cpt_misses = [0] * len(cpts)
+    # Every record reads its mapping bit once (write-back misses twice),
+    # every fetched load its PC's CPT entry.  Counted before the record
+    # lists below exist: bincount's intp copy of the stream stays off
+    # the replay's memory peak.
+    touches = np.bincount(merged.core, minlength=len(tlbs)).tolist()
+    loads = np.bincount(
+        merged.core[merged.is_load & ~merged.is_wb], minlength=len(cpts)
+    ).tolist()
+
+    def tlb_refill(core, ways, page):
+        # EnhancedTlb._touch's miss path: restore the page's MBV from the
+        # backing store, evicting the LRU page's MBV into it.
+        stats = tlbs[core].stats
+        backing = backings[core]
+        stats.refills += 1
+        restored = backing.pop(page, 0)
+        if restored:
+            stats.mbv_restores += 1
+        if len(ways) >= tlb_assoc:
+            vpage = next(iter(ways))
+            vmbv = ways.pop(vpage)[0]
+            stats.evictions += 1
+            if vmbv:
+                backing[vpage] = vmbv
+                stats.mbv_writebacks += 1
+        holder = [restored]
+        ways[page] = holder
+        return holder
+
+    def clear_bit(owner, vline):
+        # EnhancedTlb.clear_mapping_bit (no recency update).
+        page = vline >> page_shift
+        bit = 1 << (vline & bit_mask)
+        entry = tlb_sets[owner][page & tlb_mask].get(page)
+        if entry is not None:
+            entry[0] &= ~bit
+            return
+        backing = backings[owner]
+        mbv = backing.get(page)
+        if mbv is not None:
+            mbv &= ~bit
+            if mbv:
+                backing[page] = mbv
+            else:
+                del backing[page]
+
+    def cpt_insert(core, pc, blocked):
+        # CriticalityPredictor.observe_commit for an untracked PC.
+        table = cpt_tables[core]
+        stats = cpts[core].stats
+        if len(table) >= cpt_cap:
+            table.popitem(last=False)
+            stats.evictions += 1
+        table[pc] = [1, 1 if blocked else 0]
+        stats.inserts += 1
     # (0.0 penalty + round_trip) + read, per (core, bank).
     hitlat = [
         [(0.0 + 2 * dist_l[c][b] * hop) + read_lat for b in range(n_nodes)]
@@ -764,10 +832,17 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     hops = 0
 
     for i, (core, line_i, is_wb) in enumerate(zip(core_l, line_l, wb_l)):
-        tlb = tlbs[core]
+        # Mapping-bit read: a TLB touch of the line's page.
+        page = line_i >> page_shift
+        ways = tlb_sets[core][page & tlb_mask]
+        mbv = ways.pop(page, None)
+        if mbv is None:
+            mbv = tlb_refill(core, ways, page)
+        else:
+            ways[page] = mbv
         if is_wb:
             wbs += 1
-            if tlb.mapping_bit(line_i):
+            if (mbv[0] >> (line_i & bit_mask)) & 1:
                 bank = clusters_l[core][(line_i + rids_l[core] + 1) & cmask]
             else:
                 bank = line_i & sn_mask
@@ -792,20 +867,33 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                 wb_hits += 1
                 continue
             # Reference probes _is_static -> writeback_bank -> locate,
-            # which reads the mapping bit a second time (a TLB touch).
-            tlb.mapping_bit(line_i)
+            # which reads the mapping bit a second time: a TLB hit on
+            # the page just made MRU, so only its lookup is counted.
+            wb_rereads[core] += 1
             place = bank
             critical = False
             fill_dirty = True
         else:
             fetches += 1
             ts = ts_l[i]
-            if load_l[i]:
-                ratio = cpts[core].ratio(pc_l[i])
-                predicted = ratio is not None and ratio >= threshold
+            is_load = load_l[i]
+            if is_load:
+                # CriticalityPredictor.ratio: issue-time read + num_loads.
+                pc = pc_l[i]
+                table = cpt_tables[core]
+                centry = table.get(pc)
+                if centry is None:
+                    cpt_misses[core] += 1
+                    predicted = False
+                else:
+                    table.move_to_end(pc)
+                    issued = centry[0]
+                    ratio = centry[1] / issued if issued else 0.0
+                    centry[0] = issued + 1
+                    predicted = ratio >= threshold
             else:
                 predicted = False
-            if tlb.mapping_bit(line_i):
+            if (mbv[0] >> (line_i & bit_mask)) & 1:
                 bank = clusters_l[core][(line_i + rids_l[core] + 1) & cmask]
             else:
                 bank = line_i & sn_mask
@@ -875,14 +963,16 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                 dirty_f[pos2] = False
                 owner_f[pos2] = core
                 index[line_i] = pos2
-                tlb.set_mapping_bit(line_i, critical)
+                # Allocation-time set_mapping_bit (the page is MRU).
                 if critical:
+                    mbv[0] |= 1 << (line_i & bit_mask)
                     crit_allocs += 1
                 else:
+                    mbv[0] &= ~(1 << (line_i & bit_mask))
                     noncrit_allocs += 1
                 if victim is not None:
                     vline, vdirty, vowner = victim
-                    tlbs[vowner].clear_mapping_bit(vline)
+                    clear_bit(vowner, vline)
                     if vdirty:
                         start = ts if ts > pipe_free else pipe_free
                         queue_acc += start - ts
@@ -894,15 +984,19 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                         else:
                             open_rows[vbank] = vrow
                         mem_writes += 1
-            if load_l[i]:
-                # Commit-time ground truth under this scheme's latency.
+            if is_load:
+                # Commit-time ground truth under this scheme's latency
+                # (observe_commit; the issue-time entry is still live).
                 diff = lat - nominal_l[i]
                 stall = stall_l[i]
                 if stall > 0:
                     stall2 = stall + diff / mlp_l[i]
                 else:
                     stall2 = (diff - slack_l[i]) / mlp_l[i]
-                cpts[core].observe_commit(pc_l[i], stall2 >= block_cycles)
+                if centry is None:
+                    cpt_insert(core, pc, stall2 >= block_cycles)
+                elif stall2 >= block_cycles:
+                    centry[1] += 1
             continue
         # Write-back re-allocation fill (shared with the fetch-miss fill
         # would cost a branch in the hotter fetch path; duplicated here).
@@ -925,11 +1019,11 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         dirty_f[pos2] = fill_dirty
         owner_f[pos2] = core
         index[line_i] = pos2
-        tlb.set_mapping_bit(line_i, critical)
+        mbv[0] &= ~(1 << (line_i & bit_mask))
         noncrit_allocs += 1
         if victim is not None:
             vline, vdirty, vowner = victim
-            tlbs[vowner].clear_mapping_bit(vline)
+            clear_bit(vowner, vline)
             if vdirty:
                 ts = ts_l[i]
                 start = ts if ts > pipe_free else pipe_free
@@ -944,6 +1038,14 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                 mem_writes += 1
 
     state.clock = stamp0 + n
+    # Every TLB lookup that did not refill hit.
+    for core, tlb in enumerate(tlbs):
+        lookups = touches[core] + wb_rereads[core]
+        tlb.stats.lookups += lookups
+        tlb.stats.hits += lookups - (tlb.stats.refills - refills0[core])
+    for core, cpt in enumerate(cpts):
+        cpt.stats.lookups += loads[core]
+        cpt.stats.lookup_hits += loads[core] - cpt_misses[core]
     stats = llc.stats
     stats.fetches += fetches
     stats.fetch_hits += fetch_hits

@@ -394,3 +394,67 @@ class TestConfigSignatureMemo:
         assert config_signature(baseline_config()) == config_signature(
             baseline_config()
         )
+
+
+def _renuca_object_state(prep):
+    """Per-core TLB sets/backing and CPT table of a replayed Re-NUCA run."""
+    tlbs = [
+        (
+            [[(page, e[0]) for page, e in ways.items()]
+             for ways in tlb._array.set_views()],
+            tlb._backing,
+        )
+        for tlb in prep.policy.tlbs
+    ]
+    cpts = [(list(cpt.snapshot().items()), cpt.stats) for cpt in prep.cpts]
+    return tlbs, cpts
+
+
+def _tlb_stats_delta(before, after):
+    return {
+        f.name: getattr(after, f.name) - getattr(before, f.name)
+        for f in dataclasses.fields(after)
+    }
+
+
+SMALL_CPT = dataclasses.replace(
+    CFG8, criticality=dataclasses.replace(CFG8.criticality, table_entries=16)
+)
+
+
+@pytest.mark.parametrize("config", [CFG8, SMALL_CPT], ids=["default", "cpt16"])
+@pytest.mark.parametrize("seed", SEEDS)
+class TestReNucaObjectState:
+    """The kernel's inlined TLB/CPT leave the reference's object state."""
+
+    def test_tlb_and_cpt_state_identical(self, stage1, config, seed):
+        runs = []
+        for use_kernel in (False, True):
+            prep = prepare_replay(
+                MIX8, "Re-NUCA", config, seed=seed, n_instructions=INSTR,
+                stage1=stage1, use_kernel=use_kernel,
+            )
+            # The reference warm-up counts TLB lookups, load_warm_state
+            # does not: compare the replay's deltas.
+            before = [dataclasses.replace(t.stats) for t in prep.policy.tlbs]
+            kwargs = dict(cpts=prep.cpts, threshold=prep.threshold,
+                          block_cycles=prep.block_cycles)
+            if use_kernel:
+                runner.kernel_replay(prep.llc, prep.merged, state=prep.state,
+                                     **kwargs)
+            else:
+                runner._replay_reference(prep.llc, prep.merged, **kwargs)
+            deltas = [
+                _tlb_stats_delta(b, t.stats)
+                for b, t in zip(before, prep.policy.tlbs)
+            ]
+            runs.append((prep.path, _renuca_object_state(prep), deltas))
+        (ref_path, ref_state, ref_deltas), (fast_path, fast_state, fast_deltas) = runs
+        assert (ref_path, fast_path) == ("reference.pinned", "kernel")
+        assert fast_state == ref_state
+        assert fast_deltas == ref_deltas
+        # Both rare paths are exercised: TLB evictions under the default
+        # geometry, CPT evictions under the 16-entry table.
+        assert sum(d["evictions"] for d in ref_deltas) > 0
+        if config is SMALL_CPT:
+            assert sum(stats.evictions for _, stats in ref_state[1]) > 0

@@ -1,8 +1,9 @@
 """Set-associative array: lookup, insertion, eviction order, invariants."""
 
+import numpy as np
 import pytest
 
-from repro.cache.lru import SetAssocArray
+from repro.cache.lru import SetAssocArray, lru_survivors
 from repro.common.errors import ConfigError, SimulationError
 
 
@@ -140,3 +141,16 @@ class TestOccupancyAndIteration:
         drained = arr.flush()
         assert len(drained) == 2
         assert arr.total_occupancy() == 0
+
+
+class TestLruSurvivors:
+    @pytest.mark.parametrize("n", [0, 1, 7, 200])
+    def test_matches_a_miss_only_fill(self, n):
+        rng = np.random.default_rng(n)
+        set_idx = rng.integers(0, 8, size=n)
+        arr = SetAssocArray(8, 3)
+        for i, s in enumerate(set_idx.tolist()):
+            arr.insert(s, i, None)
+        keep = lru_survivors(set_idx, 3)
+        expected = [tag for s in range(8) for tag, _ in arr.iter_set(s)]
+        assert keep.tolist() == expected

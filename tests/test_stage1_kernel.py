@@ -8,6 +8,9 @@ paths over every application profile and compares every result field
 recursively — the full L3 stream arrays (values *and* dtypes), the
 criticality meters and all nested statistics dataclasses.  The gate
 class covers the ``use_kernel`` tri-state, which mirrors stage 2's.
+The warm-up classes check the kernel's closed-form warm-up
+(:func:`~repro.cpu.kernel.warm_caches`) against its oracle,
+``AppSimulator._warm_caches``.
 """
 
 import dataclasses
@@ -15,10 +18,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cache.cache import CacheStats
 from repro.common.errors import SimulationError
-from repro.config import baseline_config
+from repro.config import baseline_config, sensitivity_l3_1m
 from repro.cpu.core import AppSimulator
-from repro.cpu.kernel import kernel_supported
+from repro.cpu.kernel import kernel_supported, warm_caches
+from repro.sim import runner
+from repro.trace import synthetic
 from repro.trace.profiles import ALL_APPS
 
 INSTR = 6_000
@@ -140,3 +146,60 @@ class TestStage1KernelGate:
             AppSimulator("milc", baseline_config(), seed=3).run(
                 0, use_kernel=True
             )
+
+
+def _resident(sim):
+    """Per cache, per set: ``(line, payload)`` items in LRU -> MRU order."""
+    return [
+        [list(ways.items()) for ways in cache._array.set_views()]
+        for cache in (sim.l1d, sim.l2, sim.l3)
+    ]
+
+
+WARM_CONFIGS = {"baseline": baseline_config, "l3-1m": sensitivity_l3_1m}
+
+
+@pytest.mark.parametrize(
+    "base_line", [0, runner._core_base(5)], ids=["core0", "core5"]
+)
+@pytest.mark.parametrize("config", sorted(WARM_CONFIGS))
+@pytest.mark.parametrize("app", APPS)
+class TestClosedFormWarmup:
+    def test_matches_reference_warmup(self, app, config, base_line):
+        ref = AppSimulator(app, WARM_CONFIGS[config](), seed=3)
+        ref._warm_caches(base_line)
+        fast = AppSimulator(app, WARM_CONFIGS[config](), seed=3)
+        warm_caches(fast, base_line)
+        assert _resident(fast) == _resident(ref)
+        for cache in (fast.l1d, fast.l2, fast.l3):
+            assert cache.stats == CacheStats()
+        # Every line owns its payload (the kernel mutates them in place).
+        payloads = [p for c in _resident(fast) for ways in c for _, p in ways]
+        assert len({id(p) for p in payloads}) == len(payloads)
+
+
+class TestClosedFormWarmupGuards:
+    def test_l3_self_evicts_on_small_config(self):
+        sim = AppSimulator("omnetpp", sensitivity_l3_1m(), seed=3)
+        sets = synthetic.warm_sets(sim.params, l2_lines=sim.config.l2.num_lines)
+        warm_caches(sim, 0)
+        assert sim.l3.occupancy() < sum(len(block) for block in sets["l3"])
+
+    def test_repeated_line_raises(self, monkeypatch):
+        real = synthetic.warm_sets
+
+        def overlapping(params, **kwargs):
+            sets = real(params, **kwargs)
+            sets["l3"] = [*sets["l3"], sets["l3"][0]]
+            return sets
+
+        monkeypatch.setattr(synthetic, "warm_sets", overlapping)
+        sim = AppSimulator("milc", baseline_config(), seed=3)
+        with pytest.raises(SimulationError, match="repeats a line"):
+            warm_caches(sim, 0)
+
+    def test_non_empty_cache_raises(self):
+        sim = AppSimulator("milc", baseline_config(), seed=3)
+        sim.l2.allocate(7)
+        with pytest.raises(SimulationError, match="empty cache"):
+            warm_caches(sim, 0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import baseline_config, sensitivity_l3_1m
 from repro.cpu.core import AppSimulator
+from repro.cpu.kernel import warm_caches
 from repro.mem.model import MainMemory
 from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, make_policy
@@ -15,10 +16,19 @@ from repro.trace.synthetic import derive_params, warm_sets
 from repro.trace.workloads import Workload
 
 
+@pytest.fixture(params=["reference", "closed-form"])
+def stage1_warmup(request):
+    """Both stage-1 warm-ups: ``(warm(sim, base_line), use_kernel)``."""
+    if request.param == "reference":
+        return (lambda sim, base_line: sim._warm_caches(base_line)), False
+    return warm_caches, True
+
+
 class TestStage1Warmup:
-    def test_caches_warm_before_measurement(self):
+    def test_caches_warm_before_measurement(self, stage1_warmup):
+        warm, _ = stage1_warmup
         sim = AppSimulator("omnetpp", baseline_config(), seed=3)
-        sim._warm_caches(0)
+        warm(sim, 0)
         sets = warm_sets(sim.params, l2_lines=sim.config.l2.num_lines)
         # L1 holds the hot tier.
         assert all(sim.l1d.contains(line) for line in sets["l1"])
@@ -29,19 +39,21 @@ class TestStage1Warmup:
         assert sim.l3.stats.fills == 0
         assert sim.l1d.stats.accesses == 0
 
-    def test_dirty_window_produces_writebacks_immediately(self):
+    def test_dirty_window_produces_writebacks_immediately(self, stage1_warmup):
         """The L2's prefilled dirty tail makes WPKI correct from line 1."""
+        _, use_kernel = stage1_warmup
         sim = AppSimulator("omnetpp", baseline_config(), seed=3)
-        result = sim.run(20_000)
+        result = sim.run(20_000, use_kernel=use_kernel)
         # omnetpp (WPKI target 16.2) must show write-backs even in a
         # short window, which only happens if the L2 starts full+dirty.
         assert result.wpki > 5.0
 
-    def test_warm_l3_respects_capacity(self):
+    def test_warm_l3_respects_capacity(self, stage1_warmup):
         """On the 1 MB sensitivity config the working set self-evicts."""
+        warm, _ = stage1_warmup
         config = sensitivity_l3_1m()
         sim = AppSimulator("omnetpp", config, seed=3)
-        sim._warm_caches(0)
+        warm(sim, 0)
         assert sim.l3.occupancy() <= config.l3_bank.num_lines
 
 
