@@ -14,7 +14,14 @@ with the budget and dips below 2x only at toy budgets.
 A second bench times the kernel's closed-form warm-up
 (:func:`repro.cpu.kernel.warm_caches`) against the line-by-line
 reference warm-up (``AppSimulator._warm_caches``) on fresh simulators;
-every characterisation and calibration probe pays one of them.
+every characterisation pays one of them, and every calibrated app one
+(its single cache walk).
+
+A third bench times base-CPI calibration
+(:func:`repro.sim.calibrate.calibrated_base_cpi`) on its two-phase path
+— one cache walk per app, re-timed per probe — against the probe loop
+that runs a full ``AppSimulator.run`` per probe, memo cleared before
+each measurement.
 
 Set ``REPRO_BENCH_RECORD=<path>`` to append the measurements to a
 trajectory file via :mod:`repro.obs.bench` (the committed
@@ -27,6 +34,7 @@ import time
 from repro.config import baseline_config
 from repro.cpu.core import AppSimulator
 from repro.cpu.kernel import warm_caches
+from repro.sim import calibrate
 from repro.trace.synthetic import warm_sets
 
 _APP = "milc"
@@ -36,6 +44,9 @@ _INSTRUCTIONS = 150_000
 _MIN_SPEEDUP = 2.0
 #: Floor of the closed-form warm-up over the line-by-line warm-up.
 _WARMUP_MIN_SPEEDUP = 3.0
+#: Apps calibrated by the calibration bench, and its floor.
+_CALIBRATION_APPS = ("milc", "mcf", "namd")
+_CALIBRATION_MIN_SPEEDUP = 2.0
 
 
 def _measure(use_kernel: bool):
@@ -115,4 +126,59 @@ def test_bench_stage1_warmup():
     assert speedup >= _WARMUP_MIN_SPEEDUP, (
         f"closed-form warm-up is only {speedup:.1f}x the line-by-line "
         f"warm-up (floor {_WARMUP_MIN_SPEEDUP}x)"
+    )
+
+
+def _full_run_probe(app, config, seed, n):
+    """Calibration probe as one whole ``AppSimulator.run`` per base CPI."""
+
+    def probe(base_cpi):
+        result = AppSimulator(app, config, seed=seed, base_cpi=base_cpi).run(n)
+        return result.cycles, result.instructions
+
+    return probe
+
+
+def test_bench_calibration(monkeypatch):
+    """Two-phase calibration must beat one full run per probe by >= 2x."""
+    config = baseline_config()
+
+    def measure():
+        best = float("inf")
+        for _ in range(3):
+            calibrate.clear_cache()
+            t0 = time.perf_counter()
+            cpis = [calibrate.calibrated_base_cpi(app, config, seed=_SEED)
+                    for app in _CALIBRATION_APPS]
+            best = min(best, time.perf_counter() - t0)
+        calibrate.clear_cache()
+        return best, cpis
+
+    two_phase_s, fast = measure()
+    with monkeypatch.context() as m:
+        m.setattr(calibrate, "_probe", _full_run_probe)
+        full_run_s, ref = measure()
+    speedup = full_run_s / two_phase_s
+    probes = len(_CALIBRATION_APPS) * calibrate.CALIBRATION_STEPS
+    print(f"\ncalibration: {len(_CALIBRATION_APPS)} apps, {probes} probes, "
+          f"two-phase {two_phase_s:.3f}s, full runs {full_run_s:.3f}s, "
+          f"speedup {speedup:.2f}x")
+
+    out = os.environ.get("REPRO_BENCH_RECORD")
+    if out:
+        from repro.obs.bench import append_bench_point, throughput_point
+
+        append_bench_point(out, throughput_point(
+            "stage1_calibration",
+            count=probes * calibrate.CALIBRATION_INSTRUCTIONS,
+            seconds=two_phase_s, unit="instructions",
+            details={"apps": len(_CALIBRATION_APPS),
+                     "reference_seconds": full_run_s,
+                     "speedup": round(speedup, 3)},
+        ))
+
+    assert fast == ref
+    assert speedup >= _CALIBRATION_MIN_SPEEDUP, (
+        f"two-phase calibration is only {speedup:.2f}x the full-run probe "
+        f"loop (floor {_CALIBRATION_MIN_SPEEDUP}x)"
     )

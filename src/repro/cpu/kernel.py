@@ -7,35 +7,51 @@ the full object graph per record — :meth:`~repro.cache.cache.Cache.access`
 ReorderBuffer.dispatch` (one ``CommittedLoad`` per retired load),
 :meth:`~repro.core.criticality.CriticalityMeters.load_committed` (three
 numpy element-wise ops per commit) and method dispatch for the CPT, MSHR
-file, stream prefetcher and memory pipe.  This module replays the same
-bundle chunks with
+file, stream prefetcher and memory pipe.  This module splits the run in
+two passes.
+
+The **cache walk** (:func:`walk`) depends only on line order, never on
+``base_cpi``:
 
 * the live per-set tag dicts (:meth:`~repro.cache.lru.SetAssocArray.set_views`)
-  mutated in place — a hit is one C-level ``pop`` + re-insert, a fill
+  are mutated in place — a hit is one C-level ``pop`` + re-insert, a fill
   evicts ``next(iter(ways))``; the ``Cache`` objects' arrays *are* the
   kernel's L1/L2/L3 state, so the final content needs no translation;
-* the warm-up installed in closed form (:func:`warm_caches`): each set's
-  steady-state survivors are computed with numpy and written into those
-  same dicts, one ``dict.update`` per set instead of one
+* the warm-up is installed in closed form (:func:`warm_caches`): each
+  set's steady-state survivors are computed with numpy and written into
+  those same dicts, one ``dict.update`` per set instead of one
   ``Cache.allocate`` per line;
-* the ROB interval arithmetic, CPT issue-query/commit-update, MSHR
-  occupancy, stream-prefetch detector and open-row memory pipe inlined as
-  local scalars and plain dicts (zero per-record allocations), preserving
-  the reference's exact floating-point operation order;
-* the criticality meters **deferred**: per-event ``(ratio, blocked)``
-  tuples are collected and reduced with batched numpy sums at the end
-  (the meter updates are commutative integer adds, unlike the CPT's
-  order-sensitive issue/commit interleaving, which stays inline).
+* the stream-prefetch detector and the DRAM open-row state are inlined;
+* each bundle leaves one outcome code (L1 hit ... L3 miss on a closed
+  row, prefetch-covered or not) plus the lines of its L2 write-backs, and
+  the hit/miss statistics are counted from the codes with numpy.
+
+The **timing pass** replays the codes through the ROB interval
+arithmetic, MSHR occupancy and open-row memory pipe, inlined as local
+scalars and plain dicts (zero per-record allocations) in the reference's
+exact floating-point operation order.  It comes in two forms:
+
+* :func:`characterize` adds the CPT issue-query/commit-update, the L3
+  stream records and the criticality meters, **deferred**: per-event
+  ``(ratio, blocked)`` tuples are collected and reduced with batched
+  numpy sums at the end (the meter updates are commutative integer adds,
+  unlike the CPT's order-sensitive issue/commit interleaving, which stays
+  inline);
+* :func:`retime` computes only ``(cycles, instructions)``, which is all
+  base-CPI calibration reads, so one walk serves every calibration probe
+  (:mod:`repro.sim.calibrate`).
 
 Equivalence contract: the closed-form warm-up leaves the same per-set
 content as the reference ``AppSimulator._warm_caches`` (its oracle),
-and for every supported configuration the kernel produces a
+and for every supported configuration :func:`characterize` produces a
 **field-for-field identical**
 :class:`~repro.cpu.core.Stage1Result` to the reference path — Table II
 statistics, criticality meters and the full L3 reference stream
-including ``stall``/``slack``/``mlp``.  Statistics are transferred back
-into the live objects (cache/MSHR/CPT/prefetch/memory stats, ROB clocks,
-CPT table) so the simulator reads identically afterwards.
+including ``stall``/``slack``/``mlp`` — and :func:`retime` the reference
+run's ``(cycles, instructions)`` at any ``base_cpi``.  Statistics are
+transferred back into the live objects (cache/MSHR/CPT/prefetch/memory
+stats, ROB clocks, CPT table) so the simulator reads identically
+afterwards.
 
 The kernel only drives caches in their native-LRU, un-degraded mode;
 :func:`kernel_supported` is the single gate (see
@@ -45,6 +61,7 @@ The kernel only drives caches in their native-LRU, un-degraded mode;
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,14 +153,52 @@ def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> N
         views[s].update(zip(line_l[lo:hi], payloads[lo:hi]))
 
 
-def characterize(sim, n_instructions: int, *, base_line: int = 0):
-    """Kernel counterpart of :meth:`~repro.cpu.core.AppSimulator.run`."""
+#: Outcome of one bundle's cache walk (:class:`CacheWalk` ``code``).  An
+#: L2 miss is an L3 fetch: an L3 hit, or a miss whose DRAM access hit or
+#: missed the open row.  ``COVERED`` is added when the stream prefetcher
+#: had already issued the fetch, and ``WB`` once per L2 write-back the
+#: bundle sent to the L3 (at most two: the dirty L1 victim's cascade and
+#: the L2 victim).
+L1_HIT, L2_HIT, L3_HIT, L3_ROW_HIT, L3_ROW_MISS = range(5)
+COVERED = 3
+WB = 8
+
+
+@dataclass
+class CacheWalk:
+    """The ``base_cpi``-independent half of one stage-1 run (:func:`walk`).
+
+    Per bundle: the trace columns and the outcome ``code``; in walk order,
+    the lines of the L2 write-backs.  ``sim`` is the walked simulator: its
+    caches, prefetcher and DRAM open rows hold their final state and its
+    cache/prefetch statistics are set; ``mem_row_hits`` awaits the timing
+    pass.  Line order alone decides all of it, so one walk serves every
+    ``base_cpi`` (:func:`retime`).
+    """
+
+    sim: object
+    gap: list[int]
+    pc: list[int]
+    line: list[int]
+    is_write: list[bool]
+    dep: list[bool]
+    code: list[int]
+    wb_line: list[int]
+    mem_row_hits: int
+
+
+def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
+    """Synthesise the trace and walk it through L1/L2/nominal L3.
+
+    Warms ``sim``'s caches in closed form (:func:`warm_caches`), then
+    drives every bundle through the live per-set dicts, the stream
+    prefetcher's region table and the DRAM open-row state, recording
+    each bundle's outcome.  No timing is involved: the ROB, MSHR file and
+    memory pipe are left to :func:`retime` or :func:`characterize`.
+    """
     from repro.cache.cache import CacheStats
-    from repro.cache.mshr import MshrStats
-    from repro.core.criticality import CptStats
-    from repro.cpu.core import _CHUNK_BUNDLES, Stage1Result
+    from repro.cpu.core import _CHUNK_BUNDLES
     from repro.cpu.prefetch import PrefetchStats
-    from repro.mem.model import MemoryStats
 
     if n_instructions <= 0:
         raise SimulationError("instruction budget must be positive")
@@ -168,9 +223,352 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
     l1_assoc = l1.config.assoc
     l2_assoc = l2.config.assoc
     l3_assoc = l3.config.assoc
-    l1_dr = l1_dw = l1_hits = l1_misses = l1_fills = l1_wb = l1_clean = 0
-    l2_dr = l2_dw = l2_hits = l2_misses = l2_fills = l2_wb = l2_clean = 0
-    l3_dr = l3_hits = l3_misses = l3_fills = l3_wb = l3_clean = 0
+    # Hits, misses and demand accesses follow from the codes; only the
+    # victim bookkeeping and the write-back fills are counted inline.
+    l1_wb = l1_clean = 0
+    l2_fills = l2_wb = l2_clean = 0
+    l3_fills = l3_wb = l3_clean = 0
+
+    pf = sim.prefetcher
+    pf_d = pf._last
+    pf_get = pf_d.get
+    pf_move = pf_d.move_to_end
+    pf_pop = pf_d.popitem
+    pf_shift = pf.region_shift
+    pf_stride = pf.max_stride
+    pf_max = pf.max_regions
+
+    mem = sim.memory
+    row_shift = mem._row_shift
+    bank_mask = mem._bank_mask
+    open_rows = mem._open_rows
+    open_get = open_rows.get
+
+    gap_col: list[int] = []
+    pc_col: list[int] = []
+    line_col: list[int] = []
+    write_col: list[bool] = []
+    dep_col: list[bool] = []
+    code_col: list[int] = []
+    wb_col: list[int] = []
+    code_append = code_col.append
+    wb_append = wb_col.append
+
+    def absorb_writeback(wline: int) -> None:
+        # AppSimulator._emit_writeback's nominal-L3 absorb.
+        nonlocal l3_fills, l3_wb, l3_clean
+        wb_append(wline)
+        ways3 = l3_sets[wline & l3_mask]
+        entry3 = ways3.get(wline)
+        if entry3 is not None:
+            entry3[0] = True
+        else:
+            l3_fills += 1
+            if len(ways3) >= l3_assoc:
+                victim3 = ways3.pop(next(iter(ways3)))
+                if victim3[0]:
+                    l3_wb += 1
+                else:
+                    l3_clean += 1
+            ways3[wline] = [True, None]
+
+    while done_bundles < total_bundles:
+        chunk = min(_CHUNK_BUNDLES, total_bundles - done_bundles)
+        trace = generate_trace(
+            params,
+            chunk,
+            rng,
+            base_line=base_line,
+            stream_cursor=stream_cursor,
+            mid_cursor=mid_cursor,
+        )
+        primary = ~trace["is_write"]
+        stream_cursor += int(np.count_nonzero((trace["kind"] == 2) & primary))
+        mid_cursor += int(np.count_nonzero((trace["kind"] == 1) & primary))
+        done_bundles += chunk
+
+        lines = trace["line"].tolist()
+        writes = trace["is_write"].tolist()
+        gap_col += trace["gap"].tolist()
+        pc_col += trace["pc"].tolist()
+        line_col += lines
+        write_col += writes
+        dep_col += trace["dep"].tolist()
+
+        for line, is_write in zip(lines, writes):
+            ways1 = l1_sets[line & l1_mask]
+            entry1 = ways1.pop(line, None)
+            if entry1 is not None:
+                ways1[line] = entry1
+                if is_write:
+                    entry1[0] = True
+                code_append(L1_HIT)
+                continue
+            code = 0
+            victim1 = None
+            if len(ways1) >= l1_assoc:
+                vline1 = next(iter(ways1))
+                victim1 = ways1.pop(vline1)
+                if victim1[0]:
+                    l1_wb += 1
+                else:
+                    l1_clean += 1
+            ways1[line] = [is_write, None]
+            if victim1 is not None and victim1[0]:
+                # _l2_absorb: the L2 soaks up the dirty L1 victim.
+                ways2v = l2_sets[vline1 & l2_mask]
+                entry2v = ways2v.get(vline1)
+                if entry2v is not None:
+                    entry2v[0] = True
+                else:
+                    l2_fills += 1
+                    if len(ways2v) >= l2_assoc:
+                        wline = next(iter(ways2v))
+                        if ways2v.pop(wline)[0]:
+                            l2_wb += 1
+                            absorb_writeback(wline)
+                            code = WB
+                        else:
+                            l2_clean += 1
+                    ways2v[vline1] = [True, None]
+            ways2 = l2_sets[line & l2_mask]
+            entry2 = ways2.pop(line, None)
+            if entry2 is not None:
+                ways2[line] = entry2
+                if is_write:
+                    entry2[0] = True
+                code_append(code + L2_HIT)
+                continue
+            dirty_victim = -1
+            if len(ways2) >= l2_assoc:
+                wline = next(iter(ways2))
+                if ways2.pop(wline)[0]:
+                    l2_wb += 1
+                    dirty_victim = wline
+                else:
+                    l2_clean += 1
+            ways2[line] = [is_write, None]
+            if dirty_victim >= 0:
+                absorb_writeback(dirty_victim)
+                code += WB
+
+            # --- L3 reference (fetch) ---------------------------------
+            region = line >> pf_shift
+            last = pf_get(region)
+            if last is None:
+                if len(pf_d) >= pf_max:
+                    pf_pop(last=False)
+            else:
+                pf_move(region)
+            pf_d[region] = line
+            if last is not None and 0 < line - last <= pf_stride:
+                code += COVERED
+
+            ways3 = l3_sets[line & l3_mask]
+            entry3 = ways3.pop(line, None)
+            if entry3 is not None:
+                ways3[line] = entry3
+                code_append(code + L3_HIT)
+                continue
+            l3_fills += 1
+            if len(ways3) >= l3_assoc:
+                victim3 = ways3.pop(next(iter(ways3)))
+                if victim3[0]:
+                    l3_wb += 1
+                else:
+                    l3_clean += 1
+            ways3[line] = [False, None]
+            row = line >> row_shift
+            bank = row & bank_mask
+            if open_get(bank) == row:
+                code_append(code + L3_ROW_HIT)
+            else:
+                open_rows[bank] = row
+                code_append(code + L3_ROW_MISS)
+
+    # --- statistics from the outcome codes --------------------------------
+    codes = np.asarray(code_col, dtype=np.int64) & (WB - 1)
+    fetch = codes >= L3_HIT
+    written = np.asarray(write_col, dtype=bool)
+    l1_writes = int(np.count_nonzero(written))
+    l1_misses = int(np.count_nonzero(codes))
+    l2_writes = int(np.count_nonzero(written[codes != L1_HIT]))
+    l2_misses = int(np.count_nonzero(fetch))
+    l3_misses = int(np.count_nonzero(fetch & (codes != L3_HIT) & (codes != L3_HIT + COVERED)))
+    l1.stats = CacheStats(
+        demand_reads=len(codes) - l1_writes, demand_writes=l1_writes,
+        hits=len(codes) - l1_misses, misses=l1_misses, fills=l1_misses,
+        writebacks=l1_wb, clean_evictions=l1_clean,
+    )
+    l2.stats = CacheStats(
+        demand_reads=l1_misses - l2_writes, demand_writes=l2_writes,
+        hits=l1_misses - l2_misses, misses=l2_misses,
+        fills=l2_fills + l2_misses, writebacks=l2_wb, clean_evictions=l2_clean,
+    )
+    l3.stats = CacheStats(
+        demand_reads=l2_misses, demand_writes=0, hits=l2_misses - l3_misses,
+        misses=l3_misses, fills=l3_fills, writebacks=l3_wb,
+        clean_evictions=l3_clean,
+    )
+    pf.stats = PrefetchStats(
+        queries=l2_misses, covered=int(np.count_nonzero(codes >= L3_HIT + COVERED)),
+    )
+    return CacheWalk(
+        sim=sim, gap=gap_col, pc=pc_col, line=line_col, is_write=write_col,
+        dep=dep_col, code=code_col, wb_line=wb_col,
+        mem_row_hits=int(np.count_nonzero(
+            (codes == L3_ROW_HIT) | (codes == L3_ROW_HIT + COVERED)
+        )),
+    )
+
+
+def retime(cache_walk: CacheWalk, base_cpi: float) -> tuple[float, int]:
+    """``(cycles, instructions)`` of the walked run at ``base_cpi``.
+
+    Replays only what ``cycles`` depends on — the ROB interval
+    arithmetic, MSHR occupancy and the memory pipe — from a fresh core,
+    in the reference's exact floating-point operation order, so the
+    result equals ``AppSimulator(..., base_cpi=base_cpi).run(n)``'s
+    ``(cycles, instructions)`` bit for bit.  Nothing is mutated, so a
+    walk can be re-timed at any number of base CPIs (calibration does).
+    """
+    sim = cache_walk.sim
+    pipeline_depth = sim.rob.pipeline_depth
+    rob_entries = sim.rob.entries
+    mshr_cap = sim.mshr.capacity
+    mem_config = sim.memory.config
+    mem_service = 1.0 / mem_config.bandwidth_lines_per_cycle
+    mem_latency = mem_config.latency_cycles
+    row_hit_latency = mem_config.row_hit_latency_cycles
+    l1_lat = float(sim.config.l1.latency)
+    upper_lat = sim._upper_lat
+    l3_hit_lat = sim._l3_hit_lat
+
+    # A fresh ReorderBuffer, MSHR file and memory pipe.
+    disp_clock = 0.0
+    disp_idx = 0
+    commit_clock = pipeline_depth
+    commit_idx = 0
+    pending: deque[tuple[int, float, float]] = deque()
+    pending_append = pending.append
+    pending_popleft = pending.popleft
+    mshr_d: dict[int, float] = {}
+    pipe_free = 0.0
+    chase_ready = 0.0
+
+    def commit_upto(target: int) -> None:
+        # ReorderBuffer._commit_upto without the stall bookkeeping.
+        nonlocal commit_clock, commit_idx
+        while pending and pending[0][0] <= target:
+            idx, complete, dispatched = pending_popleft()
+            head_arrival = commit_clock + (idx - commit_idx) * base_cpi
+            alt = dispatched + pipeline_depth
+            if alt > head_arrival:
+                head_arrival = alt
+            commit_clock = complete if complete > head_arrival else head_arrival
+            commit_idx = idx + 1
+        if target >= commit_idx:
+            commit_clock += (target - commit_idx + 1) * base_cpi
+            commit_idx = target + 1
+
+    for gap, is_write, dep, line, code in zip(
+        cache_walk.gap, cache_walk.is_write, cache_walk.dep,
+        cache_walk.line, cache_walk.code,
+    ):
+        # --- rob.dispatch(gap + 1) -----------------------------------------
+        count = gap + 1
+        new_index = disp_idx + count
+        need = new_index - 1 - rob_entries
+        limit = disp_idx - 1
+        if limit < need:
+            need = limit
+        if need >= commit_idx:
+            commit_upto(need)
+            disp_clock += count * base_cpi
+            if disp_clock < commit_clock:
+                disp_clock = commit_clock
+        else:
+            disp_clock += count * base_cpi
+        disp_idx = new_index
+        # Eager retire, one load per pass (commit_upto of the head load).
+        horizon = disp_clock - pipeline_depth
+        while pending and pending[0][1] <= horizon:
+            idx, complete, dispatched = pending_popleft()
+            head_arrival = commit_clock + (idx - commit_idx) * base_cpi
+            alt = dispatched + pipeline_depth
+            if alt > head_arrival:
+                head_arrival = alt
+            commit_clock = complete if complete > head_arrival else head_arrival
+            commit_idx = idx + 1
+
+        # --- latency of the walked outcome --------------------------------
+        issue = disp_clock
+        if dep and not is_write and chase_ready > issue:
+            issue = chase_ready
+        code &= WB - 1
+        if code == L1_HIT:
+            complete = issue + l1_lat
+        elif code == L2_HIT:
+            complete = issue + upper_lat
+        elif code >= L3_HIT + COVERED:
+            # Completes like an L2 hit; a miss still holds the memory pipe.
+            if code != L3_HIT + COVERED:
+                req_t = disp_clock + l3_hit_lat
+                pipe_free = (req_t if req_t > pipe_free else pipe_free) + mem_service
+            complete = issue + upper_lat
+        else:
+            if code == L3_HIT:
+                l3_lat = l3_hit_lat
+            else:
+                req_t = disp_clock + l3_hit_lat
+                start = req_t if req_t > pipe_free else pipe_free
+                pipe_free = start + mem_service
+                if code == L3_ROW_HIT:
+                    ready = start + row_hit_latency
+                else:
+                    ready = start + mem_latency
+                l3_lat = l3_hit_lat + (ready - req_t)
+            latency = upper_lat + l3_lat
+            if latency > upper_lat:
+                if mshr_d:
+                    done = [ml for ml, mt in mshr_d.items() if mt <= issue]
+                    for ml in done:
+                        del mshr_d[ml]
+                if len(mshr_d) >= mshr_cap and line not in mshr_d:
+                    issue = min(mshr_d.values())
+                    done = [ml for ml, mt in mshr_d.items() if mt <= issue]
+                    for ml in done:
+                        del mshr_d[ml]
+                complete = issue + latency
+                if line not in mshr_d:
+                    mshr_d[line] = complete
+            else:
+                complete = issue + latency
+
+        if not is_write:
+            if dep:
+                chase_ready = complete
+            pending_append((disp_idx - 1, complete, disp_clock))
+
+    commit_upto(disp_idx - 1)  # rob.drain()
+    return (commit_clock if commit_clock >= disp_clock else disp_clock), commit_idx
+
+
+def characterize(sim, n_instructions: int, *, base_line: int = 0):
+    """Kernel counterpart of :meth:`~repro.cpu.core.AppSimulator.run`.
+
+    One :func:`walk`, then the timing pass: the ROB, the CPT's issue
+    query and commit update, the MSHR file and memory pipe, the L3
+    stream records and the deferred criticality meters.
+    """
+    from repro.cache.mshr import MshrStats
+    from repro.core.criticality import CptStats
+    from repro.cpu.core import Stage1Result
+    from repro.mem.model import MemoryStats
+
+    cache_walk = walk(sim, n_instructions, base_line=base_line)
+    profile = sim.profile
+    wb_lines = iter(cache_walk.wb_line)
 
     # --- ROB interval model as local scalars ------------------------------
     rob = sim.rob
@@ -198,34 +596,17 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
     cpt_inserts = cpt.stats.inserts
     cpt_evictions = cpt.stats.evictions
 
-    # --- MSHR / prefetcher / memory pipe ----------------------------------
+    # --- MSHR / memory pipe -----------------------------------------------
     mshr_d = sim.mshr._pending
     mshr_cap = sim.mshr.capacity
     mshr_primary = sim.mshr.stats.primary_misses
     mshr_secondary = sim.mshr.stats.secondary_misses
 
-    pf = sim.prefetcher
-    pf_d = pf._last
-    pf_get = pf_d.get
-    pf_move = pf_d.move_to_end
-    pf_pop = pf_d.popitem
-    pf_shift = pf.region_shift
-    pf_stride = pf.max_stride
-    pf_max = pf.max_regions
-    pf_queries = pf.stats.queries
-    pf_covered = pf.stats.covered
-
     mem = sim.memory
     mem_service = 1.0 / mem.config.bandwidth_lines_per_cycle
     mem_latency = mem.config.latency_cycles
     row_hit_latency = mem.config.row_hit_latency_cycles
-    row_shift = mem._row_shift
-    bank_mask = mem._bank_mask
-    open_rows = mem._open_rows
-    open_get = open_rows.get
     pipe_free = mem._pipe_free
-    mem_requests = mem.stats.requests
-    mem_row_hits = mem.stats.row_hits
     mem_queue = mem.stats.total_queue_cycles
 
     threshold = sim._threshold
@@ -318,280 +699,148 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
             commit_clock += (target - commit_idx + 1) * base_cpi
             commit_idx = target + 1
 
-    def emit_writeback(wline: int, now: float) -> None:
-        # AppSimulator._emit_writeback: stream record + nominal-L3 absorb.
-        nonlocal l3_fills, l3_wb, l3_clean
-        ts_append(now)
-        line_append(wline)
-        pc_append(0)
-        wb_append(True)
-        load_append(False)
-        pred_append(False)
-        nominal_append(0.0)
-        mlp_append(1)
-        slack_append(0.0)
-        stall_append(0.0)
-        ways3 = l3_sets[wline & l3_mask]
-        entry3 = ways3.get(wline)
-        if entry3 is not None:
-            entry3[0] = True
-        else:
-            l3_fills += 1
-            if len(ways3) >= l3_assoc:
-                victim3 = ways3.pop(next(iter(ways3)))
-                if victim3[0]:
-                    l3_wb += 1
-                else:
-                    l3_clean += 1
-            ways3[wline] = [True, None]
-        write_ratios_append(line_ratio_get(wline))
-
     chase_ready = 0.0
-    while done_bundles < total_bundles:
-        chunk = min(_CHUNK_BUNDLES, total_bundles - done_bundles)
-        trace = generate_trace(
-            params,
-            chunk,
-            rng,
-            base_line=base_line,
-            stream_cursor=stream_cursor,
-            mid_cursor=mid_cursor,
-        )
-        primary = ~trace["is_write"]
-        stream_cursor += int(np.count_nonzero((trace["kind"] == 2) & primary))
-        mid_cursor += int(np.count_nonzero((trace["kind"] == 1) & primary))
-        done_bundles += chunk
+    for gap, pc, line, is_write, dep, code in zip(
+        cache_walk.gap, cache_walk.pc, cache_walk.line,
+        cache_walk.is_write, cache_walk.dep, cache_walk.code,
+    ):
+        # --- rob.dispatch(gap + 1), commits handled inline ----------------
+        count = gap + 1
+        new_index = disp_idx + count
+        need = new_index - 1 - rob_entries
+        limit = disp_idx - 1
+        if limit < need:
+            need = limit
+        if need >= commit_idx:
+            commit_upto(need)
+            disp_clock += count * base_cpi
+            if disp_clock < commit_clock:
+                disp_clock = commit_clock
+        else:
+            disp_clock += count * base_cpi
+        disp_idx = new_index
+        while pending and pending[0][1] <= disp_clock - pipeline_depth:
+            commit_upto(pending[0][0])
+        now = disp_clock
 
-        gaps = trace["gap"].tolist()
-        pcs = trace["pc"].tolist()
-        lines = trace["line"].tolist()
-        writes = trace["is_write"].tolist()
-        deps = trace["dep"].tolist()
-
-        for gap, pc, line, is_write, dep in zip(gaps, pcs, lines, writes, deps):
-            # --- rob.dispatch(gap + 1), commits handled inline ------------
-            count = gap + 1
-            new_index = disp_idx + count
-            need = new_index - 1 - rob_entries
-            limit = disp_idx - 1
-            if limit < need:
-                need = limit
-            if need >= commit_idx:
-                commit_upto(need)
-                disp_clock += count * base_cpi
-                if disp_clock < commit_clock:
-                    disp_clock = commit_clock
-            else:
-                disp_clock += count * base_cpi
-            disp_idx = new_index
-            while pending and pending[0][1] <= disp_clock - pipeline_depth:
-                commit_upto(pending[0][0])
-            now = disp_clock
-
-            # --- issue-side CPT query (loads only) ------------------------
-            if is_write:
+        # --- issue-side CPT query (loads only) ----------------------------
+        if is_write:
+            ratio = None
+            predicted = False
+        else:
+            cpt_lookups += 1
+            entry = cpt_get(pc)
+            if entry is None:
                 ratio = None
                 predicted = False
             else:
-                cpt_lookups += 1
-                entry = cpt_get(pc)
-                if entry is None:
-                    ratio = None
-                    predicted = False
-                else:
-                    cpt_lookup_hits += 1
-                    del cpt_table[pc]
-                    cpt_table[pc] = entry
-                    n0 = entry[0]
-                    ratio = entry[1] / n0 if n0 else 0.0
-                    entry[0] = n0 + 1
-                    predicted = ratio >= threshold
+                cpt_lookup_hits += 1
+                del cpt_table[pc]
+                cpt_table[pc] = entry
+                n0 = entry[0]
+                ratio = entry[1] / n0 if n0 else 0.0
+                entry[0] = n0 + 1
+                predicted = ratio >= threshold
 
-            # --- cache walk ----------------------------------------------
-            rec_idx = -1
-            if is_write:
-                l1_dw += 1
+        # --- the walked outcome -------------------------------------------
+        if code >= WB:
+            # _emit_writeback: stream record (the L3 absorbed it in the walk).
+            for _ in range(code // WB):
+                wline = next(wb_lines)
+                ts_append(now)
+                line_append(wline)
+                pc_append(0)
+                wb_append(True)
+                load_append(False)
+                pred_append(False)
+                nominal_append(0.0)
+                mlp_append(1)
+                slack_append(0.0)
+                stall_append(0.0)
+                write_ratios_append(line_ratio_get(wline))
+            code &= WB - 1
+        rec_idx = -1
+        if code == L1_HIT:
+            latency = l1_lat
+        elif code == L2_HIT:
+            latency = upper_lat
+        else:
+            # --- L3 reference (fetch) -------------------------------------
+            if code == L3_HIT or code == L3_HIT + COVERED:
+                hit3 = True
+                l3_lat = l3_hit_lat
             else:
-                l1_dr += 1
-            ways1 = l1_sets[line & l1_mask]
-            entry1 = ways1.pop(line, None)
-            if entry1 is not None:
-                ways1[line] = entry1
-                l1_hits += 1
-                if is_write:
-                    entry1[0] = True
-                latency = l1_lat
+                req_t = now + l3_hit_lat
+                start = req_t if req_t > pipe_free else pipe_free
+                pipe_free = start + mem_service
+                mem_queue += start - req_t
+                if code == L3_ROW_HIT or code == L3_ROW_HIT + COVERED:
+                    ready = start + row_hit_latency
+                else:
+                    ready = start + mem_latency
+                hit3 = False
+                l3_lat = l3_hit_lat + (ready - req_t)
+            if code >= L3_HIT + COVERED:
+                latency = upper_lat
+                ratio = None
+                predicted = False
             else:
-                l1_misses += 1
-                l1_fills += 1
-                victim1 = None
-                if len(ways1) >= l1_assoc:
-                    vline1 = next(iter(ways1))
-                    victim1 = ways1.pop(vline1)
-                    if victim1[0]:
-                        l1_wb += 1
-                    else:
-                        l1_clean += 1
-                ways1[line] = [is_write, None]
-                if victim1 is not None and victim1[0]:
-                    # _l2_absorb: the L2 soaks up the dirty L1 victim.
-                    ways2v = l2_sets[vline1 & l2_mask]
-                    entry2v = ways2v.get(vline1)
-                    if entry2v is not None:
-                        entry2v[0] = True
-                    else:
-                        l2_fills += 1
-                        dirty_victim = -1
-                        if len(ways2v) >= l2_assoc:
-                            wline = next(iter(ways2v))
-                            wentry = ways2v.pop(wline)
-                            if wentry[0]:
-                                l2_wb += 1
-                                dirty_victim = wline
-                            else:
-                                l2_clean += 1
-                        ways2v[vline1] = [True, None]
-                        if dirty_victim >= 0:
-                            emit_writeback(dirty_victim, now)
-                if is_write:
-                    l2_dw += 1
+                latency = upper_lat + l3_lat
+            rec_idx = len(ts_col)
+            ts_append(now)
+            line_append(line)
+            pc_append(pc)
+            wb_append(False)
+            load_append(not is_write and code < L3_HIT + COVERED)
+            pred_append(predicted)
+            nominal_append(l3_lat)
+            free = rob_entries - (disp_idx - commit_idx)
+            slack_append((free if free > 0 else 0) * base_cpi)
+            stall_append(0.0)
+            line_ratio[line] = ratio
+            if not hit3:
+                fetch_ratios_append(ratio)
+                write_ratios_append(ratio)
+
+        # --- issue timing ------------------------------------------------
+        issue = now
+        if dep and not is_write:
+            if chase_ready > issue:
+                issue = chase_ready
+        if rec_idx >= 0:
+            if latency > upper_lat:
+                if mshr_d:
+                    done = [ml for ml, mt in mshr_d.items() if mt <= issue]
+                    for ml in done:
+                        del mshr_d[ml]
+                if len(mshr_d) >= mshr_cap and line not in mshr_d:
+                    issue = min(mshr_d.values())
+                    done = [ml for ml, mt in mshr_d.items() if mt <= issue]
+                    for ml in done:
+                        del mshr_d[ml]
+                complete = issue + latency
+                if line in mshr_d:
+                    mshr_secondary += 1
                 else:
-                    l2_dr += 1
-                ways2 = l2_sets[line & l2_mask]
-                entry2 = ways2.pop(line, None)
-                if entry2 is not None:
-                    ways2[line] = entry2
-                    l2_hits += 1
-                    if is_write:
-                        entry2[0] = True
-                    latency = upper_lat
-                else:
-                    l2_misses += 1
-                    l2_fills += 1
-                    dirty_victim = -1
-                    if len(ways2) >= l2_assoc:
-                        wline = next(iter(ways2))
-                        wentry = ways2.pop(wline)
-                        if wentry[0]:
-                            l2_wb += 1
-                            dirty_victim = wline
-                        else:
-                            l2_clean += 1
-                    ways2[line] = [is_write, None]
-                    if dirty_victim >= 0:
-                        emit_writeback(dirty_victim, now)
-
-                    # --- L3 reference (fetch) -------------------------
-                    pf_queries += 1
-                    region = line >> pf_shift
-                    last = pf_get(region)
-                    if last is None:
-                        if len(pf_d) >= pf_max:
-                            pf_pop(last=False)
-                    else:
-                        pf_move(region)
-                    pf_d[region] = line
-                    if last is not None and 0 < line - last <= pf_stride:
-                        pf_covered += 1
-                        covered = True
-                    else:
-                        covered = False
-
-                    l3_dr += 1
-                    ways3 = l3_sets[line & l3_mask]
-                    entry3 = ways3.pop(line, None)
-                    if entry3 is not None:
-                        ways3[line] = entry3
-                        l3_hits += 1
-                        hit3 = True
-                        l3_lat = l3_hit_lat
-                    else:
-                        l3_misses += 1
-                        l3_fills += 1
-                        if len(ways3) >= l3_assoc:
-                            victim3 = ways3.pop(next(iter(ways3)))
-                            if victim3[0]:
-                                l3_wb += 1
-                            else:
-                                l3_clean += 1
-                        ways3[line] = [False, None]
-                        req_t = now + l3_hit_lat
-                        start = req_t if req_t > pipe_free else pipe_free
-                        pipe_free = start + mem_service
-                        mem_requests += 1
-                        mem_queue += start - req_t
-                        row = line >> row_shift
-                        bank = row & bank_mask
-                        if open_get(bank) == row:
-                            mem_row_hits += 1
-                            ready = start + row_hit_latency
-                        else:
-                            open_rows[bank] = row
-                            ready = start + mem_latency
-                        hit3 = False
-                        l3_lat = l3_hit_lat + (ready - req_t)
-
-                    if covered:
-                        latency = upper_lat
-                        ratio = None
-                        predicted = False
-                    else:
-                        latency = upper_lat + l3_lat
-                    rec_idx = len(ts_col)
-                    ts_append(now)
-                    line_append(line)
-                    pc_append(pc)
-                    wb_append(False)
-                    load_append(not is_write and not covered)
-                    pred_append(predicted)
-                    nominal_append(l3_lat)
-                    free = rob_entries - (disp_idx - commit_idx)
-                    slack_append((free if free > 0 else 0) * base_cpi)
-                    stall_append(0.0)
-                    line_ratio[line] = ratio
-                    if not hit3:
-                        fetch_ratios_append(ratio)
-                        write_ratios_append(ratio)
-
-            # --- issue timing --------------------------------------------
-            issue = now
-            if dep and not is_write:
-                if chase_ready > issue:
-                    issue = chase_ready
-            if rec_idx >= 0:
-                if latency > upper_lat:
-                    if mshr_d:
-                        done = [ml for ml, mt in mshr_d.items() if mt <= issue]
-                        for ml in done:
-                            del mshr_d[ml]
-                    if len(mshr_d) >= mshr_cap and line not in mshr_d:
-                        issue = min(mshr_d.values())
-                        done = [ml for ml, mt in mshr_d.items() if mt <= issue]
-                        for ml in done:
-                            del mshr_d[ml]
-                    complete = issue + latency
-                    if line in mshr_d:
-                        mshr_secondary += 1
-                    else:
-                        mshr_d[line] = complete
-                        mshr_primary += 1
-                    outstanding = len(mshr_d)
-                    mlp_append(outstanding if outstanding > 1 else 1)
-                else:
-                    complete = issue + latency
-                    mlp_append(1)
+                    mshr_d[line] = complete
+                    mshr_primary += 1
+                outstanding = len(mshr_d)
+                mlp_append(outstanding if outstanding > 1 else 1)
             else:
                 complete = issue + latency
+                mlp_append(1)
+        else:
+            complete = issue + latency
 
-            if dep and not is_write:
-                chase_ready = complete
+        if dep and not is_write:
+            chase_ready = complete
 
-            if not is_write:
-                token = len(load_pc)
-                load_pc_append(pc)
-                load_ratio_append(ratio)
-                load_rec_append(rec_idx)
-                pending_append((disp_idx - 1, complete, token, disp_clock))
+        if not is_write:
+            token = len(load_pc)
+            load_pc_append(pc)
+            load_ratio_append(ratio)
+            load_rec_append(rec_idx)
+            pending_append((disp_idx - 1, complete, token, disp_clock))
 
     commit_upto(disp_idx - 1)  # rob.drain()
 
@@ -638,21 +887,6 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
     rob.loads_blocked = loads_blocked
     rob._pending = pending
 
-    l1.stats = CacheStats(
-        demand_reads=l1_dr, demand_writes=l1_dw, hits=l1_hits,
-        misses=l1_misses, fills=l1_fills, writebacks=l1_wb,
-        clean_evictions=l1_clean,
-    )
-    l2.stats = CacheStats(
-        demand_reads=l2_dr, demand_writes=l2_dw, hits=l2_hits,
-        misses=l2_misses, fills=l2_fills, writebacks=l2_wb,
-        clean_evictions=l2_clean,
-    )
-    l3.stats = CacheStats(
-        demand_reads=l3_dr, demand_writes=0, hits=l3_hits,
-        misses=l3_misses, fills=l3_fills, writebacks=l3_wb,
-        clean_evictions=l3_clean,
-    )
     sim.mshr.stats = MshrStats(
         primary_misses=mshr_primary, secondary_misses=mshr_secondary,
     )
@@ -661,10 +895,10 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
         inserts=cpt_inserts, evictions=cpt_evictions,
     )
     cpt._table = OrderedDict(cpt_table)
-    pf.stats = PrefetchStats(queries=pf_queries, covered=pf_covered)
     mem._pipe_free = pipe_free
     mem.stats = MemoryStats(
-        requests=mem_requests, row_hits=mem_row_hits,
+        requests=mem.stats.requests + sim.l3.stats.misses,
+        row_hits=mem.stats.row_hits + cache_walk.mem_row_hits,
         total_queue_cycles=mem_queue,
     )
 
@@ -679,9 +913,9 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
         base_cpi=sim.base_cpi,
         stream=stream,
         meters=meters,
-        l1_stats=l1.stats,
-        l2_stats=l2.stats,
-        l3_stats=l3.stats,
+        l1_stats=sim.l1d.stats,
+        l2_stats=sim.l2.stats,
+        l3_stats=sim.l3.stats,
         mshr_stats=sim.mshr.stats,
         cpt_stats=cpt.stats,
         mem_queue_cycles=mem.stats.mean_queue_cycles,

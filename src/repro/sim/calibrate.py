@@ -13,13 +13,25 @@ hides more memory latency), so the solver iterates a couple of short
 fixed-point steps — plenty, since the dependence is weak and the paper's
 conclusions rest on *relative* IPC between NUCA schemes.
 
-Calibrations are memoised per (app, config signature, seed).
+Only ``cycles`` is read, and of a stage-1 run only the timing depends on
+``base_cpi``: the trace, every cache hit and victim, the prefetcher's
+coverage and the DRAM open-row hits follow from line order alone.  So
+on the stage-1 kernel path each app's caches are walked once
+(:func:`repro.cpu.kernel.walk`) and every probe only re-times the walk
+(:func:`repro.cpu.kernel.retime`: ROB, MSHR file and memory pipe), which
+gives the same floats as a full probe run.  Where the kernel does not
+engage (``REPRO_KERNEL=0``, or a configuration
+:func:`~repro.cpu.kernel.kernel_supported` rejects) each probe is a full
+reference :meth:`~repro.cpu.core.AppSimulator.run`.
+
+Calibrations are memoised per (app, config signature, seed, probe budget).
 """
 
 from __future__ import annotations
 
 from repro.config import SystemConfig
 from repro.cpu.core import AppSimulator
+from repro.cpu.kernel import retime, walk
 from repro.trace.profiles import get_profile
 
 #: Instruction budget of one calibration probe run.
@@ -105,15 +117,37 @@ def calibrated_base_cpi(
 
     target_cpi = 1.0 / profile.ipc
     base = max(BASE_CPI_MIN, min(BASE_CPI_MAX, 0.7 * target_cpi))
+    probe = _probe(app, config, seed, probe_instructions)
     for _ in range(CALIBRATION_STEPS):
-        sim = AppSimulator(app, config, seed=seed, base_cpi=base)
-        result = sim.run(probe_instructions)
-        measured_cpi = result.cycles / result.instructions
+        cycles, instructions = probe(base)
+        measured_cpi = cycles / instructions
         stall_cpi = measured_cpi - base
         base = max(BASE_CPI_MIN, min(BASE_CPI_MAX, target_cpi - stall_cpi))
 
     _cache[key] = base
     return base
+
+
+def _probe(app: str, config: SystemConfig, seed: int | None, n: int):
+    """``base_cpi -> (cycles, instructions)`` of one ``n``-instruction probe.
+
+    On the stage-1 kernel path the app's caches are walked once, here, and
+    each probe re-times the walk; otherwise (``REPRO_KERNEL=0`` or a
+    configuration the kernel cannot drive) each probe is a full reference
+    run.  Both give the same floats.
+    """
+    sim = AppSimulator(app, config, seed=seed)
+    if sim._kernel_engaged(None):
+        cache_walk = walk(sim, n)
+        return lambda base_cpi: retime(cache_walk, base_cpi)
+
+    def reference(base_cpi: float) -> tuple[float, int]:
+        result = AppSimulator(app, config, seed=seed, base_cpi=base_cpi).run(
+            n, use_kernel=False
+        )
+        return result.cycles, result.instructions
+
+    return reference
 
 
 def clear_cache() -> None:

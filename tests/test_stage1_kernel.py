@@ -10,21 +10,28 @@ criticality meters and all nested statistics dataclasses.  The gate
 class covers the ``use_kernel`` tri-state, which mirrors stage 2's.
 The warm-up classes check the kernel's closed-form warm-up
 (:func:`~repro.cpu.kernel.warm_caches`) against its oracle,
-``AppSimulator._warm_caches``.
+``AppSimulator._warm_caches``.  The two-phase calibration classes check
+one cache walk re-timed per probe (:func:`~repro.cpu.kernel.retime`)
+against full reference probe runs, and which path calibration takes.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.cache import CacheStats
+from repro.cache.cache import Cache, CacheStats
 from repro.common.errors import SimulationError
 from repro.config import baseline_config, sensitivity_l3_1m
+from repro.cpu import core, kernel
 from repro.cpu.core import AppSimulator
-from repro.cpu.kernel import kernel_supported, warm_caches
-from repro.sim import runner
+from repro.cpu.kernel import kernel_supported, retime, walk, warm_caches
+from repro.sim import calibrate, runner
 from repro.trace import synthetic
+from repro.trace.generator import bundles_for_instructions
 from repro.trace.profiles import ALL_APPS
 
 INSTR = 6_000
@@ -203,3 +210,107 @@ class TestClosedFormWarmupGuards:
         sim.l2.allocate(7)
         with pytest.raises(SimulationError, match="empty cache"):
             warm_caches(sim, 0)
+
+
+PROBE = 4_000
+CONFIGS = {"baseline": baseline_config, "l3-1m": sensitivity_l3_1m}
+
+
+class TestRetimeProperty:
+    @given(
+        app=st.sampled_from(APPS),
+        base_cpi=st.floats(calibrate.BASE_CPI_MIN, calibrate.BASE_CPI_MAX),
+        seed=st.integers(0, 2**16),
+        config=st.sampled_from(sorted(CONFIGS)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_walk_then_retime_matches_reference_run(self, app, base_cpi, seed, config):
+        cfg = CONFIGS[config]()
+        cache_walk = walk(AppSimulator(app, cfg, seed=seed), PROBE)
+        ref = AppSimulator(app, cfg, seed=seed, base_cpi=base_cpi).run(
+            PROBE, use_kernel=False
+        )
+        assert retime(cache_walk, base_cpi) == (ref.cycles, ref.instructions)
+
+
+def _calibrate_both_ways(monkeypatch, app, cfg, seed, probe=PROBE):
+    """``calibrated_base_cpi`` on the two-phase and the reference path."""
+    calibrate.clear_cache()
+    fast = calibrate.calibrated_base_cpi(app, cfg, seed=seed, probe_instructions=probe)
+    calibrate.clear_cache()
+    with monkeypatch.context() as m:
+        m.setenv("REPRO_KERNEL", "0")
+        ref = calibrate.calibrated_base_cpi(app, cfg, seed=seed, probe_instructions=probe)
+    calibrate.clear_cache()
+    return fast, ref
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("app", APPS)
+def test_two_phase_calibration_is_bit_equal(monkeypatch, app, config):
+    fast, ref = _calibrate_both_ways(monkeypatch, app, CONFIGS[config](), seed=2)
+    assert fast == ref
+
+
+class TestCalibrationPath:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        calibrate.clear_cache()
+        yield
+        calibrate.clear_cache()
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        @functools.wraps(real)
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_kernel_path_synthesises_each_trace_once(self, monkeypatch):
+        traces = self._count(monkeypatch, kernel, "generate_trace")
+        monkeypatch.setattr(
+            AppSimulator, "run", lambda *a, **k: pytest.fail("a full probe ran")
+        )
+        for app in ("milc", "namd"):
+            calibrate.calibrated_base_cpi(
+                app, baseline_config(), seed=2, probe_instructions=PROBE
+            )
+        assert len(traces) == 2
+
+    def test_chunked_walk_synthesises_once_and_stays_bit_equal(self, monkeypatch):
+        # Shrink the chunk so one probe trace spans several chunks.
+        monkeypatch.setattr(core, "_CHUNK_BUNDLES", 500)
+        cfg = baseline_config()
+        sim = AppSimulator("lbm", cfg, seed=2)
+        chunks = -(-bundles_for_instructions(sim.params, PROBE) // 500)
+        assert chunks > 1
+        traces = self._count(monkeypatch, kernel, "generate_trace")
+        fast, ref = _calibrate_both_ways(monkeypatch, "lbm", cfg, seed=2)
+        assert len(traces) == chunks
+        assert fast == ref
+
+    def test_repro_kernel_0_runs_reference_probes(self, monkeypatch):
+        runs = self._count(monkeypatch, AppSimulator, "run")
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        calibrate.calibrated_base_cpi(
+            "milc", baseline_config(), seed=2, probe_instructions=PROBE
+        )
+        assert len(runs) == calibrate.CALIBRATION_STEPS
+
+    def test_unsupported_cache_runs_reference_probes(self, monkeypatch):
+        # Stage-1 caches with a non-LRU policy, which the kernel rejects.
+        monkeypatch.setattr(core, "Cache", functools.partial(Cache, replacement="srrip"))
+        assert not kernel_supported(AppSimulator("milc", baseline_config(), seed=2))
+        runs = self._count(monkeypatch, AppSimulator, "run")
+        walks = self._count(monkeypatch, calibrate, "walk")
+        calibrate.calibrated_base_cpi(
+            "milc", baseline_config(), seed=2, probe_instructions=PROBE
+        )
+        assert len(runs) == calibrate.CALIBRATION_STEPS
+        assert walks == []
