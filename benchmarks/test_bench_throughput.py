@@ -9,7 +9,10 @@ figures:
 * the vectorized replay kernel against the reference object-graph loop
   (same warmed state, replay phase only), which must stay >= 3x faster;
 * the closed-form array warm-up against the object-graph warm-up
-  (``NucaLLC.prefill_many``), which must stay >= 10x faster.
+  (``NucaLLC.prefill_many``), which must stay >= 10x faster;
+* the Re-NUCA replay kernel against the reference loop on a 16-core
+  WL3 cell, which must stay >= 1.5x faster and within a working-memory
+  bound per warm frame and per record (``tracemalloc`` peak).
 
 Set ``REPRO_BENCH_RECORD=<path>`` to append each bench's best time to a
 trajectory file via :mod:`repro.obs.bench` (CI uploads it as an
@@ -17,8 +20,10 @@ artifact; the committed ``BENCH_throughput.json`` holds the historical
 points).
 """
 
+import gc
 import os
 import time
+import tracemalloc
 
 from repro.config import baseline_config
 from repro.cpu.core import AppSimulator
@@ -46,6 +51,18 @@ _KERNEL_INSTRUCTIONS = 150_000
 _KERNEL_MIN_SPEEDUP = 3.0
 #: Floor of the array warm-up over the object-graph warm-up.
 _WARMUP_MIN_SPEEDUP = 10.0
+#: Floor of the Re-NUCA replay kernel over the reference loop.  Its
+#: criticality feedback keeps the record loop scalar, so the floor sits
+#: below the criticality-blind schemes' (2-5x measured on a busy 2-core
+#: host).
+_RENUCA_MIN_SPEEDUP = 1.5
+#: Bound on the Re-NUCA replay's ``tracemalloc`` peak: bytes per warm
+#: LLC frame plus bytes per replayed record.  The replay keeps flat
+#: per-frame and per-line arrays and per-chunk lists (about 42 B/frame
+#: and 90 B/record measured); turning every record column into a Python
+#: list costs over 200 B/record.
+_RENUCA_BYTES_PER_FRAME = 56
+_RENUCA_BYTES_PER_RECORD = 128
 
 
 def _record(name: str, *, count: int, seconds: float, unit: str,
@@ -190,4 +207,81 @@ def test_bench_array_warmup_vs_prefill():
     assert speedup >= _WARMUP_MIN_SPEEDUP, (
         f"array warm-up is only {speedup:.1f}x the object-graph warm-up "
         f"(floor {_WARMUP_MIN_SPEEDUP}x)"
+    )
+
+
+def test_bench_renuca_replay():
+    """Re-NUCA replay: >= 1.5x the reference loop, in bounded memory.
+
+    The cell is the 16-core WL3 mix of seed 9, the kind of cell the
+    end-to-end ``sweep-long`` workload runs.  Only the measured loop is
+    timed (fresh ``prepare_replay`` per measurement); one more kernel
+    replay runs under ``tracemalloc`` for its peak working memory.
+    """
+    config = baseline_config()
+    stage1 = Stage1Cache()
+    workload = make_workloads(num_cores=16, seed=9)[2]
+    for app in workload.apps:
+        stage1.get(app, config, seed=9, n_instructions=_KERNEL_INSTRUCTIONS)
+
+    def prepare(use_kernel):
+        return prepare_replay(
+            workload, "Re-NUCA", config, seed=9,
+            n_instructions=_KERNEL_INSTRUCTIONS, stage1=stage1,
+            use_kernel=use_kernel,
+        )
+
+    def kernel(prep):
+        kernel_replay(
+            prep.llc, prep.merged, state=prep.state, cpts=prep.cpts,
+            threshold=prep.threshold, block_cycles=prep.block_cycles,
+        )
+
+    def reference(prep):
+        _replay_reference(
+            prep.llc, prep.merged, cpts=prep.cpts, threshold=prep.threshold,
+            block_cycles=prep.block_cycles,
+        )
+
+    def measure(replay_fn, use_kernel):
+        best = float("inf")
+        for _ in range(3):
+            prep = prepare(use_kernel)
+            t0 = time.perf_counter()
+            replay_fn(prep)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    kernel_s = measure(kernel, True)
+    reference_s = measure(reference, False)
+    prep = prepare(True)
+    records = prep.merged.total
+    frames = prep.state.tags.size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kernel(prep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = (
+        _RENUCA_BYTES_PER_FRAME * frames + _RENUCA_BYTES_PER_RECORD * records
+    )
+    speedup = reference_s / kernel_s
+    print(f"\nRe-NUCA replay: {records} records in {kernel_s:.3f}s "
+          f"({records / kernel_s / 1e6:.2f} Mrec/s), reference "
+          f"{reference_s:.3f}s, speedup {speedup:.2f}x, peak "
+          f"{peak / 1e6:.1f} MB (bound {bound / 1e6:.1f} MB for "
+          f"{frames} frames)")
+    _record("renuca_replay", count=records, seconds=kernel_s, unit="records",
+            details={"reference_seconds": reference_s,
+                     "speedup": round(speedup, 3),
+                     "peak_mb": round(peak / 1e6, 2)})
+    assert speedup >= _RENUCA_MIN_SPEEDUP, (
+        f"Re-NUCA replay kernel is only {speedup:.2f}x the reference loop "
+        f"(floor {_RENUCA_MIN_SPEEDUP}x)"
+    )
+    assert peak <= bound, (
+        f"Re-NUCA replay peaked at {peak / 1e6:.1f} MB, over its "
+        f"{bound / 1e6:.1f} MB bound"
     )

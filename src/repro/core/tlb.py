@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.lru import SetAssocArray
+from repro.cache.lru import SetAssocArray, lru_survivors
 from repro.common.errors import SimulationError
 from repro.common.units import log2_exact
 from repro.config import TlbConfig
@@ -47,6 +47,23 @@ class TlbStats:
     def hit_rate(self) -> float:
         """TLB hit rate over lookups."""
         return self.hits / self.lookups if self.lookups else 0.0
+
+
+def mbv_bits(mbvs, lines_per_page: int) -> np.ndarray:
+    """MBVs as a bool matrix: one row per MBV, column ``i`` holding line ``i``'s bit."""
+    nbytes = (lines_per_page + 7) // 8
+    raw = np.frombuffer(
+        b"".join(mbv.to_bytes(nbytes, "little") for mbv in mbvs), dtype=np.uint8
+    )
+    return np.unpackbits(
+        raw.reshape(-1, nbytes), axis=1, count=lines_per_page, bitorder="little"
+    ).astype(bool)
+
+
+def mbv_ints(bits: np.ndarray) -> list[int]:
+    """The rows of an MBV bit matrix (see :func:`mbv_bits`) as MBVs."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in map(bytes, packed)]
 
 
 class EnhancedTlb:
@@ -169,19 +186,21 @@ class EnhancedTlb:
         if self._array.total_occupancy() or self._backing:
             raise SimulationError("load_warm_state needs a fresh TLB")
         shift, mask = self._line_shift, self._line_mask
-        mbv: dict[int, int] = {}
-        for line in np.asarray(mapped, dtype=np.int64).tolist():
-            page = line >> shift
-            mbv[page] = mbv.get(page, 0) | (1 << (line & mask))
-        # Distinct pages, most recently touched first.
-        pages = (np.asarray(lines, dtype=np.int64) >> shift).tolist()
-        recency = list(dict.fromkeys(reversed(pages)))
-        per_set: dict[int, list[int]] = {}
-        for page in reversed(recency):
-            per_set.setdefault(page & self._set_mask, []).append(page)
-        for set_idx, set_pages in per_set.items():
-            for page in set_pages[-self._array.assoc:]:
-                self._array.insert(set_idx, page, [mbv.pop(page, 0)])
+        mapped = np.asarray(mapped, dtype=np.int64)
+        pages, row = np.unique(mapped >> shift, return_inverse=True)
+        bits = np.zeros((len(pages), self.lines_per_page), dtype=bool)
+        bits[row, mapped & mask] = True
+        mbv = dict(zip(pages.tolist(), mbv_ints(bits)))
+        # Distinct pages by their last touch, least recent first; each
+        # set keeps its ``assoc`` most recent in LRU -> MRU order.
+        pages = np.asarray(lines, dtype=np.int64) >> shift
+        distinct, last_rev = np.unique(pages[::-1], return_index=True)
+        recency = distinct[np.argsort(-last_rev)]
+        sets = recency & self._set_mask
+        keep = lru_survivors(sets, self._array.assoc)
+        views = self._array.set_views()
+        for page, set_idx in zip(recency[keep].tolist(), sets[keep].tolist()):
+            views[set_idx][page] = [mbv.pop(page, 0)]
         self._backing = mbv
 
     # -- internals ----------------------------------------------------------------

@@ -17,9 +17,17 @@ and batches all side-channel accounting:
   ``np.bincount``-style operations afterwards;
 * Naive keeps its exact directory + min-write-bank oracle (placement
   feeds back through wear, so it stays scalar) on the array engine;
-* Re-NUCA keeps its in-order CPT feedback loop and real enhanced-TLB
-  objects, but with hoisted locals, the array bank engine and per-record
-  candidate banks computed from small precomputed tables.
+* Re-NUCA keeps its in-order CPT feedback loop, on flat per-line state:
+  dense line ids carry the Mapping Bit and the probe memo, the CPT is a
+  pair of counters per (core, pc), and records stream through in
+  bounded chunks.  The enhanced TLBs leave the loop: their residency
+  depends only on each core's page sequence, so a separate pass replays
+  it and rebuilds their exact state from the loop's log of Mapping Bit
+  changes.
+
+The scalar loops read the bank state through flat ``array``/``bytearray``
+views (:func:`_frame_views`), which cost a fraction of the memory of
+Python lists.
 
 The warm state the kernel replays from is built directly as arrays by
 :func:`warm_state` (the closed form of the reference warm-up), so the
@@ -29,9 +37,11 @@ Equivalence contract: for every supported configuration the kernel
 produces **field-for-field identical** :class:`~repro.sim.metrics.\
 WorkloadSchemeResult`s to the reference path (including float fields —
 all floating-point accumulation replicates the reference's operation
-order).  The kernel transfers *statistics* back into the live objects
-(LLC stats, mesh traffic, wear counters, memory pipe/row state, policy
-counters); the per-bank ``Cache`` objects stay empty — nothing on the
+order, in record order — never builtin ``sum()``, whose float summation
+is compensated since Python 3.12).  The kernel transfers *statistics*
+back into the live objects (LLC stats, mesh traffic, wear counters,
+memory pipe/row state, policy counters, and Re-NUCA's TLB and CPT
+state); the per-bank ``Cache`` objects stay empty — nothing on the
 un-instrumented path reads them.
 
 The kernel never engages when telemetry or fault injection is attached
@@ -41,10 +51,14 @@ is the single gate.
 
 from __future__ import annotations
 
+from array import array
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.cache.lru import lru_survivors
 from repro.common.errors import SimulationError
+from repro.core.tlb import mbv_bits, mbv_ints
 from repro.nuca.naive import NaivePolicy
 from repro.nuca.private import PrivatePolicy
 from repro.nuca.rnuca import RNucaPolicy
@@ -166,6 +180,10 @@ class ArrayBanks:
 #: :func:`kernel_fallback_reason` plus ``env`` (``REPRO_KERNEL=0``) and
 #: ``pinned`` (``use_kernel=False``), which the runner decides.
 FALLBACK_REASONS = ("telemetry", "faults", "policy", "cache-mode", "env", "pinned")
+
+#: Records per chunk of the Re-NUCA replay: bounds the Python lists its
+#: scalar loop reads, whatever the stream length.
+_CHUNK = 1 << 14
 
 
 def kernel_fallback_reason(llc) -> str | None:
@@ -369,19 +387,11 @@ def _replay_static(llc, merged, state, bank_vec, *, multi_copy: bool) -> np.ndar
     index = state.index
     index_get = index.get
     index_pop = index.pop
-    # Loop-local list views of the array state: per-record loads/stores on
-    # Python lists cost a fraction of numpy scalar indexing, and nothing
-    # here needs elementwise numpy until the batched reductions below.
-    tags_f = state.tags.reshape(-1).tolist()
-    occ_l = state.occ.tolist()
+    # Flat views of the array state: per-record loads/stores on them
+    # cost a fraction of numpy scalar indexing, and nothing here needs
+    # elementwise numpy until the batched reductions below.
+    tags_f, age_f, dirty_f, occ_l = _frame_views(state)
     assoc = state.assoc
-    # Warm recency starts at all-zero: within a set the warm ways are
-    # already in LRU -> MRU order, and ``seg.index(min(seg))`` resolves
-    # ties to the lowest way — exactly the warm LRU.  Every touch stamps
-    # ``stamp0 + i`` (> 0), so touched lines outrank untouched warm ones
-    # and each other in record order, matching the reference's clock.
-    age_f = [0] * len(tags_f)
-    dirty_f = state.dirty.reshape(-1).tolist()
     stamp0 = state.clock
     hits = bytearray(n)
     lat_l = [0.0] * n
@@ -458,10 +468,6 @@ def _replay_static(llc, merged, state, bank_vec, *, multi_copy: bool) -> np.ndar
         index[line_i] = pos2
 
     state.clock = stamp0 + n
-    # Per-fetch latencies accumulate in record order; write-back records
-    # contribute an exact float no-op (x + 0.0 == x), so one in-order sum
-    # reproduces the reference's running accumulation bit-for-bit.
-    total_lat = sum(lat_l)
     # Batched accounting: everything the loop did not need in-order.
     hit_mask = np.frombuffer(bytes(hits), dtype=np.uint8).astype(bool)
     fetch_mask = ~wb_arr
@@ -474,7 +480,8 @@ def _replay_static(llc, merged, state, bank_vec, *, multi_copy: bool) -> np.ndar
     stats.writeback_hits += int((wb_arr & hit_mask).sum())
     stats.memory_reads += n_miss
     stats.memory_writes += mem_writes
-    stats.total_fetch_latency += total_lat
+    # Write-back records add an exact float no-op (x + 0.0 == x).
+    stats.total_fetch_latency = _ordered_sum(stats.total_fetch_latency, lat_l)
     llc.wear.add_writes(
         np.bincount(bank[wb_arr | miss_mask], minlength=llc.wear.num_banks)
     )
@@ -529,11 +536,7 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     dir_get = directory.get
     index = state.index
     index_get = index.get
-    tags_f = state.tags.reshape(-1).tolist()
-    occ_l = state.occ.tolist()
-    # Zero warm stamps; see _replay_static.
-    age_f = [0] * len(tags_f)
-    dirty_f = state.dirty.reshape(-1).tolist()
+    tags_f, age_f, dirty_f, occ_l = _frame_views(state)
     num_sets = state.num_sets
     set_mask = num_sets - 1
     index_shift = state.index_shift
@@ -673,7 +676,7 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     stats.writeback_hits += wb_hits
     stats.memory_reads += mem_reads
     stats.memory_writes += mem_writes
-    stats.total_fetch_latency += sum(lat_l)
+    stats.total_fetch_latency = _ordered_sum(stats.total_fetch_latency, lat_l)
     wear = llc.wear
     wear.add_writes(np.asarray(bw, dtype=np.int64) - wear.bank_writes)
     mesh.record_traffic(messages, hops)
@@ -683,250 +686,191 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
 
 
 def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndarray:
-    """Re-NUCA: scalar loop with in-order CPT feedback on the array engine.
+    """Re-NUCA: in-order probe/fill/CPT loop on flat per-line state.
 
-    The live :class:`~repro.core.tlb.EnhancedTlb` and
-    :class:`~repro.core.criticality.CriticalityPredictor` state — each
-    TLB's per-set page dicts and MBV backing store, each predictor's PC
-    table — is driven inline in exactly the reference sequence
-    (mapping-bit reads, allocation-time bit sets, eviction-time bit
-    clears, issue-time ratio reads, commit-time ground-truth updates), so
-    it stays bit-identical while everything around it uses precomputed
-    tables and flat arrays.  The rare paths (TLB refill, CPT insertion,
-    victim bit clear) are small local helpers; lookup/hit counters are
-    derived from per-core record counts and transferred at the end.
+    The loop carries only what is genuinely sequential: LRU stamps and
+    set occupancy, the memory pipe, fills and victims, and the
+    predictor's issue/commit feedback.  Everything else moves out:
+
+    * **Per-line state.**  Every line the stream references gets a
+      dense id from one ``np.unique``, and per-id flat arrays hold its
+      candidate sets, its Mapping Bit, its probe memo (``ArrayBanks.index``
+      semantics) and the number of frames holding it, so a probe scans
+      a set only when a copy the memo does not point to exists.  Frames
+      hold ids (``~line`` for warm lines the stream never references).
+      The Mapping Bit of a line is a per-line fact — the enhanced TLB
+      only *caches* it, and its backing store keeps every non-zero MBV
+      across TLB evictions — so the loop reads and writes it directly.
+    * **The TLB pass.**  TLB residency depends only on each core's page
+      sequence (every record touches its page once; write-back re-reads
+      and allocation-time bit sets hit the MRU page; eviction-time bit
+      clears never touch), so :func:`_replay_tlbs` replays it after the
+      loop and takes the MBV write-back/restore counts from the log of
+      Mapping Bit changes the loop keeps.
+    * **CPT counters.**  Each predictor entry is a pair of per-(core,
+      pc) counters; whether a load would block on a hit is precomputed
+      for both candidate banks.  When a table could overflow, the
+      predictors' LRU order is kept in ``OrderedDict``s beside them.
+    * **Batched accounting.**  The loop writes one code byte per record
+      (probe mapping, hit, critical placement); wear, hops, messages,
+      counters and hit latencies are reduced from it with numpy.
+
+    Records stream through in chunks of ``_CHUNK``, so the Python lists
+    the loop reads stay bounded whatever the replay length.
     """
     policy = llc.policy
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
-    n = merged.total
-
-    hop = config.noc.hop_cycles
-    dist_l = mesh.distance_matrix().tolist()
-    mcs = mesh.memory_controllers
-    nmc = len(mcs)
-    read_lat = bank0.read_latency
-    tag_lat = bank0.tag_latency
-    n_nodes = len(dist_l)
-    sn_mask = policy._snuca._mask
-    rnuca = policy._rnuca
-    clusters_l = [list(c) for c in rnuca.clusters]
-    rids_l = list(rnuca.rids)
-    cmask = rnuca._mask
     tlbs = policy.tlbs
-    # EnhancedTlb internals: page -> [mbv] per set (LRU -> MRU), backing
-    # store of non-resident pages' MBVs.  Every core's TLB shares one
-    # geometry (the config's).
-    tlb_sets = [tlb._array.set_views() for tlb in tlbs]
-    backings = [tlb._backing for tlb in tlbs]
-    page_shift = tlbs[0]._line_shift
-    bit_mask = tlbs[0]._line_mask
-    tlb_mask = tlbs[0]._set_mask
-    tlb_assoc = tlbs[0]._array.assoc
-    refills0 = [tlb.stats.refills for tlb in tlbs]
-    # Write-back misses read the mapping bit twice (see below).
-    wb_rereads = [0] * len(tlbs)
-    cpt_tables = [cpt._table for cpt in cpts]
-    cpt_cap = cpts[0].config.table_entries
-    cpt_misses = [0] * len(cpts)
-    # Every record reads its mapping bit once (write-back misses twice),
-    # every fetched load its PC's CPT entry.  Counted before the record
-    # lists below exist: bincount's intp copy of the stream stays off
-    # the replay's memory peak.
-    touches = np.bincount(merged.core, minlength=len(tlbs)).tolist()
-    loads = np.bincount(
-        merged.core[merged.is_load & ~merged.is_wb], minlength=len(cpts)
-    ).tolist()
+    n = merged.total
+    ncores = len(tlbs)
+    nb = llc.wear.num_banks
+    pen = float(policy.lookup_penalty)
+    hop = config.noc.hop_cycles
+    dist = mesh.distance_matrix().astype(np.int64)
+    nodes = len(dist)
+    mcs = np.asarray(mesh.memory_controllers, dtype=np.int64)
+    nmc = len(mcs)
+    # Flat NoC tables per (core, bank), per (core, bank, controller) and
+    # per (core, controller), in the reference's operation order:
+    # (penalty + round trip) + read; (send + tag) + send; the refill.
+    rt_hops = (2 * dist).ravel()
+    hitlat = ((pen + 2 * dist * hop) + bank0.read_latency).ravel()
+    d_bmc = dist[:, mcs]
+    d_mcc = dist[mcs, :].T
+    to_mc = (
+        (dist * hop + bank0.tag_latency)[:, :, None] + (d_bmc * hop)[None, :, :]
+    ).ravel()
+    miss_hops = (dist[:, :, None] + d_bmc[None, :, :] + d_mcc[:, None, :]).ravel()
+    ret = (d_mcc * hop).ravel()
+    num_sets = state.num_sets
+    assoc = state.assoc
 
-    def tlb_refill(core, ways, page):
-        # EnhancedTlb._touch's miss path: restore the page's MBV from the
-        # backing store, evicting the LRU page's MBV into it.
-        stats = tlbs[core].stats
-        backing = backings[core]
-        stats.refills += 1
-        restored = backing.pop(page, 0)
-        if restored:
-            stats.mbv_restores += 1
-        if len(ways) >= tlb_assoc:
-            vpage = next(iter(ways))
-            vmbv = ways.pop(vpage)[0]
-            stats.evictions += 1
-            if vmbv:
-                backing[vpage] = vmbv
-                stats.mbv_writebacks += 1
-        holder = [restored]
-        ways[page] = holder
-        return holder
-
-    def clear_bit(owner, vline):
-        # EnhancedTlb.clear_mapping_bit (no recency update).
-        page = vline >> page_shift
-        bit = 1 << (vline & bit_mask)
-        entry = tlb_sets[owner][page & tlb_mask].get(page)
-        if entry is not None:
-            entry[0] &= ~bit
-            return
-        backing = backings[owner]
-        mbv = backing.get(page)
-        if mbv is not None:
-            mbv &= ~bit
-            if mbv:
-                backing[page] = mbv
-            else:
-                del backing[page]
-
-    def cpt_insert(core, pc, blocked):
-        # CriticalityPredictor.observe_commit for an untracked PC.
-        table = cpt_tables[core]
-        stats = cpts[core].stats
-        if len(table) >= cpt_cap:
-            table.popitem(last=False)
-            stats.evictions += 1
-        table[pc] = [1, 1 if blocked else 0]
-        stats.inserts += 1
-    # (0.0 penalty + round_trip) + read, per (core, bank).
-    hitlat = [
-        [(0.0 + 2 * dist_l[c][b] * hop) + read_lat for b in range(n_nodes)]
-        for c in range(n_nodes)
-    ]
-
-    core_l = merged.core.tolist()
-    line_l = merged.line.tolist()
-    wb_l = merged.is_wb.tolist()
-    ts_l = merged.ts.tolist()
-    load_l = merged.is_load.tolist()
-    pc_l = merged.pc.tolist()
-    stall_l = merged.stall.tolist()
-    slack_l = merged.slack.tolist()
-    mlp_l = merged.mlp.tolist()
-    nominal_l = merged.nominal.tolist()
+    lines = _LineIds(state, merged, policy)
+    cpt = _CptCounters(cpts, merged)
+    tags_f, age_f, dirty_f, occ = _frame_views(state, lines.tags)
+    mbit = lines.mbit
+    memo = lines.memo
+    copies = lines.copies
+    line_of = lines.line_of
+    clear_warm = lines.clear_warm
+    # Mapping Bit change log: the record index, then the line id
+    # (``~id`` for a clear).  Read by the TLB pass.
+    mbv_log = array("q")
+    log = mbv_log.append
+    iss, blk, cpt_commit = cpt.issued, cpt.blocked, cpt.commit
 
     service, pipe_free, miss_cycles, rowhit_cycles, dram_mask, row_shift, open_rows = (
         _mem_params(llc.memory)
     )
     open_get = open_rows.get
-    index = state.index
-    index_get = index.get
-    tags_f = state.tags.reshape(-1).tolist()
-    # Zero warm stamps (ties resolve to the warm LRU way); see
-    # _replay_static.  Owner is read when a victim's mapping bit must be
-    # cleared.  The predictor's criticality verdict is recorded in the
-    # TLB mapping bits — nothing reads it per-frame.
-    age_f = [0] * len(tags_f)
-    dirty_f = state.dirty.reshape(-1).tolist()
-    owner_f = state.owner.reshape(-1).tolist()
-    occ_l = state.occ.tolist()
-    num_sets = state.num_sets
-    set_mask = num_sets - 1
-    index_shift = state.index_shift
-    assoc = state.assoc
     stamp0 = state.clock
-    bw = [0] * llc.wear.num_banks
-    lat_l = [0.0] * n
+    out = np.empty(n, dtype=np.float32)
+    total_lat = llc.stats.total_fetch_latency
     queue_acc = 0.0
-    row_hits = 0
-    fetches = fetch_hits = wbs = wb_hits = mem_reads = mem_writes = 0
-    crit_allocs = noncrit_allocs = 0
-    messages = 0
-    hops = 0
+    row_hits = mem_writes = 0
+    bw = np.zeros(nb, dtype=np.int64)
+    touches = np.zeros(ncores, dtype=np.int64)
+    wb_misses = np.zeros(ncores, dtype=np.int64)
+    fetches = mem_reads = wbs = crit_allocs = 0
+    messages = hops = 0
 
-    for i, (core, line_i, is_wb) in enumerate(zip(core_l, line_l, wb_l)):
-        # Mapping-bit read: a TLB touch of the line's page.
-        page = line_i >> page_shift
-        ways = tlb_sets[core][page & tlb_mask]
-        mbv = ways.pop(page, None)
-        if mbv is None:
-            mbv = tlb_refill(core, ways, page)
-        else:
-            ways[page] = mbv
-        if is_wb:
-            wbs += 1
-            if (mbv[0] >> (line_i & bit_mask)) & 1:
-                bank = clusters_l[core][(line_i + rids_l[core] + 1) & cmask]
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        m = hi - lo
+        core = merged.core[lo:hi].astype(np.int64)
+        line = merged.line[lo:hi]
+        wb = merged.is_wb[lo:hi]
+        load = merged.is_load[lo:hi] & ~wb
+        rid = lines.record_ids[lo:hi]
+        b_r = lines.bank_r[rid]
+        b_s = lines.bank_s[rid]
+        cb_r = core * nodes + b_r
+        cb_s = core * nodes + b_s
+        mci = (line >> 4) % nmc
+        # Record kind: bit 0 load, bit 1 write-back, bits 2/3 "this load
+        # blocks the ROB head if it hits in its R-NUCA/S-NUCA bank".
+        kind = load.astype(np.int64) | (wb.astype(np.int64) << 1)
+        ld = np.flatnonzero(load)
+        nominal = merged.nominal[lo:hi].astype(np.float64)
+        stall = merged.stall[lo:hi].astype(np.float64)
+        slack = merged.slack[lo:hi].astype(np.float64)
+        mlp = merged.mlp[lo:hi].astype(np.float64)
+        for cb, flag in ((cb_r, 4), (cb_s, 8)):
+            diff = hitlat.take(cb[ld]) - nominal[ld]
+            stall2 = np.where(
+                stall[ld] > 0, stall[ld] + diff / mlp[ld], (diff - slack[ld]) / mlp[ld]
+            )
+            kind[ld] |= np.where(stall2 >= block_cycles, flag, 0)
+
+        # The columns every record reads become Python lists; the ones
+        # only loads and misses read stay flat arrays.
+        lid_l = rid.tolist()
+        kind_l = kind.tolist()
+        # Frame base of the record's R-NUCA and S-NUCA candidate sets.
+        br_l = (lines.set_r[rid] * assoc).tolist()
+        bs_l = (lines.set_s[rid] * assoc).tolist()
+        ts_a = _flat(merged.ts[lo:hi])
+        tomcr_a = _flat(to_mc.take(cb_r * nmc + mci))
+        tomcs_a = _flat(to_mc.take(cb_s * nmc + mci))
+        ret_a = _flat(ret.take(core * nmc + mci))
+        row_a = _flat(line >> row_shift)
+        cptk_a = _flat(cpt.record_keys[lo:hi])
+        nominal_a = _flat(nominal)
+        stall_a = _flat(stall)
+        slack_a = _flat(slack)
+        mlp_a = _flat(merged.mlp[lo:hi])
+        codes = bytearray(m)
+        miss_lat = array("d", bytes(8 * m))
+        stamp = stamp0 + lo
+
+        for j, lid, kd, br, bs in zip(range(m), lid_l, kind_l, br_l, bs_l):
+            # Mapping Bit -> probe set; code bit 0 records the choice.
+            if mbit[lid]:
+                base = br
+                code = 1
             else:
-                bank = line_i & sn_mask
-            messages += 2
-            hops += 2 * dist_l[core][bank]
-            gs = bank * num_sets + ((line_i >> index_shift) & set_mask)
-            pos = index_get(line_i)
-            if pos is None or pos // assoc != gs:
-                # Lazy index memo; a hit must point into the *current*
-                # home set (the mapping bit moves lines between the two
-                # sub-policies, and stale copies can linger elsewhere).
-                base = gs * assoc
-                try:
-                    pos = tags_f.index(line_i, base, base + assoc)
-                    index[line_i] = pos
-                except ValueError:
-                    pos = None
-            if pos is not None:
-                dirty_f[pos] = True
-                age_f[pos] = stamp0 + i
-                bw[bank] += 1
-                wb_hits += 1
-                continue
-            # Reference probes _is_static -> writeback_bank -> locate,
-            # which reads the mapping bit a second time: a TLB hit on
-            # the page just made MRU, so only its lookup is counted.
-            wb_rereads[core] += 1
-            place = bank
-            critical = False
-            fill_dirty = True
-        else:
-            fetches += 1
-            ts = ts_l[i]
-            is_load = load_l[i]
-            if is_load:
-                # CriticalityPredictor.ratio: issue-time read + num_loads.
-                pc = pc_l[i]
-                table = cpt_tables[core]
-                centry = table.get(pc)
-                if centry is None:
-                    cpt_misses[core] += 1
-                    predicted = False
+                base = bs
+                code = 0
+            pos = memo[lid]
+            if not base <= pos < base + assoc:
+                # The memo knows one copy, elsewhere or none.  Scan the
+                # set only when a copy it does not know exists.
+                if copies[lid] > (pos >= 0):
+                    try:
+                        pos = tags_f.index(lid, base, base + assoc)
+                        memo[lid] = pos
+                    except ValueError:
+                        pos = -1
                 else:
-                    table.move_to_end(pc)
-                    issued = centry[0]
-                    ratio = centry[1] / issued if issued else 0.0
-                    centry[0] = issued + 1
-                    predicted = ratio >= threshold
+                    pos = -1
+            if pos >= 0:
+                age_f[pos] = stamp + j
+                if kd & 2:
+                    dirty_f[pos] = 1
+                elif kd & 1:
+                    k = cptk_a[j]
+                    if cpt_commit is None:
+                        iss[k] += 1
+                        if kd & (8 >> code):
+                            blk[k] += 1
+                    else:
+                        cpt_commit(k, kd & (8 >> code))
+                codes[j] = code | 2
+                continue
+            if kd & 2:
+                # Write-back miss: re-allocate dirty in the probed set.
+                base_p = base
+                fill_dirty = 1
+                critical = 0
             else:
-                predicted = False
-            if (mbv[0] >> (line_i & bit_mask)) & 1:
-                bank = clusters_l[core][(line_i + rids_l[core] + 1) & cmask]
-            else:
-                bank = line_i & sn_mask
-            gs = bank * num_sets + ((line_i >> index_shift) & set_mask)
-            pos = index_get(line_i)
-            if pos is None or pos // assoc != gs:
-                base = gs * assoc
-                try:
-                    pos = tags_f.index(line_i, base, base + assoc)
-                    index[line_i] = pos
-                except ValueError:
-                    pos = None
-            if pos is not None:
-                age_f[pos] = stamp0 + i
-                messages += 2
-                hops += 2 * dist_l[core][bank]
-                lat = hitlat[core][bank]
-                lat_l[i] = lat
-                fetch_hits += 1
-                fill_needed = False
-            else:
-                d_cb = dist_l[core][bank]
-                mc = mcs[(line_i >> 4) % nmc]
-                d_bmc = dist_l[bank][mc]
-                d_mcc = dist_l[mc][core]
-                to_mc = d_cb * hop + tag_lat + d_bmc * hop
-                messages += 3
-                hops += d_cb + d_bmc + d_mcc
-                arrival = ts + 0.0 + to_mc
+                ts = ts_a[j]
+                arrival = ts + pen + (tomcr_a[j] if code else tomcs_a[j])
                 start = arrival if arrival > pipe_free else pipe_free
                 queue_acc += start - arrival
                 pipe_free = start + service
-                row = line_i >> row_shift
+                row = row_a[j]
                 rbank = row & dram_mask
                 if open_get(rbank) == row:
                     mlat = rowhit_cycles
@@ -934,133 +878,534 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                 else:
                     open_rows[rbank] = row
                     mlat = miss_cycles
-                mem_reads += 1
-                lat = (start + mlat - ts) + d_mcc * hop
-                lat_l[i] = lat
-                if predicted:
-                    place = clusters_l[core][(line_i + rids_l[core] + 1) & cmask]
-                else:
-                    place = line_i & sn_mask
-                critical = predicted
-                fill_needed = True
-            if fill_needed:
-                gs_p = place * num_sets + ((line_i >> index_shift) & set_mask)
-                oc = occ_l[gs_p]
-                victim = None
-                if oc < assoc:
-                    pos2 = gs_p * assoc + oc
-                    occ_l[gs_p] = oc + 1
-                else:
-                    base = gs_p * assoc
-                    seg = age_f[base:base + assoc]
-                    pos2 = base + seg.index(min(seg))
-                    vline = tags_f[pos2]
-                    index.pop(vline, None)
-                    victim = (vline, dirty_f[pos2], owner_f[pos2])
-                bw[place] += 1
-                tags_f[pos2] = line_i
-                age_f[pos2] = stamp0 + i
-                dirty_f[pos2] = False
-                owner_f[pos2] = core
-                index[line_i] = pos2
-                # Allocation-time set_mapping_bit (the page is MRU).
+                lat = (start + mlat - ts) + ret_a[j]
+                miss_lat[j] = lat
+                critical = 0
+                if kd & 1:
+                    # CriticalityPredictor.ratio at issue, observe_commit
+                    # under this scheme's latency.
+                    k = cptk_a[j]
+                    issued = iss[k]
+                    if issued and blk[k] / issued >= threshold:
+                        critical = 1
+                    diff = lat - nominal_a[j]
+                    stall = stall_a[j]
+                    if stall > 0:
+                        stall2 = stall + diff / mlp_a[j]
+                    else:
+                        stall2 = (diff - slack_a[j]) / mlp_a[j]
+                    if cpt_commit is None:
+                        iss[k] = issued + 1
+                        if stall2 >= block_cycles:
+                            blk[k] += 1
+                    else:
+                        cpt_commit(k, stall2 >= block_cycles)
                 if critical:
-                    mbv[0] |= 1 << (line_i & bit_mask)
-                    crit_allocs += 1
+                    base_p = br
+                    code |= 4
                 else:
-                    mbv[0] &= ~(1 << (line_i & bit_mask))
-                    noncrit_allocs += 1
-                if victim is not None:
-                    vline, vdirty, vowner = victim
-                    clear_bit(vowner, vline)
-                    if vdirty:
-                        start = ts if ts > pipe_free else pipe_free
-                        queue_acc += start - ts
-                        pipe_free = start + service
-                        vrow = vline >> row_shift
-                        vbank = vrow & dram_mask
-                        if open_get(vbank) == vrow:
-                            row_hits += 1
-                        else:
-                            open_rows[vbank] = vrow
-                        mem_writes += 1
-            if is_load:
-                # Commit-time ground truth under this scheme's latency
-                # (observe_commit; the issue-time entry is still live).
-                diff = lat - nominal_l[i]
-                stall = stall_l[i]
-                if stall > 0:
-                    stall2 = stall + diff / mlp_l[i]
+                    base_p = bs
+                fill_dirty = 0
+            codes[j] = code
+            # Fill: free way, else the LRU victim.
+            gs = base_p // assoc
+            oc = occ[gs]
+            if oc < assoc:
+                pos = base_p + oc
+                occ[gs] = oc + 1
+            else:
+                seg = age_f[base_p:base_p + assoc]
+                pos = base_p + seg.index(min(seg))
+                vid = tags_f[pos]
+                if vid >= 0:
+                    copies[vid] -= 1
+                    if memo[vid] == pos:
+                        memo[vid] = -1
+                    if mbit[vid]:
+                        # Eviction-time clear_mapping_bit.
+                        mbit[vid] = 0
+                        log(lo + j)
+                        log(~vid)
                 else:
-                    stall2 = (diff - slack_l[i]) / mlp_l[i]
-                if centry is None:
-                    cpt_insert(core, pc, stall2 >= block_cycles)
-                elif stall2 >= block_cycles:
-                    centry[1] += 1
-            continue
-        # Write-back re-allocation fill (shared with the fetch-miss fill
-        # would cost a branch in the hotter fetch path; duplicated here).
-        gs_p = place * num_sets + ((line_i >> index_shift) & set_mask)
-        oc = occ_l[gs_p]
-        victim = None
-        if oc < assoc:
-            pos2 = gs_p * assoc + oc
-            occ_l[gs_p] = oc + 1
-        else:
-            base = gs_p * assoc
-            seg = age_f[base:base + assoc]
-            pos2 = base + seg.index(min(seg))
-            vline = tags_f[pos2]
-            index.pop(vline, None)
-            victim = (vline, dirty_f[pos2], owner_f[pos2])
-        bw[place] += 1
-        tags_f[pos2] = line_i
-        age_f[pos2] = stamp0 + i
-        dirty_f[pos2] = fill_dirty
-        owner_f[pos2] = core
-        index[line_i] = pos2
-        mbv[0] &= ~(1 << (line_i & bit_mask))
-        noncrit_allocs += 1
-        if victim is not None:
-            vline, vdirty, vowner = victim
-            clear_bit(vowner, vline)
-            if vdirty:
-                ts = ts_l[i]
-                start = ts if ts > pipe_free else pipe_free
-                queue_acc += start - ts
-                pipe_free = start + service
-                vrow = vline >> row_shift
-                vbank = vrow & dram_mask
-                if open_get(vbank) == vrow:
-                    row_hits += 1
-                else:
-                    open_rows[vbank] = vrow
-                mem_writes += 1
+                    clear_warm(lo + j, pos)
+                if dirty_f[pos]:
+                    ts = ts_a[j]
+                    start = ts if ts > pipe_free else pipe_free
+                    queue_acc += start - ts
+                    pipe_free = start + service
+                    vrow = int(line_of[vid] if vid >= 0 else ~vid) >> row_shift
+                    vbank = vrow & dram_mask
+                    if open_get(vbank) == vrow:
+                        row_hits += 1
+                    else:
+                        open_rows[vbank] = vrow
+                    mem_writes += 1
+            tags_f[pos] = lid
+            age_f[pos] = stamp + j
+            dirty_f[pos] = fill_dirty
+            memo[lid] = pos
+            copies[lid] += 1
+            if mbit[lid] != critical:
+                # Allocation-time set_mapping_bit.
+                mbit[lid] = critical
+                log(lo + j)
+                log(lid if critical else ~lid)
+
+        # Batched accounting of the chunk from its code bytes.
+        code = np.frombuffer(codes, dtype=np.uint8)
+        hit = (code & 2).astype(bool)
+        probe_r = (code & 1).astype(bool)
+        bank = np.where(probe_r, b_r, b_s)
+        cb = np.where(probe_r, cb_r, cb_s)
+        fetch = ~wb
+        fmiss = fetch & ~hit
+        wbmiss = wb & ~hit
+        place_r = (code & 4).astype(bool)
+        n_fmiss = int(fmiss.sum())
+        n_wb = int(wb.sum())
+        wbs += n_wb
+        fetches += m - n_wb
+        mem_reads += n_fmiss
+        crit_allocs += int(place_r.sum())
+        touches += np.bincount(core, minlength=ncores)
+        wb_misses += np.bincount(core[wbmiss], minlength=ncores)
+        bw += np.bincount(bank[wb], minlength=nb)
+        bw += np.bincount(np.where(place_r, b_r, b_s)[fmiss], minlength=nb)
+        messages += 2 * m + n_fmiss
+        hops += int(rt_hops.take(cb[~fmiss]).sum()) + int(
+            miss_hops.take(cb[fmiss] * nmc + mci[fmiss]).sum()
+        )
+        lat = np.where(hit & fetch, hitlat.take(cb), np.frombuffer(miss_lat))
+        total_lat = _ordered_sum(total_lat, lat[fetch])
+        out[lo:hi] = lat
 
     state.clock = stamp0 + n
-    # Every TLB lookup that did not refill hit.
-    for core, tlb in enumerate(tlbs):
-        lookups = touches[core] + wb_rereads[core]
-        tlb.stats.lookups += lookups
-        tlb.stats.hits += lookups - (tlb.stats.refills - refills0[core])
-    for core, cpt in enumerate(cpts):
-        cpt.stats.lookups += loads[core]
-        cpt.stats.lookup_hits += loads[core] - cpt_misses[core]
+    _replay_tlbs(tlbs, merged, lines, mbv_log, touches, wb_misses)
+    cpt.write_back(cpts)
+    wb_miss_total = int(wb_misses.sum())
     stats = llc.stats
     stats.fetches += fetches
-    stats.fetch_hits += fetch_hits
+    stats.fetch_hits += fetches - mem_reads
     stats.writebacks += wbs
-    stats.writeback_hits += wb_hits
+    stats.writeback_hits += wbs - wb_miss_total
     stats.memory_reads += mem_reads
     stats.memory_writes += mem_writes
-    stats.total_fetch_latency += sum(lat_l)
-    llc.wear.add_writes(np.asarray(bw, dtype=np.int64))
+    stats.total_fetch_latency = total_lat
+    llc.wear.add_writes(bw)
     policy.critical_allocations += crit_allocs
-    policy.noncritical_allocations += noncrit_allocs
+    # Every other fill (fetch miss or write-back re-allocation) spreads.
+    policy.noncritical_allocations += mem_reads - crit_allocs + wb_miss_total
     mesh.record_traffic(messages, hops)
-    _write_back_memory(llc.memory, mem_reads + mem_writes, row_hits, queue_acc,
-                       pipe_free, open_rows)
-    return np.asarray(lat_l, dtype=np.float32)
+    _write_back_memory(llc.memory, mem_reads + mem_writes, row_hits,
+                       queue_acc, pipe_free, open_rows)
+    return out
+
+
+class _LineIds:
+    """Dense ids for the lines a Re-NUCA replay references, and their state.
+
+    One ``np.unique`` numbers the stream's distinct lines:
+    ``record_ids`` is each record's id, ``line_of``/``core_of`` each
+    id's line and core.  Per id: both candidate banks and global sets
+    (``bank_r``/``set_r`` for R-NUCA, ``bank_s``/``set_s`` for S-NUCA),
+    the Mapping Bit ``mbit`` (read from the owning core's TLB MBV or
+    backing store), the probe memo ``memo`` — a frame holding the line,
+    with :attr:`ArrayBanks.index` semantics (-1: none known) — and
+    ``copies``, how many frames hold it (at most two, one per mapping).
+    ``tags`` is what the loop sees in each frame: the id of a referenced
+    line, ``~line`` for a warm line the stream never references, or -1.
+    Only the candidate sets of referenced lines are searched for warm
+    copies, so the search does not grow with the LLC size.  Mapping
+    Bits are per (core, line); lines in the runner's per-core address
+    spaces never collide, which is checked.
+    """
+
+    def __init__(self, state: ArrayBanks, merged, policy) -> None:
+        tlbs = policy.tlbs
+        self.ncores = len(tlbs)
+        self.shift = tlbs[0]._line_shift
+        self.line_mask = tlbs[0]._line_mask
+        line, record_ids = np.unique(merged.line, return_inverse=True)
+        n = len(line)
+        core = np.zeros(n, dtype=np.int16)
+        core[record_ids] = merged.core
+        if (core[record_ids] != merged.core).any():
+            raise SimulationError(
+                "Re-NUCA replay needs disjoint per-core line address spaces"
+            )
+        self.record_ids = record_ids.astype(np.int32)
+        self.line_of, self.core_of = line, core
+        set_idx = (line >> state.index_shift) & (state.num_sets - 1)
+        bank_r = _static_banks(policy._rnuca, core, line)
+        bank_s = _static_banks(policy._snuca, core, line)
+        self.set_r = (bank_r * state.num_sets + set_idx).astype(np.int32)
+        self.set_s = (bank_s * state.num_sets + set_idx).astype(np.int32)
+        self.bank_r = bank_r.astype(np.int16)
+        self.bank_s = bank_s.astype(np.int16)
+        # Find the warm copies: a line can only sit in its two candidate
+        # sets (the S-NUCA one skipped when both are the same set).
+        assoc = state.assoc
+        tags = np.where(state.tags >= 0, ~state.tags, -1).reshape(-1)
+        owner = state.owner.reshape(-1)
+        memo = np.full(n, -1, dtype=np.int64)
+        copies = np.zeros(n, dtype=np.uint8)
+        for lo in range(0, n, _CHUNK):
+            ids = np.arange(lo, min(lo + _CHUNK, n))
+            for sets, other in ((self.set_r, None), (self.set_s, self.set_r)):
+                held = state.tags[sets[ids]] == line[ids, None]
+                if other is not None:
+                    held &= (sets[ids] != other[ids])[:, None]
+                at, way = np.nonzero(held)
+                found = ids[at]
+                pos = sets[found] * assoc + way
+                if (owner[pos] != core[found]).any():
+                    raise SimulationError(
+                        "Re-NUCA replay needs disjoint per-core line address spaces"
+                    )
+                tags[pos] = found
+                memo[found] = pos
+                copies[found] += 1
+        self.tags = tags
+        self.memo = array("q", memo.tobytes())
+        self.copies = bytearray(copies.tobytes())
+        self.mbv_keys, self.mbv_bits = _tlb_mbvs(tlbs)
+        row = _rows(self.mbv_keys, self.page_keys(line, core))
+        known = np.flatnonzero(row >= 0)
+        mbit = np.zeros(n, dtype=np.uint8)
+        mbit[known] = self.mbv_bits[row[known], line[known] & self.line_mask]
+        self.mbit = bytearray(mbit.tobytes())
+        # Warm lines the stream never references keep their starting
+        # Mapping Bits until evicted; their clears are logged apart, as
+        # (record, frame) pairs.
+        self.start_mbvs = dict(zip(self.mbv_keys.tolist(), mbv_ints(self.mbv_bits)))
+        self.warm_owner = owner
+        self.warm_clears = array("q")
+        self._cleared: set[int] = set()
+
+    def clear_warm(self, i: int, pos: int) -> None:
+        """Eviction-time clear_mapping_bit of the unreferenced warm line at ``pos``."""
+        line = int(~self.tags[pos])
+        key = (line >> self.shift) * self.ncores + int(self.warm_owner[pos])
+        if (self.start_mbvs.get(key, 0) >> (line & self.line_mask)) & 1 and (
+            line not in self._cleared
+        ):
+            self._cleared.add(line)
+            self.warm_clears.append(i)
+            self.warm_clears.append(pos)
+
+    def page_keys(self, lines: np.ndarray, cores: np.ndarray) -> np.ndarray:
+        """One int64 key per (core, page) of ``lines``."""
+        return (lines >> self.shift) * self.ncores + cores
+
+
+def _tlb_mbvs(tlbs) -> tuple[np.ndarray, np.ndarray]:
+    """Every core's MBVs, resident or backed.
+
+    Returns the sorted (core, page) keys and the MBVs as a bit matrix
+    in key order (:func:`~repro.core.tlb.mbv_bits`).
+    """
+    ncores = len(tlbs)
+    keys: list[int] = []
+    mbvs: list[int] = []
+    for core, tlb in enumerate(tlbs):
+        for ways in tlb._array.set_views():
+            for page, holder in ways.items():
+                keys.append(page * ncores + core)
+                mbvs.append(holder[0])
+        for page, mbv in tlb._backing.items():
+            keys.append(page * ncores + core)
+            mbvs.append(mbv)
+    keys_a = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(keys_a)
+    return keys_a[order], mbv_bits(mbvs, tlbs[0].lines_per_page)[order]
+
+
+def _rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position of each ``query`` in sorted ``keys`` (-1: absent)."""
+    if not len(keys):
+        return np.full(len(query), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[at] == query, at, -1)
+
+
+def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> None:
+    """Replay the enhanced TLBs' residency and rebuild their exact state.
+
+    Each record touches its core's TLB at the record's page (a refill on
+    a miss, evicting the set's LRU page); nothing else changes
+    residency, so one pass over the (core, page) sequence gives every
+    refill and eviction.  An eviction writes the page's MBV back and a
+    refill restores it when that MBV is non-zero at the touch: the MBV
+    at any record is the starting MBV plus the Mapping Bit changes of
+    earlier records (``mbv_log``), counted per page with one sort.  The
+    final set dicts hold the resident pages in LRU order with their
+    final MBVs, and the backing store every other non-zero MBV.
+    """
+    ncores = len(tlbs)
+    tlb0 = tlbs[0]
+    num_sets = tlb0.config.num_sets
+    ways_max = tlb0._array.assoc
+    # Every core's set dicts, flat: core * num_sets + set.  Values are
+    # placeholders until the final MBVs are installed below.
+    sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
+    # Refills (record index), each followed by its eviction (~page).
+    trail = array("q")
+    log_event = trail.append
+    n = merged.total
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        pages = merged.line[lo:hi] >> lines.shift
+        sid_l = (
+            merged.core[lo:hi].astype(np.int64) * num_sets + (pages & (num_sets - 1))
+        ).tolist()
+        for i, sid, page in zip(range(lo, hi), sid_l, pages.tolist()):
+            ways = sets[sid]
+            if ways.pop(page, None) is None:
+                log_event(i)
+                if len(ways) >= ways_max:
+                    victim = next(iter(ways))
+                    del ways[victim]
+                    log_event(~victim)
+            ways[page] = True
+
+    trail = np.frombuffer(trail, dtype=np.int64)
+    evicted = np.flatnonzero(trail < 0)
+    refill_at = trail[trail >= 0]
+    evict_at = trail[evicted - 1]
+    ev_keys = np.concatenate((
+        lines.page_keys(merged.line[refill_at], merged.core[refill_at]),
+        ~trail[evicted] * ncores + merged.core[evict_at],
+    ))
+    events = np.concatenate((refill_at, evict_at))
+    log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
+    ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
+    warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 2)
+    line = np.concatenate((lines.line_of[ids], ~lines.tags[warm[:, 1]]))
+    change_keys = lines.page_keys(
+        line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
+    )
+    # MBV popcount just before each touch: events sort before the
+    # changes of their own record (which follow the touch).
+    keys = np.concatenate((ev_keys, change_keys))
+    times = np.concatenate((2 * events, 2 * log[:, 0] + 1, 2 * warm[:, 0] + 1))
+    delta = np.concatenate((
+        np.zeros(len(events), dtype=np.int64),
+        np.where(log[:, 1] >= 0, 1, -1),
+        np.full(len(warm), -1, dtype=np.int64),
+    ))
+    order = np.lexsort((times, keys))
+    step = delta[order]
+    before = np.cumsum(step) - step
+    count = np.empty(len(order), dtype=np.int64)
+    count[order] = before - before[_group_starts(keys[order])]
+    # Starting popcounts; row -1 (no MBV yet) reads the appended 0.
+    start = np.append(lines.mbv_bits.sum(axis=1), 0)[_rows(lines.mbv_keys, ev_keys)]
+    nonzero = count[:len(events)] + start > 0
+    ev_core = ev_keys % ncores
+    n_ref = len(refill_at)
+    per_core = [
+        np.bincount(ev_core[sel], minlength=ncores).tolist()
+        for sel in (
+            slice(0, n_ref), slice(n_ref, None),
+            np.flatnonzero(nonzero[:n_ref]),
+            n_ref + np.flatnonzero(nonzero[n_ref:]),
+        )
+    ]
+
+    # Final MBV per (core, page): the starting bits with the logged
+    # changes toggled.
+    # The plain np.unique form would import numpy.ma (tens of ms).
+    all_keys = np.unique(
+        np.concatenate((lines.mbv_keys, change_keys)), return_index=True
+    )[0]
+    bits = np.zeros((len(all_keys), lines.mbv_bits.shape[1]), dtype=bool)
+    bits[np.searchsorted(all_keys, lines.mbv_keys)] = lines.mbv_bits
+    np.bitwise_xor.at(
+        bits, (np.searchsorted(all_keys, change_keys), line & lines.line_mask), True
+    )
+    final = dict(zip(all_keys.tolist(), mbv_ints(bits)))
+    resident = set()
+    for sid, ways in enumerate(sets):
+        core = sid // num_sets
+        for page in ways:
+            key = page * ncores + core
+            resident.add(key)
+            ways[page] = [final.get(key, 0)]
+    for tlb in tlbs:
+        tlb._backing.clear()
+    for key, mbv in final.items():
+        if mbv and key not in resident:
+            tlbs[key % ncores]._backing[key // ncores] = mbv
+
+    refill_n, evict_n, restore_n, writeback_n = per_core
+    for core, tlb in enumerate(tlbs):
+        stats = tlb.stats
+        lookups = int(touches[core] + wb_misses[core])
+        stats.lookups += lookups
+        stats.hits += lookups - refill_n[core]
+        stats.refills += refill_n[core]
+        stats.evictions += evict_n[core]
+        stats.mbv_restores += restore_n[core]
+        stats.mbv_writebacks += writeback_n[core]
+
+
+class _CptCounters:
+    """The per-core Criticality Predictor Tables as flat counters.
+
+    Every (core, pc) the tables hold or the stream's loads use gets a
+    dense key; ``issued``/``blocked`` are the entries' ``num_loads`` and
+    ``rob_blocks`` (0 issued: untracked) and ``record_keys`` each load
+    record's key.  While no table can overflow the counters are the
+    whole state: a table's LRU order is its entries' last-touch order,
+    rebuilt by :meth:`write_back`.  Otherwise ``commit`` is set and
+    keeps each table's ``OrderedDict`` recency (with its evictions)
+    beside the counters; the replay calls it once per load.
+    """
+
+    def __init__(self, cpts, merged) -> None:
+        ncores = len(cpts)
+        self.ncores = ncores
+        load = merged.is_load & ~merged.is_wb
+        table_keys = [
+            pc * ncores + core
+            for core, cpt in enumerate(cpts) for pc in cpt._table
+        ]
+        self.n_table = len(table_keys)
+        self.keys, inv = np.unique(
+            np.concatenate((
+                np.asarray(table_keys, dtype=np.int64),
+                merged.pc[load].astype(np.int64) * ncores + merged.core[load],
+            )),
+            return_inverse=True,
+        )
+        self.table_ids = inv[:self.n_table]
+        self.load_keys = inv[self.n_table:]
+        self.record_keys = np.zeros(merged.total, dtype=np.int32)
+        self.record_keys[load] = self.load_keys
+        self.issued = [0] * len(self.keys)
+        self.blocked = [0] * len(self.keys)
+        entries = [entry for cpt in cpts for entry in cpt._table.values()]
+        for k, (issued, blocked) in zip(self.table_ids.tolist(), entries):
+            self.issued[k] = issued
+            self.blocked[k] = blocked
+        key_core = (self.keys % ncores).tolist()
+        per_core = np.bincount(self.keys % ncores, minlength=ncores)
+        caps = [cpt.config.table_entries for cpt in cpts]
+        self.commit = None
+        self.inserts = [0] * ncores
+        self.evictions = [0] * ncores
+        if all(count <= cap for count, cap in zip(per_core.tolist(), caps)):
+            return
+        self.tables = tables = [OrderedDict() for _ in cpts]
+        for k in self.table_ids.tolist():
+            tables[key_core[k]][k] = None
+        issued_l, blocked_l = self.issued, self.blocked
+        inserts, evictions = self.inserts, self.evictions
+
+        def commit(k, blocked):
+            # ratio() at issue, then observe_commit, on a bounded table.
+            core = key_core[k]
+            table = tables[core]
+            if issued_l[k]:
+                table.move_to_end(k)
+                issued_l[k] += 1
+                if blocked:
+                    blocked_l[k] += 1
+                return
+            if len(table) >= caps[core]:
+                old = table.popitem(last=False)[0]
+                issued_l[old] = blocked_l[old] = 0
+                evictions[core] += 1
+            table[k] = None
+            issued_l[k] = 1
+            blocked_l[k] = 1 if blocked else 0
+            inserts[core] += 1
+
+        self.commit = commit
+
+    def write_back(self, cpts) -> None:
+        """Rebuild each predictor's table and statistics from the counters."""
+        ncores = self.ncores
+        key_core = self.keys % ncores
+        loads = np.bincount(
+            key_core[self.load_keys], minlength=ncores
+        ).tolist()
+        if self.commit is None:
+            # LRU order: untouched entries first, in table order, then
+            # every touched key by its last load.
+            touched, first = np.unique(self.load_keys[::-1], return_index=True)
+            by_touch = touched[np.argsort(-first)]
+            fresh = np.ones(len(self.keys), dtype=bool)
+            fresh[self.table_ids] = False
+            self.inserts = np.bincount(
+                key_core[touched[fresh[touched]]], minlength=ncores
+            ).tolist()
+            stay = ~np.isin(self.table_ids, touched)
+            order = np.concatenate((self.table_ids[stay], by_touch))
+            orders = [[] for _ in cpts]
+            for k in order.tolist():
+                orders[int(key_core[k])].append(k)
+        else:
+            orders = [list(table) for table in self.tables]
+        pcs = (self.keys // ncores).tolist()
+        for core, cpt in enumerate(cpts):
+            table = cpt._table
+            table.clear()
+            for k in orders[core]:
+                table[pcs[k]] = [self.issued[k], self.blocked[k]]
+            stats = cpt.stats
+            stats.lookups += loads[core]
+            stats.lookup_hits += loads[core] - self.inserts[core]
+            stats.inserts += self.inserts[core]
+            stats.evictions += self.evictions[core]
+
+
+def _frame_views(state: ArrayBanks, tags: np.ndarray | None = None):
+    """Flat loop views of ``state``: tags, recency stamps, dirty, occupancy.
+
+    ``array('q')``/``bytearray`` copies, cheap to index from the scalar
+    replay loops and a fraction of the memory of Python lists.  ``tags``
+    replaces the frames' line addresses (Re-NUCA replays line ids).
+    Warm recency starts at all-zero: within a set the warm ways are
+    already in LRU -> MRU order, and ``seg.index(min(seg))`` resolves
+    ties to the lowest way — exactly the warm LRU.  Every touch stamps
+    ``state.clock + i`` (> 0), so touched lines outrank untouched warm
+    ones and each other in record order, matching the reference's clock.
+    """
+    tags = state.tags.reshape(-1) if tags is None else tags
+    return (
+        array("q", tags.astype(np.int64).tobytes()),
+        array("q", bytes(8 * tags.size)),
+        bytearray(state.dirty.tobytes()),
+        array("q", state.occ.astype(np.int64).tobytes()),
+    )
+
+
+def _flat(values: np.ndarray) -> array:
+    """A numpy column as a flat ``array``: int64 or float64 items."""
+    if values.dtype.kind == "f":
+        return array("d", values.astype(np.float64).tobytes())
+    return array("q", values.astype(np.int64).tobytes())
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Per element of sorted ``keys``, the index where its run starts."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return np.maximum.accumulate(np.where(starts, np.arange(len(keys)), 0))
+
+
+def _ordered_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right.
+
+    Replicates a running float ``+=``.  Builtin ``sum()`` does not: its
+    float summation is compensated since Python 3.12.
+    """
+    if not len(values):
+        return start
+    return float(np.add.accumulate(
+        np.concatenate(([start], np.asarray(values, dtype=np.float64)))
+    )[-1])
 
 
 def _write_back_memory(memory, requests, row_hits, queue_cycles, pipe_free, open_rows):

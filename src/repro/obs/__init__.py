@@ -32,99 +32,50 @@ See ``docs/OBSERVABILITY.md`` for the schemas and the CLI surface.
 
 from __future__ import annotations
 
-from repro.obs.bench import (
-    append_bench_point,
-    load_bench,
-    load_bench_trajectory,
-    validate_bench_point,
-)
-from repro.obs.chrome_trace import (
-    chrome_trace,
-    export_chrome_trace,
-    validate_chrome_trace,
-)
-from repro.obs.diff import (
-    DEFAULT_RULES,
-    DiffFinding,
-    ToleranceRule,
-    diff_metric_maps,
-    load_comparable,
-    load_rules,
-    render_findings,
-)
-from repro.obs.history import IndexedSearch, RunIndex
-from repro.obs.html_report import render_history_report, render_html_report
-from repro.obs.ledger import (
-    LEDGER_FORMAT_VERSION,
-    RunLedger,
-    RunRecord,
-    current_git_sha,
-    new_run_id,
-)
-from repro.obs.progress import SweepProgress, tee_observers
-from repro.obs.server import MonitorServer, MonitorState, render_prometheus
-from repro.obs.spans import (
-    DISABLED_SPANS,
-    SPAN_SCHEMA_VERSION,
-    Span,
-    SpanRecorder,
-    SpanWriter,
-    canonical_span_set,
-    load_spans,
-    phase_wall_table,
-)
-from repro.obs.top import render_dashboard, run_top, status_from_files
-from repro.obs.trajectory import (
-    TrajectoryFinding,
-    TrajectoryPoint,
-    gate_trajectories,
-    metric_trajectories,
-    render_trajectory_findings,
-)
+import importlib
 
-__all__ = [
-    "DEFAULT_RULES",
-    "DISABLED_SPANS",
-    "DiffFinding",
-    "IndexedSearch",
-    "LEDGER_FORMAT_VERSION",
-    "MonitorServer",
-    "MonitorState",
-    "RunIndex",
-    "RunLedger",
-    "RunRecord",
-    "SPAN_SCHEMA_VERSION",
-    "Span",
-    "SpanRecorder",
-    "SpanWriter",
-    "SweepProgress",
-    "ToleranceRule",
-    "TrajectoryFinding",
-    "TrajectoryPoint",
-    "append_bench_point",
-    "canonical_span_set",
-    "chrome_trace",
-    "current_git_sha",
-    "diff_metric_maps",
-    "export_chrome_trace",
-    "gate_trajectories",
-    "load_bench",
-    "load_bench_trajectory",
-    "load_comparable",
-    "load_rules",
-    "load_spans",
-    "metric_trajectories",
-    "new_run_id",
-    "phase_wall_table",
-    "render_dashboard",
-    "render_findings",
-    "render_history_report",
-    "render_html_report",
-    "render_prometheus",
-    "render_trajectory_findings",
-    "run_top",
-    "status_from_files",
-    "tee_observers",
-    "validate_bench_point",
-    "validate_chrome_trace",
-]
+#: Public name -> defining submodule.  Exports resolve lazily (PEP 562):
+#: importing ``repro.obs.spans`` from the simulator must not pull in the
+#: HTTP server, the HTML report or the history layer.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "bench": ("append_bench_point", "load_bench", "load_bench_trajectory",
+                  "validate_bench_point"),
+        "chrome_trace": ("chrome_trace", "export_chrome_trace",
+                         "validate_chrome_trace"),
+        "diff": ("DEFAULT_RULES", "DiffFinding", "ToleranceRule",
+                 "diff_metric_maps", "load_comparable", "load_rules",
+                 "render_findings"),
+        "history": ("IndexedSearch", "RunIndex"),
+        "html_report": ("render_history_report", "render_html_report"),
+        "ledger": ("LEDGER_FORMAT_VERSION", "RunLedger", "RunRecord",
+                   "current_git_sha", "new_run_id"),
+        "progress": ("SweepProgress", "tee_observers"),
+        "server": ("MonitorServer", "MonitorState", "render_prometheus"),
+        "spans": ("DISABLED_SPANS", "SPAN_SCHEMA_VERSION", "Span",
+                  "SpanRecorder", "SpanWriter", "canonical_span_set",
+                  "load_spans", "phase_wall_table"),
+        "top": ("render_dashboard", "run_top", "status_from_files"),
+        "trajectory": ("TrajectoryFinding", "TrajectoryPoint",
+                       "gate_trajectories", "metric_trajectories",
+                       "render_trajectory_findings"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted(_EXPORTS)

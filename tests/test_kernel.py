@@ -7,16 +7,21 @@ paths from the same stage-1 memo and compares every result field,
 including the float accumulations; the unit classes cover the array
 engine's batched prefill, the closed-form array warm-up against the
 object-graph warm-up it replaces, the support gate with its named
-fallback reasons and the ``use_kernel`` tri-state.
+fallback reasons and the ``use_kernel`` tri-state.  Re-NUCA gets two
+more: its TLB/CPT object state after a replay, and a Hypothesis
+differential test over drawn TLB, predictor, NoC and L3 settings.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ReproError, SimulationError
-from repro.config import FaultConfig, baseline_config, scaled_config
+from repro.config import CacheConfig, FaultConfig, baseline_config, scaled_config
 from repro.core.renuca import ReNucaPolicy
 from repro.faults.injector import FaultInjector
 from repro.mem.model import MainMemory
@@ -26,6 +31,7 @@ from repro.nuca.kernel import (
     FALLBACK_REASONS,
     ArrayBanks,
     kernel_fallback_reason,
+    _ordered_sum,
     kernel_supported,
     warm_state,
 )
@@ -422,7 +428,15 @@ SMALL_CPT = dataclasses.replace(
 )
 
 
-@pytest.mark.parametrize("config", [CFG8, SMALL_CPT], ids=["default", "cpt16"])
+#: 256-line pages: MBVs wider than 64 bits.
+WIDE_MBV = dataclasses.replace(
+    CFG8, tlb=dataclasses.replace(CFG8.tlb, page_bytes=16384)
+)
+
+
+@pytest.mark.parametrize(
+    "config", [CFG8, SMALL_CPT, WIDE_MBV], ids=["default", "cpt16", "page16k"]
+)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestReNucaObjectState:
     """The kernel's inlined TLB/CPT leave the reference's object state."""
@@ -458,3 +472,133 @@ class TestReNucaObjectState:
         assert sum(d["evictions"] for d in ref_deltas) > 0
         if config is SMALL_CPT:
             assert sum(stats.evictions for _, stats in ref_state[1]) > 0
+
+
+class TestOrderedSum:
+    def test_matches_a_running_accumulation(self):
+        # Builtin sum() of floats is compensated since Python 3.12 and
+        # returns 1.0 here; the reference's running += gives 0.0.
+        values = [1e16, 1.0, -1e16]
+        running = 0.0
+        for value in values:
+            running += value
+        assert _ordered_sum(0.0, np.array(values)) == running == 0.0
+
+    def test_starts_from_the_running_total(self):
+        assert _ordered_sum(1e16, np.array([1.0, -1e16])) == 0.0
+        assert _ordered_sum(2.5, np.array([])) == 2.5
+
+
+class _BaseStage1(Stage1Cache):
+    """Serves every configuration the stage-1 results of ``base``.
+
+    The differential test below varies stage-2 knobs that stage 1 also
+    reads (L3 geometry, hop latency, predictor settings); both replay
+    paths get the same inputs either way, and stage 1 runs once.
+    """
+
+    def __init__(self, base, memo):
+        super().__init__()
+        self.base = base
+        self.memo = memo
+
+    def get(self, app, config, **kwargs):
+        return self.memo.get(app, self.base, **kwargs)
+
+
+def _run_capturing_state(config, workload, seed, stage1, use_kernel):
+    """run_workload plus the replay's TLB/CPT state and TLB stats deltas."""
+    captured = {}
+    real = runner.prepare_replay
+
+    def prepare(*args, **kwargs):
+        prep = real(*args, **kwargs)
+        captured["prep"] = prep
+        captured["before"] = [
+            dataclasses.replace(t.stats) for t in prep.policy.tlbs
+        ]
+        return prep
+
+    with mock.patch.object(runner, "prepare_replay", prepare):
+        result = run_workload(
+            workload, "Re-NUCA", config, seed=seed, n_instructions=INSTR,
+            stage1=stage1, use_kernel=use_kernel,
+        )
+    prep = captured["prep"]
+    deltas = [
+        _tlb_stats_delta(b, t.stats)
+        for b, t in zip(captured["before"], prep.policy.tlbs)
+    ]
+    return prep, result, _renuca_object_state(prep), deltas
+
+
+class TestReNucaDifferential:
+    """Kernel vs reference Re-NUCA replay across drawn stage-2 configs.
+
+    A shrunken L3 bank forces what the default geometry never reaches:
+    evictions of lines the replay touched, dirty write-backs to memory,
+    and re-allocations of write-back misses.  Small predictor tables
+    take the ``OrderedDict`` path with evictions, and small TLBs evict
+    pages whose MBVs must round-trip through the backing store.  Pages
+    of 16 to 256 lines give MBVs narrower and wider than 64 bits.
+    """
+
+    @given(
+        apps=st.permutations(MIX8.apps),
+        seed=st.sampled_from(SEEDS),
+        tlb_sets=st.sampled_from([1, 2, 4, 8]),
+        tlb_assoc=st.sampled_from([1, 2, 4, 8]),
+        page_bytes=st.sampled_from([1024, 4096, 16384]),
+        table_entries=st.one_of(st.integers(1, 16), st.just(4096)),
+        threshold_percent=st.floats(0.5, 100.0),
+        block_cycles=st.floats(1.0, 300.0),
+        hop_cycles=st.integers(0, 32),
+        l3_sets=st.sampled_from([4, 8, 16]),
+        l3_assoc=st.sampled_from([2, 4, 8]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_kernel_matches_reference(
+        self, stage1, apps, seed, tlb_sets, tlb_assoc, page_bytes,
+        table_entries, threshold_percent, block_cycles, hop_cycles,
+        l3_sets, l3_assoc,
+    ):
+        config = dataclasses.replace(
+            CFG8,
+            l3_bank=CacheConfig(
+                l3_sets * l3_assoc * 64, l3_assoc, 100, name="L3-bank"
+            ),
+            noc=dataclasses.replace(CFG8.noc, hop_cycles=hop_cycles),
+            tlb=dataclasses.replace(
+                CFG8.tlb, entries=tlb_sets * tlb_assoc, assoc=tlb_assoc,
+                page_bytes=page_bytes,
+            ),
+            criticality=dataclasses.replace(
+                CFG8.criticality,
+                table_entries=table_entries,
+                threshold_percent=threshold_percent,
+                block_cycles=block_cycles,
+            ),
+        )
+        workload = Workload("kdiff8", tuple(apps))
+        memo = _BaseStage1(CFG8, stage1)
+        ref_prep, ref, ref_state, ref_deltas = _run_capturing_state(
+            config, workload, seed, memo, False
+        )
+        fast_prep, fast, fast_state, fast_deltas = _run_capturing_state(
+            config, workload, seed, memo, True
+        )
+        assert (ref_prep.path, fast_prep.path) == ("reference.pinned", "kernel")
+        for field in dataclasses.fields(ref):
+            a, b = getattr(ref, field.name), getattr(fast, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+        assert fast_state == ref_state
+        assert fast_deltas == ref_deltas
+        for name in ("llc", "memory"):
+            a, b = getattr(ref_prep, name).stats, getattr(fast_prep, name).stats
+            assert dataclasses.asdict(a) == dataclasses.asdict(b), name
+        assert ref_prep.memory._open_rows == fast_prep.memory._open_rows
+        # The shrunken L3 evicts dirty lines the replay wrote.
+        assert ref_prep.llc.stats.memory_writes > 0
