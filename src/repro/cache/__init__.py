@@ -8,9 +8,11 @@ Building blocks:
   hit/miss/eviction accounting, used for L1s, L2s and L3 banks.
 * :mod:`repro.cache.mshr` — miss-status holding registers limiting
   memory-level parallelism.
-* :mod:`repro.cache.coherence` — a directory-based MESI protocol.
-* :mod:`repro.cache.hierarchy` — the per-core L1/L2 filtering pipeline
-  that turns a CPU reference stream into an L3 reference stream.
+* :mod:`repro.cache.replacement` — the non-LRU replacement policies of
+  the ablation studies.
+
+Table I's directory MESI protocol is not modelled: the multiprogrammed
+mixes share no data, so they generate no coherence traffic.
 """
 
 from repro.cache.cache import AccessResult, Cache, CacheStats

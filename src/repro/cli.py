@@ -40,9 +40,10 @@ Every simulation command takes ``--instructions`` and ``--seed``;
 results are printed as the same text tables the benchmark harness
 emits.  ``compare``, ``sweep``, ``stats`` and ``endoflife`` additionally
 accept ``--trace-out FILE`` (JSONL event trace), ``--profile``
-(phase-timer report) and ``--ledger FILE`` (append run-provenance
-records); the sweep-engine commands take ``--jobs/-j`` (worker
-processes) and ``--progress`` (live single-line status with ETA);
+(per-phase wall-time table from the run's spans) and ``--ledger FILE``
+(append run-provenance records); the sweep-engine commands take
+``--jobs/-j`` (worker processes) and ``--progress`` (live single-line
+status with ETA);
 the sweep-engine commands also take ``--retries N`` (transient-failure
 retry budget), ``--job-timeout SECONDS`` (per-job watchdog deadline;
 see docs/RESILIENCE.md), ``--serve [PORT]`` (live ``/status`` and
@@ -99,7 +100,8 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="write a JSONL event trace to FILE")
     parser.add_argument("--profile", action="store_true",
-                        help="print a phase-timer report after the run")
+                        help="print a per-phase wall-time table after "
+                             "the run (from its spans)")
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -166,11 +168,47 @@ def _start_monitor(args, total: int, *, label=None, registry=None):
     return state, server
 
 
-def _make_telemetry(args, **kwargs) -> Telemetry | None:
-    """A Telemetry handle when any observability flag is set, else None."""
-    if not (args.trace_out or args.profile):
-        return None
-    return Telemetry(trace=bool(args.trace_out), profile=args.profile, **kwargs)
+def _make_telemetry(args) -> Telemetry | None:
+    """A Telemetry handle when an event trace is asked for, else None."""
+    return Telemetry(trace=True) if args.trace_out else None
+
+
+def _span_target(args):
+    """What a command records spans into, for ``run_jobs(spans=...)``.
+
+    The ``--spans`` file; else, for ``--profile``, an in-memory
+    recorder; else None.  Spans bracket phases outside the measured
+    loop, so either way the cells stay on the replay kernel.
+    """
+    path = getattr(args, "spans", None)
+    if path is not None or not args.profile:
+        return path
+    from repro.obs.spans import SpanRecorder
+
+    return SpanRecorder()
+
+
+def _phase_table(spans) -> str:
+    """The per-phase wall-time table of a span set."""
+    from repro.obs.spans import phase_wall_table
+
+    return format_table(
+        ["phase", "calls", "total [s]", "mean [s]"],
+        [(name, calls, f"{total:.3f}", f"{mean:.4f}")
+         for name, calls, total, mean in phase_wall_table(spans)],
+    )
+
+
+def _print_profile(args, spans) -> None:
+    """``--profile``: where the run's wall time went, from its spans."""
+    if not args.profile:
+        return
+    from repro.obs.spans import load_spans
+
+    print("\nphase wall time:")
+    print(_phase_table(
+        load_spans(spans) if isinstance(spans, str) else spans.spans
+    ))
 
 
 def _make_progress(args, total: int):
@@ -206,6 +244,7 @@ def _cmd_compare(args) -> int:
     print(f"{workload.name}: {', '.join(workload.apps)}\n")
     stage1 = Stage1Cache(store=args.stage1_cache)
     telemetry = _make_telemetry(args)
+    spans = _span_target(args)
     observer = _make_progress(args, total=len(args.schemes))
     rows = []
     traced = 0
@@ -235,7 +274,7 @@ def _cmd_compare(args) -> int:
                 ),
                 ledger=args.ledger,
                 retries=args.retries, job_timeout_s=args.job_timeout,
-                spans=args.spans,
+                spans=spans,
             )
             if monitor is not None:
                 monitor.finish()
@@ -263,7 +302,7 @@ def _cmd_compare(args) -> int:
             results.append(run_workload(
                 workload, scheme, config, seed=args.seed,
                 n_instructions=args.instructions, stage1=stage1,
-                telemetry=telemetry, ledger=args.ledger,
+                telemetry=telemetry, ledger=args.ledger, spans=spans,
             ))
             if observer is not None:
                 observer(JobEvent(
@@ -289,8 +328,7 @@ def _cmd_compare(args) -> int:
     ))
     if args.trace_out:
         print(f"\nwrote {traced} events to {args.trace_out}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+    _print_profile(args, spans)
     return 0
 
 
@@ -375,6 +413,7 @@ def _cmd_sweep(args) -> int:
 
     jobs = matrix_jobs(workloads, schemes, config,
                        seed=args.seed, n_instructions=args.instructions)
+    spans = _span_target(args)
     observer = _make_progress(args, total=len(jobs))
     monitor, server = _start_monitor(
         args, len(jobs), label=args.label, registry=telemetry.registry,
@@ -401,7 +440,7 @@ def _cmd_sweep(args) -> int:
             keep_going=args.keep_going,
             quarantine=args.quarantine,
             chaos=args.chaos,
-            spans=args.spans,
+            spans=spans,
         )
         if monitor is not None:
             monitor.finish()
@@ -443,8 +482,7 @@ def _cmd_sweep(args) -> int:
     if args.trace_out and telemetry.trace is not None:
         traced = telemetry.trace.export_jsonl(args.trace_out)
         print(f"\nwrote {traced} events to {args.trace_out}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+    _print_profile(args, spans)
     if report.failed:
         where = f" (quarantine: {args.quarantine})" if args.quarantine else ""
         print(
@@ -516,6 +554,7 @@ def _cmd_search(args) -> int:
         per_rung = max(1, int(per_rung * args.promote))
     estimate += len(workload_numbers)  # the Re-NUCA reference point
 
+    spans = _span_target(args)
     observer = _make_progress(args, total=estimate)
     monitor, server = _start_monitor(
         args, estimate, label=args.label, registry=telemetry.registry,
@@ -545,7 +584,7 @@ def _cmd_search(args) -> int:
             ),
             ledger=args.ledger,
             job_timeout_s=args.job_timeout,
-            spans=args.spans,
+            spans=spans,
         )
         if monitor is not None:
             monitor.finish()
@@ -588,8 +627,7 @@ def _cmd_search(args) -> int:
             title=f"Re-NUCA design-space search: {args.label}",
         ))
         print(f"wrote Pareto report to {args.html}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+    _print_profile(args, spans)
     return 0
 
 
@@ -629,6 +667,7 @@ def _cmd_endoflife(args) -> int:
     swept_ages = (0.0, *[a for a in ages if a > 0])
     schemes = tuple(args.schemes or DEFAULT_SCHEMES)
     total = len(schemes) * len(swept_ages)
+    spans = _span_target(args)
     observer = _make_progress(args, total=total)
     monitor, server = _start_monitor(
         args, total, label=f"endoflife WL{args.workload}",
@@ -655,7 +694,7 @@ def _cmd_endoflife(args) -> int:
             ledger=args.ledger,
             retries=args.retries,
             job_timeout_s=args.job_timeout,
-            spans=args.spans,
+            spans=spans,
         )
         if monitor is not None:
             monitor.finish()
@@ -672,8 +711,7 @@ def _cmd_endoflife(args) -> int:
     print(render_endoflife(curves))
     if args.trace_out:
         print(f"\nwrote {state['events']} events to {args.trace_out}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+    _print_profile(args, spans)
     return 0
 
 
@@ -681,20 +719,15 @@ def _cmd_stats(args) -> int:
     from repro.experiments.ascii_plot import interval_heatmap
 
     if args.from_spans:
-        from repro.obs.spans import load_spans, phase_wall_table
+        from repro.obs.spans import load_spans
 
         spans = load_spans(args.from_spans)
-        rows = phase_wall_table(spans)
-        if not rows:
+        if not any(span.category == "phase" for span in spans):
             print(f"no phase spans in {args.from_spans}")
             return 0
         print(f"phase wall time over {len(spans)} spans "
               f"({args.from_spans}):")
-        print(format_table(
-            ["phase", "calls", "total [s]", "mean [s]"],
-            [(name, calls, f"{total:.3f}", f"{mean:.4f}")
-             for name, calls, total, mean in rows],
-        ))
+        print(_phase_table(spans))
         return 0
 
     config = baseline_config()
@@ -715,12 +748,12 @@ def _cmd_stats(args) -> int:
         telemetry = Telemetry(
             trace=bool(args.trace_out),
             interval_instructions=args.interval,
-            profile=args.profile,
         )
+        spans = _span_target(args)
         result = run_workload(
             workload, scheme, config, seed=args.seed,
             n_instructions=args.instructions, stage1=stage1,
-            telemetry=telemetry, ledger=args.ledger,
+            telemetry=telemetry, ledger=args.ledger, spans=spans,
         )
         if telemetry.trace is not None:
             traced += telemetry.trace.export_jsonl(
@@ -758,8 +791,7 @@ def _cmd_stats(args) -> int:
                           "(shade = relative write pressure)",
                 ))
         covs[scheme] = result.wear_cov
-        if args.profile:
-            print("\n" + telemetry.profiler.report())
+        _print_profile(args, spans)
     print("\nper-bank write CoV (lower = more even wear):")
     for scheme, cov in covs.items():
         print(f"  {scheme:>8s}  {cov:.3f}")
@@ -1174,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output HTML path (single file, no "
                                "external references)")
     p_report.add_argument("--ledger", metavar="FILE", default=None,
-                          help="run ledger for the history and profiler "
+                          help="run ledger for the history and phase wall-time "
                                "sections")
     p_report.add_argument("--title", default=None, help="report title")
 

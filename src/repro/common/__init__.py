@@ -3,8 +3,10 @@
 This package holds the pieces that are not specific to any architectural
 component: size/time unit helpers (:mod:`repro.common.units`), address
 arithmetic (:mod:`repro.common.addr`), deterministic random-number plumbing
-(:mod:`repro.common.rng`), statistics helpers (:mod:`repro.common.stats`)
-and the exception hierarchy (:mod:`repro.common.errors`).
+(:mod:`repro.common.rng`), statistics helpers (:mod:`repro.common.stats`),
+the exception hierarchy (:mod:`repro.common.errors`) and the append-only
+JSONL log behind the journals, ledger and span file
+(:mod:`repro.common.jsonl`).
 """
 
 from repro.common.errors import (

@@ -393,7 +393,7 @@ class SystemConfig:
             ("L3 Cache", f"{self.l3_bank.size_bytes // MIB}MB per bank, "
                          f"{self.l3_total_bytes // MIB}MB total, "
                          f"{self.l3_bank.assoc}-way, {self.l3_bank.latency}-cycle"),
-            ("Coherence", "directory MESI"),
+            ("Coherence", "directory MESI (not modelled: the mixes share no data)"),
             ("Memory", f"{self.memory.latency_cycles}-cycle fixed latency, "
                        f"{self.memory.bandwidth_lines_per_cycle} lines/cycle"),
             ("ReRAM endurance", f"{self.reram.cell_endurance:.0e} writes/cell"),

@@ -7,15 +7,12 @@ they are appended, so after a crash or a ^C the journal holds exactly
 the finished cells; re-invoking the sweep with ``resume=True`` replays
 those from the journal and executes only the remainder.
 
-Robustness contract:
-
-* a torn final record (the interrupted append) is detected and ignored;
-* malformed records *before* the final one raise
-  :class:`~repro.common.errors.ReproError` — the file was damaged by
-  something other than an interrupted sweep, and silently skipping
-  completed work would be worse than asking the user to look;
-* records with an unknown ``v`` (format version) also raise, since
-  their embedded results may not mean what the current engine thinks.
+Both journals here are :class:`~repro.common.jsonl.JsonlLog` files and
+share its robustness contract: a torn final record (the interrupted
+append, whose cell simply reruns) is ignored and cut off on the next
+append; earlier corruption and unknown ``v`` versions raise
+:class:`~repro.common.errors.ReproError`, since skipping completed work
+or trusting results of another layout would be worse than asking.
 
 The journal is per-sweep bookkeeping; the cross-sweep store is the
 content-addressed :class:`~repro.jobs.cache.ResultCache`.
@@ -23,11 +20,8 @@ content-addressed :class:`~repro.jobs.cache.ResultCache`.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 from repro.common.errors import ReproError
+from repro.common.jsonl import JsonlLog
 from repro.jobs.spec import JobSpec
 from repro.sim.metrics import WorkloadSchemeResult
 from repro.sim.store import result_from_dict, result_to_dict
@@ -42,14 +36,11 @@ QUARANTINE_FORMAT_VERSION = 1
 QUARANTINE_KINDS = ("error", "crash", "timeout")
 
 
-class SweepJournal:
+class SweepJournal(JsonlLog):
     """Append-only JSONL record of completed sweep jobs."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fh = None
-
-    # -- reading -------------------------------------------------------------
+    kind = "journal"
+    version = JOURNAL_FORMAT_VERSION
 
     def load(self) -> dict[str, WorkloadSchemeResult]:
         """Completed results keyed by fingerprint (empty when no file).
@@ -57,94 +48,24 @@ class SweepJournal:
         Raises:
             ReproError: for corruption other than a torn final record.
         """
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return {}
-        except OSError as exc:
-            raise ReproError(f"cannot read journal {self.path}: {exc}") from exc
-        completed: dict[str, WorkloadSchemeResult] = {}
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    # Torn final append from an interrupted sweep: the
-                    # cell never finished journaling, so it reruns.
-                    break
-                raise ReproError(
-                    f"{self.path}:{lineno}: malformed journal record: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ReproError(
-                    f"{self.path}:{lineno}: journal record is not an object"
-                )
-            if record.get("v") != JOURNAL_FORMAT_VERSION:
-                raise ReproError(
-                    f"{self.path}:{lineno}: unsupported journal format "
-                    f"{record.get('v')!r} (expected {JOURNAL_FORMAT_VERSION})"
-                )
-            try:
-                fingerprint = record["fingerprint"]
-                result = result_from_dict(record["result"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ReproError(
-                    f"{self.path}:{lineno}: bad journal record: {exc}"
-                ) from exc
-            completed[fingerprint] = result
-        return completed
-
-    # -- writing -------------------------------------------------------------
-
-    def open(self, *, truncate: bool = False) -> None:
-        """Open the backing file for appending (creating it if needed).
-
-        ``truncate=True`` starts a fresh journal — the scheduler does
-        this for non-resume sweeps so stale records from an earlier run
-        at the same path cannot leak into a later ``resume``.
-        """
-        if self._fh is not None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fh = open(
-                self.path, "w" if truncate else "a", encoding="utf-8"
+        return dict(self.read(
+            lambda record: (
+                record["fingerprint"], result_from_dict(record["result"])
             )
-        except OSError as exc:
-            raise ReproError(f"cannot open journal {self.path}: {exc}") from exc
+        ))
 
     def record(self, spec: JobSpec, result: WorkloadSchemeResult) -> None:
         """Append one completed job (flushed and fsynced immediately)."""
-        if self._fh is None:
-            self.open()
-        line = json.dumps({
+        self.write({
             "v": JOURNAL_FORMAT_VERSION,
             "fingerprint": spec.fingerprint(),
             "workload": spec.workload,
             "scheme": spec.scheme,
             "result": result_to_dict(result),
         })
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Close the backing file (reopened automatically on ``record``)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
 
-class QuarantineJournal:
+class QuarantineJournal(JsonlLog):
     """Append-only JSONL record of poisoned sweep jobs.
 
     A *poison job* is one the resilience layer gave up on: it crashed
@@ -158,16 +79,11 @@ class QuarantineJournal:
     later ``--resume`` retries them.
 
     The file is append-only across runs (a quarantine is an incident
-    log, not per-sweep bookkeeping) and shares :class:`SweepJournal`'s
-    robustness contract: fsync per record, torn final line ignored on
-    read, earlier corruption raises.
+    log, not per-sweep bookkeeping).
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fh = None
-
-    # -- reading -------------------------------------------------------------
+    kind = "quarantine"
+    version = QUARANTINE_FORMAT_VERSION
 
     def load(self) -> list[dict]:
         """All quarantine records in append order (empty when no file).
@@ -175,57 +91,7 @@ class QuarantineJournal:
         Raises:
             ReproError: for corruption other than a torn final record.
         """
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise ReproError(
-                f"cannot read quarantine {self.path}: {exc}"
-            ) from exc
-        records: list[dict] = []
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    # Torn final append: the record is lost, but losing
-                    # an incident line never loses completed work.
-                    break
-                raise ReproError(
-                    f"{self.path}:{lineno}: malformed quarantine record: "
-                    f"{exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ReproError(
-                    f"{self.path}:{lineno}: quarantine record is not an "
-                    "object"
-                )
-            if record.get("v") != QUARANTINE_FORMAT_VERSION:
-                raise ReproError(
-                    f"{self.path}:{lineno}: unsupported quarantine format "
-                    f"{record.get('v')!r} "
-                    f"(expected {QUARANTINE_FORMAT_VERSION})"
-                )
-            records.append(record)
-        return records
-
-    # -- writing -------------------------------------------------------------
-
-    def open(self) -> None:
-        """Open the backing file for appending (creating it if needed)."""
-        if self._fh is not None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        except OSError as exc:
-            raise ReproError(
-                f"cannot open quarantine {self.path}: {exc}"
-            ) from exc
+        return self.read()
 
     def record(
         self, spec: JobSpec, *, kind: str, reason: str, attempts: int
@@ -236,9 +102,7 @@ class QuarantineJournal:
                 f"quarantine kind must be one of {QUARANTINE_KINDS}, "
                 f"got {kind!r}"
             )
-        if self._fh is None:
-            self.open()
-        line = json.dumps({
+        self.write({
             "v": QUARANTINE_FORMAT_VERSION,
             "fingerprint": spec.fingerprint(),
             "label": spec.label(),
@@ -249,18 +113,3 @@ class QuarantineJournal:
             "reason": reason,
             "spec": spec.to_dict(),
         })
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Close the backing file (reopened automatically on ``record``)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "QuarantineJournal":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

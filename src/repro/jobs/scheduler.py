@@ -10,8 +10,8 @@ straight through) or on a ``ProcessPoolExecutor``.
 A telemetry handle serves two purposes that are kept apart: its
 registry collects the engine accounting (the ``jobs.*`` counters,
 including each worker's ``jobs.stage1.*`` and ``jobs.replay.*``
-counts), and only when it instruments cells (event trace, interval
-dumps, profiler — :attr:`~repro.telemetry.Telemetry.instruments_cells`)
+counts), and only when it instruments cells (event trace or interval
+dumps — :attr:`~repro.telemetry.Telemetry.instruments_cells`)
 is it handed to the simulations, which then take the reference replay.
 A plain accounting handle leaves every cell on the replay kernel.
 
@@ -87,7 +87,13 @@ from repro.jobs.journal import QuarantineJournal, SweepJournal
 from repro.jobs.spec import JobSpec
 from repro.obs.ledger import RunLedger, RunRecord, as_ledger
 from repro.obs.progress import JobEvent, tee_observers
-from repro.obs.spans import SpanObserver, SpanRecorder, SpanWriter
+from repro.obs.spans import (
+    Span,
+    SpanObserver,
+    SpanRecorder,
+    SpanWriter,
+    phase_totals,
+)
 from repro.sim.metrics import WorkloadSchemeResult
 from repro.sim.runner import DEFAULT_INSTRUCTIONS, Stage1Cache, run_workload
 from repro.sim.stage1_store import Stage1Store, as_stage1_store
@@ -186,7 +192,6 @@ class _Payload:
     trace: bool
     trace_capacity: int
     interval_instructions: int
-    profile: bool = False
     #: Zero-based attempt number (rebuilt per submission for retries).
     attempt: int = 0
     #: Fault-injection plan for chaos tests; None in production runs.
@@ -211,7 +216,6 @@ class _Outcome:
     result: WorkloadSchemeResult
     registry_state: dict | None = None
     events: list = field(default_factory=list)
-    profiler_state: list | None = None
     wall_time_s: float = 0.0
     #: Finished worker-side spans (``SpanRecorder.export_state``).
     span_state: list | None = None
@@ -244,7 +248,6 @@ def _execute_payload(payload: _Payload) -> _Outcome:
             trace=payload.trace,
             trace_capacity=payload.trace_capacity,
             interval_instructions=payload.interval_instructions,
-            profile=payload.profile,
         )
     recorder = None
     scope = nullcontext()
@@ -284,10 +287,6 @@ def _execute_payload(payload: _Payload) -> _Outcome:
         registry_state=telemetry.registry.export_state(),
         events=(
             telemetry.trace.events() if telemetry.trace is not None else []
-        ),
-        profiler_state=(
-            telemetry.profiler.export_state()
-            if telemetry.profiler.enabled else None
         ),
         wall_time_s=wall_time_s,
         span_state=span_state,
@@ -334,10 +333,6 @@ def _merge_outcome(
         return
     if outcome.registry_state is not None:
         telemetry.registry.merge_state(outcome.registry_state)
-    # Never merge into the shared DISABLED_PROFILER singleton: a parent
-    # that did not ask for profiling drops the worker's phase totals.
-    if telemetry.profiler.enabled and outcome.profiler_state:
-        telemetry.profiler.merge_state(outcome.profiler_state)
     if telemetry.trace is not None and outcome.events:
         extra = {"workload": job.spec.workload, "scheme": job.spec.scheme}
         if job.spec.fault is not None:
@@ -860,14 +855,13 @@ def _run_serial(
 ) -> None:
     """In-process execution: the legacy sequential sweep, plus retries.
 
-    Serial runs thread the parent telemetry (and so its profiler)
-    straight through when it instruments cells, and otherwise hand the
-    cells only its registry for the engine accounting.  Per-job phase
-    totals are therefore not separable; ledger
-    records get an empty ``profile`` and the parent profiler keeps the
-    whole picture.  The watchdog does not apply here (there is no
-    second process to kill); chaos ``kill``/``exit`` rules would take
-    the parent down and belong in parallel runs.
+    Serial runs thread the parent telemetry straight through when it
+    instruments cells, and otherwise hand the cells only its registry
+    for the engine accounting.  A cell's ledger ``profile`` sums the
+    phase spans of its successful attempt.  The watchdog does not
+    apply here (there is no second process to kill); chaos
+    ``kill``/``exit`` rules would take the parent down and belong in
+    parallel runs.
     """
     for index, job in pending:
         if res.cancel is not None and res.cancel.soft:
@@ -884,7 +878,9 @@ def _run_serial(
                 if res.chaos is not None:
                     res.chaos.apply(job.spec.label(), attempts)
                 scope = nullcontext()
+                first_span = 0
                 if span_recorder is not None:
+                    first_span = len(span_recorder.spans)
                     scope = span_recorder.scope(
                         parent_id=span_observer.open_span_id(index),
                         workload=job.spec.workload,
@@ -949,7 +945,11 @@ def _run_serial(
         _count_executed(telemetry)
         resolved[index] = result
         if provenance is not None:
-            provenance[index] = ("executed", wall_time_s, {})
+            provenance[index] = (
+                "executed", wall_time_s,
+                phase_totals(span_recorder.spans[first_span:])
+                if span_recorder is not None else {},
+            )
         if observer is not None:
             observer(JobEvent(
                 "done", job.spec.label(), index, wall_time_s=wall_time_s,
@@ -981,16 +981,6 @@ def _worker_init() -> None:
             signal_module.signal(signum, signal_module.SIG_DFL)
         except (ValueError, OSError):
             pass
-
-
-def _phase_totals(profiler_state: list | None) -> dict[str, float]:
-    """Flatten exported profiler state into ``{"a/b": seconds}`` totals."""
-    if not profiler_state:
-        return {}
-    return {
-        "/".join(path): float(seconds)
-        for path, _calls, seconds in profiler_state
-    }
 
 
 def _deadline_s(spec: JobSpec, job_timeout_s: float | None) -> float | None:
@@ -1064,7 +1054,6 @@ def _run_parallel(
             interval_instructions=(
                 telemetry.interval_instructions if telemetry is not None else 0
             ),
-            profile=telemetry is not None and telemetry.profiler.enabled,
             chaos=res.chaos,
             spans=span_recorder is not None,
             trace_id=(
@@ -1244,7 +1233,10 @@ def _run_parallel(
                         provenance[index] = (
                             "executed",
                             outcome.wall_time_s,
-                            _phase_totals(outcome.profiler_state),
+                            phase_totals(
+                                Span.from_dict(record)
+                                for record in outcome.span_state or ()
+                            ),
                         )
                     _event("done", index, wall_time_s=outcome.wall_time_s)
                     _complete(job, outcome.result, cache, journal)

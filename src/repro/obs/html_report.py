@@ -12,7 +12,7 @@ Sections, in order: headline stat tiles, scheme-comparison bars against
 the paper's targets (Re-NUCA: +42 % raw minimum lifetime over R-NUCA at
 within-0.5 % IPC), per-cell wear heatmaps over time (interval series
 when recorded, end-of-run totals otherwise), interval write timelines,
-the profiler phase table and the ledger run history.  Every chart has a
+the phase wall-time table and the ledger run history.  Every chart has a
 table twin in the markup, so the numbers are never color-alone.
 
 Colors follow the dataviz palette contract: categorical slots in fixed
@@ -689,8 +689,8 @@ def render_html_report(
         chunks.append('<p class="note">(needs interval series)</p>')
     chunks.append("</section>")
 
-    # Profiler phases (from the ledger).
-    chunks.append('<section class="card"><h2>Profiler phases</h2>')
+    # Phase wall time (the ledger records' span-derived profiles).
+    chunks.append('<section class="card"><h2>Phase wall time</h2>')
     phase_totals: dict[str, float] = {}
     profiled = 0
     for record in ledger_records or ():
@@ -699,7 +699,7 @@ def render_html_report(
             for phase, seconds in record.profile.items():
                 phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
     if phase_totals:
-        total = sum(v for k, v in phase_totals.items() if "/" not in k) or 1.0
+        total = sum(phase_totals.values()) or 1.0
         chunks.append(_table(
             ["phase", "seconds", "share"],
             [
@@ -715,7 +715,7 @@ def render_html_report(
     else:
         chunks.append(
             '<p class="note">No profiled runs in the ledger '
-            "(run with --profile --ledger).</p>"
+            "(run with --profile or --spans, plus --ledger).</p>"
         )
     chunks.append("</section>")
 

@@ -5,22 +5,22 @@ resolved run — the identity of the cell (workload/scheme/seed/budget
 plus the :meth:`JobSpec fingerprint <repro.jobs.spec.JobSpec.fingerprint>`
 of its inputs), where the result came from (executed, result cache or
 resume journal), the headline metrics, wall time, the repository commit
-and optional profiler phase totals.  ``run_workload``, the sweep
+and the run's per-phase wall seconds when spans were recorded.  ``run_workload``, the sweep
 engine's ``run_jobs`` and the CLI all append to it, so a directory's
 ledger is the full history of what was simulated there and what it
 measured — the raw material of the ``repro diff`` regression gate and
 the ledger-history section of ``repro report``.
 
-Robustness mirrors :class:`~repro.jobs.journal.SweepJournal`: records
-are flushed and fsynced as they are appended; a torn final line (an
-interrupted append) is ignored on read; corruption anywhere earlier
-raises :class:`~repro.common.errors.ReproError`, as does an unknown
-format version.
+The ledger is a :class:`~repro.common.jsonl.JsonlLog`: records are
+flushed and fsynced as they are appended; a torn final line (an
+interrupted append) is ignored on read and cut off on the next append;
+corruption anywhere earlier raises
+:class:`~repro.common.errors.ReproError`, as does an unknown format
+version.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
@@ -29,6 +29,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from repro.common.errors import ReproError
+from repro.common.jsonl import JsonlLog
 from repro.sim.metrics import WorkloadSchemeResult
 
 #: Ledger record layout version; bump on incompatible schema changes.
@@ -75,8 +76,9 @@ class RunRecord:
     metrics: dict[str, float]
     git_sha: str | None = None
     timestamp: float = 0.0
-    #: Profiler phase totals (``{"stage1": seconds, ...}``); empty when
-    #: the run was not profiled.
+    #: Wall seconds per runner phase (``{"stage1": seconds, ...}``),
+    #: summed from the run's ``phase`` spans; empty when no spans were
+    #: recorded.
     profile: dict[str, float] = field(default_factory=dict)
     #: Sweep-engine accounting for grid runs (``{"total": N, ...}``);
     #: empty for standalone runs.
@@ -180,14 +182,11 @@ class RunRecord:
             raise ReproError(f"malformed ledger record: {exc}") from exc
 
 
-class RunLedger:
+class RunLedger(JsonlLog):
     """Append-only JSONL file of :class:`RunRecord` provenance lines."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fh = None
-
-    # -- reading -------------------------------------------------------------
+    kind = "ledger"
+    version = LEDGER_FORMAT_VERSION
 
     def load(self) -> list[RunRecord]:
         """All records in append order (empty when the file is missing).
@@ -195,69 +194,11 @@ class RunLedger:
         Raises:
             ReproError: for corruption other than a torn final record.
         """
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise ReproError(f"cannot read ledger {self.path}: {exc}") from exc
-        records: list[RunRecord] = []
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    # Torn final append (interrupted writer): that run's
-                    # record is simply lost; everything before it holds.
-                    break
-                raise ReproError(
-                    f"{self.path}:{lineno}: malformed ledger record: {exc}"
-                ) from exc
-            if not isinstance(payload, dict):
-                raise ReproError(
-                    f"{self.path}:{lineno}: ledger record is not an object"
-                )
-            try:
-                records.append(RunRecord.from_dict(payload))
-            except ReproError as exc:
-                raise ReproError(f"{self.path}:{lineno}: {exc}") from exc
-        return records
-
-    # -- writing -------------------------------------------------------------
-
-    def open(self) -> None:
-        """Open the backing file for appending (creating it if needed)."""
-        if self._fh is not None:
-            return
-        if self.path.parent != Path("."):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        except OSError as exc:
-            raise ReproError(f"cannot open ledger {self.path}: {exc}") from exc
+        return self.read(RunRecord.from_dict)
 
     def append(self, record: RunRecord) -> None:
         """Append one record (flushed and fsynced immediately)."""
-        if self._fh is None:
-            self.open()
-        self._fh.write(json.dumps(record.to_dict()) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Close the backing file (reopened automatically on ``append``)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        self.write(record.to_dict())
 
 
 def as_ledger(ledger: RunLedger | str | Path | None) -> RunLedger | None:

@@ -9,14 +9,18 @@ under it, and the runner's ``stage1`` / ``warm-up`` / ``measure`` /
 ``reduce`` phases land under their cell.  Retries, watchdog timeouts,
 requeues and quarantines appear as zero-duration ``event`` spans.
 
-Like the :class:`~repro.telemetry.profiler.Profiler`, a worker process
-records into its own :class:`SpanRecorder` and ships the finished
-spans back via :meth:`SpanRecorder.export_state`; the parent folds
-them in with :meth:`SpanRecorder.merge_state` in deterministic job
-order.  Persisted next to the sweep journal as ``spans.jsonl``
-(one record per finished span, schema :data:`SPAN_SCHEMA_VERSION`),
-the file shares the journal's robustness contract: a torn final line
-is tolerated on read, earlier corruption raises.
+Spans are also the phase timer: :func:`phase_wall_table` and
+:func:`phase_totals` sum the runner's ``phase`` spans into the
+``--profile`` table and the ledger's per-run ``profile``.
+
+A worker process records into its own :class:`SpanRecorder` and ships
+the finished spans back via :meth:`SpanRecorder.export_state`; the
+parent folds them in with :meth:`SpanRecorder.merge_state` in
+deterministic job order.  Persisted next to the sweep journal as
+``spans.jsonl`` (one record per finished span, schema
+:data:`SPAN_SCHEMA_VERSION`), the file is a
+:class:`~repro.common.jsonl.JsonlLog`: a torn final line is tolerated
+on read, earlier corruption raises.
 
 Span identity is deterministic: ids derive from the trace id, the
 parent id, the category/name and an occurrence counter — so the same
@@ -33,7 +37,6 @@ process, comparable across the parent and its workers.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ReproError
+from repro.common.jsonl import JsonlLog
 
 #: spans.jsonl record layout version.
 SPAN_SCHEMA_VERSION = 1
@@ -184,8 +188,7 @@ class SpanRecorder:
             ``spans.jsonl`` writer while the sweep is still running.
         enabled: a disabled recorder records nothing and its
             :meth:`span` context manager is a shared no-op (the
-            :data:`DISABLED_SPANS` singleton pattern, mirroring
-            :data:`~repro.telemetry.profiler.DISABLED_PROFILER`).
+            :data:`DISABLED_SPANS` singleton pattern).
     """
 
     def __init__(
@@ -430,51 +433,21 @@ class SpanObserver:
 # -- persistence -------------------------------------------------------------
 
 
-class SpanWriter:
+class SpanWriter(JsonlLog):
     """Append-only ``spans.jsonl`` writer (one record per finished span).
 
-    Shares the sweep journal's robustness contract: records are flushed
-    as they are appended, a torn final line (an interrupted append) is
-    tolerated by :func:`load_spans`.  Unlike the journal, records are
-    *not* fsynced — spans are diagnostics; losing the last one in a
-    crash never loses completed work.
+    A :class:`~repro.common.jsonl.JsonlLog` like the sweep journal,
+    except that records are *not* fsynced — spans are diagnostics;
+    losing the last one in a crash never loses completed work.
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fh = None
-
-    def open(self, *, truncate: bool = False) -> None:
-        """Open the backing file (``truncate=True`` starts fresh)."""
-        if self._fh is not None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fh = open(
-                self.path, "w" if truncate else "a", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise ReproError(
-                f"cannot open span file {self.path}: {exc}"
-            ) from exc
+    kind = "span"
+    version = SPAN_SCHEMA_VERSION
+    durable = False
 
     def record(self, span: Span) -> None:
         """Append one finished span (flushed immediately)."""
-        if self._fh is None:
-            self.open()
-        self._fh.write(json.dumps(span.to_dict()) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SpanWriter":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        self.write(span.to_dict())
 
 
 def load_spans(path: str | Path) -> list[Span]:
@@ -485,47 +458,15 @@ def load_spans(path: str | Path) -> list[Span]:
     one and unknown schema versions raise
     :class:`~repro.common.errors.ReproError`.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return []
-    except OSError as exc:
-        raise ReproError(f"cannot read span file {path}: {exc}") from exc
-    spans: list[Span] = []
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                # Torn final append: the span is lost, nothing else is.
-                break
-            raise ReproError(
-                f"{path}:{lineno}: malformed span record: {exc}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise ReproError(f"{path}:{lineno}: span record is not an object")
-        if record.get("v") != SPAN_SCHEMA_VERSION:
-            raise ReproError(
-                f"{path}:{lineno}: unsupported span schema "
-                f"{record.get('v')!r} (expected {SPAN_SCHEMA_VERSION})"
-            )
-        try:
-            spans.append(Span.from_dict(record))
-        except ReproError as exc:
-            raise ReproError(f"{path}:{lineno}: {exc}") from exc
-    return spans
+    return SpanWriter(path).read(Span.from_dict)
 
 
-def phase_wall_table(spans: list[Span]) -> list[tuple[str, int, float, float]]:
+def phase_wall_table(spans) -> list[tuple[str, int, float, float]]:
     """Per-phase wall-time rows from a span set: (name, calls, total, mean).
 
     Covers ``phase``-category spans (the runner's stage1/warm-up/
     measure/reduce brackets), sorted by descending total — the
-    ``repro stats --from-spans`` view of a finished run.
+    ``repro stats --from-spans`` and ``--profile`` view of a run.
     """
     totals: dict[str, tuple[int, float]] = {}
     for span in spans:
@@ -539,3 +480,8 @@ def phase_wall_table(spans: list[Span]) -> list[tuple[str, int, float, float]]:
     ]
     rows.sort(key=lambda row: -row[2])
     return rows
+
+
+def phase_totals(spans) -> dict[str, float]:
+    """Wall seconds per phase name: a cell's ledger ``profile``."""
+    return {name: total for name, _calls, total, _mean in phase_wall_table(spans)}

@@ -13,8 +13,8 @@ next budget.  Cheap low-fidelity rungs prune the space; only survivors
 pay full price.
 
 **Resume**: every completed (point, budget) evaluation is appended to a
-:class:`SearchJournal` (fsync per record, torn-final-line tolerant —
-the same contract as :class:`~repro.jobs.journal.SweepJournal`), and
+:class:`SearchJournal` (a :class:`~repro.common.jsonl.JsonlLog`, like
+the sweep journal: fsync per record, torn-final-line tolerant), and
 each rung's simulations run under their own sweep journal next to it.
 Re-running with ``resume=True`` replays finished evaluations from the
 search journal and finished simulations from the rung journals, so a
@@ -23,13 +23,12 @@ SIGKILLed search re-simulates only the remainder.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ConfigError, ReproError
+from repro.common.jsonl import JsonlLog
 from repro.config import SystemConfig, baseline_config
 from repro.jobs.scheduler import run_jobs
 from repro.obs.ledger import current_git_sha
@@ -114,95 +113,29 @@ class Evaluation:
             raise ReproError(f"malformed evaluation payload: {exc}") from exc
 
 
-class SearchJournal:
+class SearchJournal(JsonlLog):
     """Append-only JSONL record of completed point evaluations.
 
     Keyed by ``(point_id, budget)`` — rung indices are derivable but a
     point promoted twice to the same budget (schedules with repeated
-    budgets are rejected upstream) would be the same measurement.
-    Shares :class:`~repro.jobs.journal.SweepJournal`'s robustness
-    contract: fsync per record, torn final line ignored on read, earlier
-    corruption and unknown versions raise.
+    budgets are rejected upstream) would be the same measurement.  A
+    torn final line from a killed search is ignored: that evaluation
+    simply reruns (its simulations are in the rung journal anyway).
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fh = None
+    kind = "search journal"
+    version = SEARCH_JOURNAL_FORMAT_VERSION
 
     def load(self) -> dict:
         """Completed evaluations keyed ``(point_id, budget)``."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return {}
-        except OSError as exc:
-            raise ReproError(
-                f"cannot read search journal {self.path}: {exc}"
-            ) from exc
-        out: dict = {}
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    # Torn final append from a killed search: that
-                    # evaluation simply reruns (its simulations are in
-                    # the rung journal anyway).
-                    break
-                raise ReproError(
-                    f"{self.path}:{lineno}: malformed search record: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ReproError(
-                    f"{self.path}:{lineno}: search record is not an object"
-                )
-            if record.get("v") != SEARCH_JOURNAL_FORMAT_VERSION:
-                raise ReproError(
-                    f"{self.path}:{lineno}: unsupported search journal "
-                    f"format {record.get('v')!r} "
-                    f"(expected {SEARCH_JOURNAL_FORMAT_VERSION})"
-                )
-            evaluation = Evaluation.from_dict(record)
-            out[(evaluation.point_id, evaluation.budget)] = evaluation
-        return out
-
-    def open(self, *, truncate: bool = False) -> None:
-        """Open for appending; ``truncate=True`` starts fresh."""
-        if self._fh is not None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fh = open(
-                self.path, "w" if truncate else "a", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise ReproError(
-                f"cannot open search journal {self.path}: {exc}"
-            ) from exc
+        return {
+            (evaluation.point_id, evaluation.budget): evaluation
+            for evaluation in self.read(Evaluation.from_dict)
+        }
 
     def record(self, evaluation: Evaluation) -> None:
         """Append one evaluation (flushed and fsynced immediately)."""
-        if self._fh is None:
-            self.open()
-        payload = {"v": SEARCH_JOURNAL_FORMAT_VERSION}
-        payload.update(evaluation.to_dict())
-        self._fh.write(json.dumps(payload) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SearchJournal":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        self.write({"v": SEARCH_JOURNAL_FORMAT_VERSION, **evaluation.to_dict()})
 
 
 @dataclass

@@ -33,13 +33,13 @@ from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, make_policy
 from repro.nuca.kernel import ArrayBanks, kernel_fallback_reason, warm_state
 from repro.nuca.kernel import replay as kernel_replay
-from repro.obs.spans import DISABLED_SPANS
+from repro.obs.spans import DISABLED_SPANS, phase_totals
 from repro.reram.endurance import lifetimes_for_banks
 from repro.reram.energy import energy_of_result
 from repro.reram.wear import WearTracker
 from repro.sim.calibrate import calibrated_base_cpi, config_signature
 from repro.sim.metrics import MatrixResult, WorkloadSchemeResult
-from repro.telemetry import DISABLED_PROFILER, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.intervals import IntervalSeries
 from repro.trace.workloads import Workload
 
@@ -401,7 +401,6 @@ def prepare_replay(
     stage1: Stage1Cache | None = None,
     fault_config: FaultConfig | None = None,
     telemetry: Telemetry | None = None,
-    prof=DISABLED_PROFILER,
     spans=DISABLED_SPANS,
     use_kernel: bool | None = None,
 ) -> ReplayInputs:
@@ -423,7 +422,7 @@ def prepare_replay(
             f"configuration has {config.num_cores} cores"
         )
     stage1 = Stage1Cache() if stage1 is None else stage1
-    with prof.phase("stage1"), spans.span("stage1"):
+    with spans.span("stage1"):
         results1 = [
             stage1.get(app, config, seed=seed, n_instructions=n_instructions)
             for app in workload.apps
@@ -452,7 +451,7 @@ def prepare_replay(
     )
     path = _replay_path(use_kernel, llc)
     state = None
-    with prof.phase("warm-up"), spans.span("warm-up"):
+    with spans.span("warm-up"):
         if path == "kernel":
             state = _warm_arrays(llc, workload, config, results1, seed=seed)
         else:
@@ -541,16 +540,16 @@ def run_workload(
 
     ``telemetry`` opts into observability (see ``docs/OBSERVABILITY.md``):
     the components register their instruments on its registry, structured
-    events flow to its trace, the run is phase-timed by its profiler,
-    and — when ``telemetry.interval_instructions`` is set — the measured
-    phase periodically snapshots the registry into the result's
-    ``intervals`` series.  Passing ``None`` (the default) leaves the
+    events flow to its trace, and — when
+    ``telemetry.interval_instructions`` is set — the measured phase
+    periodically snapshots the registry into the result's ``intervals``
+    series.  Passing ``None`` (the default) leaves the
     simulation on its un-instrumented fast path.
 
     ``ledger`` — a :class:`~repro.obs.ledger.RunLedger` or its path —
     appends one provenance record for this run (identity, fingerprint,
-    wall time, headline metrics, and — when the telemetry profiler is
-    enabled — this run's phase totals).  Sweeps should pass the ledger
+    wall time, headline metrics, and — when ``spans`` records — this
+    run's per-phase wall seconds).  Sweeps should pass the ledger
     to :func:`run_matrix`/``run_jobs`` instead, which also stamp how
     each cell was resolved.
 
@@ -590,16 +589,15 @@ def run_workload(
             if telemetry is not None and telemetry.spans is not None
             else DISABLED_SPANS
         )
-    prof = telemetry.profiler if telemetry is not None else DISABLED_PROFILER
-    # Ledger provenance: wall time from here; profiler phase totals as a
-    # delta, so a handle reused across runs records only this run's share.
+    # Ledger provenance: wall time from here; phase totals from the
+    # spans this run records (a reused recorder holds earlier runs too).
     run_started = time.perf_counter()
-    prof_before = prof.export_state() if prof.enabled else []
+    first_span = len(spans.spans)
     config = config or baseline_config()
     prep = prepare_replay(
         workload, scheme, config,
         seed=seed, n_instructions=n_instructions, stage1=stage1,
-        fault_config=fault_config, telemetry=telemetry, prof=prof,
+        fault_config=fault_config, telemetry=telemetry,
         spans=spans, use_kernel=use_kernel,
     )
     results1 = prep.results1
@@ -635,7 +633,7 @@ def run_workload(
         intervals = IntervalSeries(telemetry.interval_instructions)
         snapshot = telemetry.registry.snapshot
 
-    with prof.phase("measure"), spans.span("measure", path=prep.path):
+    with spans.span("measure", path=prep.path):
         if prep.state is not None:
             scheme_lat_sorted = kernel_replay(
                 llc, merged, state=prep.state,
@@ -660,7 +658,7 @@ def run_workload(
             sample=snapshot(),
         )
 
-    with prof.phase("reduce"), spans.span("reduce"):
+    with spans.span("reduce"):
         # Un-sort latencies back to per-core record order.
         scheme_lat = np.empty(merged.total, dtype=np.float32)
         scheme_lat[merged.order] = scheme_lat_sorted
@@ -722,13 +720,6 @@ def run_workload(
         from repro.jobs.spec import JobSpec
         from repro.obs.ledger import RunRecord, as_ledger
 
-        profile: dict[str, float] = {}
-        if prof.enabled:
-            before = {tuple(p): s for p, _calls, s in prof_before}
-            for path, _calls, seconds in prof.export_state():
-                share = seconds - before.get(tuple(path), 0.0)
-                if share > 0.0:
-                    profile["/".join(path)] = share
         fingerprint = JobSpec.for_run(
             workload, scheme, config,
             seed=seed, n_instructions=n_instructions,
@@ -741,7 +732,7 @@ def run_workload(
                 n_instructions=n_instructions,
                 wall_time_s=time.perf_counter() - run_started,
                 fingerprint=fingerprint,
-                profile=profile,
+                profile=phase_totals(spans.spans[first_span:]),
             ))
 
     return result
@@ -864,7 +855,7 @@ def run_matrix(
     ``fault_config`` applies the same fault-injection point to every cell.
     ``telemetry`` is shared by every cell: counters accumulate across the
     grid while gauges always reflect the most recent run.  Only a handle
-    that instruments cells (trace, intervals, profiler) reaches the
+    that instruments cells (trace, intervals) reaches the
     simulations; a registry-only handle collects the engine accounting
     and leaves the cells on the replay kernel.
 

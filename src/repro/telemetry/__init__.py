@@ -1,7 +1,8 @@
-"""Telemetry: counters/gauges/histograms, event tracing, interval dumps
-and phase profiling for the NUCA simulation pipeline.
+"""Telemetry: counters/gauges/histograms, event tracing and interval
+dumps for the NUCA simulation pipeline.
 
-One :class:`Telemetry` handle bundles the four facilities and is
+One :class:`Telemetry` handle bundles the three facilities (plus an
+optional span recorder, the phase timer) and is
 threaded through :func:`~repro.sim.runner.run_workload`; every
 instrumented component (:class:`~repro.nuca.llc.NucaLLC`, the mapping
 policies, the criticality predictor, the enhanced TLB, the wear tracker,
@@ -15,12 +16,14 @@ Quick start::
 
     from repro import System, Telemetry
 
-    tel = Telemetry(trace=True, interval_instructions=5_000, profile=True)
+    from repro.obs.spans import phase_wall_table
+
+    tel = Telemetry(trace=True, interval_instructions=5_000, spans=True)
     result = System(seed=1).run(0, "Re-NUCA", telemetry=tel)
     print(tel.registry.render())            # counter/gauge summary
     print(result.intervals.bank_write_matrix())   # wear time series
     tel.trace.export_jsonl("events.jsonl")  # structured event log
-    print(tel.profiler.report())            # where the wall time went
+    print(phase_wall_table(tel.spans.spans))  # where the wall time went
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.telemetry.events import (
     load_events,
 )
 from repro.telemetry.intervals import IntervalSeries
-from repro.telemetry.profiler import DISABLED_PROFILER, Profiler
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -47,8 +49,6 @@ __all__ = [
     "TraceEvent",
     "load_events",
     "IntervalSeries",
-    "DISABLED_PROFILER",
-    "Profiler",
     "Counter",
     "Gauge",
     "Histogram",
@@ -70,10 +70,9 @@ class Telemetry:
         trace_capacity: ring-buffer retention when tracing is enabled.
         interval_instructions: snapshot the registry every N committed
             instructions (0 disables interval dumps).
-        profile: enable the nested phase profiler.
-        spans: enable span tracing (``True`` for a fresh
-            :class:`~repro.obs.spans.SpanRecorder`, or pass a recorder
-            to share a sweep-wide trace id and sink).
+        spans: enable span tracing, the phase timer (``True`` for a
+            fresh :class:`~repro.obs.spans.SpanRecorder`, or pass a
+            recorder to share a sweep-wide trace id and sink).
 
     The registry is always live — counters and gauges are cheap and the
     summary they feed is the point of asking for telemetry at all.
@@ -85,7 +84,6 @@ class Telemetry:
         trace: bool = False,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         interval_instructions: int = 0,
-        profile: bool = False,
         spans=False,
     ) -> None:
         if interval_instructions < 0:
@@ -95,7 +93,6 @@ class Telemetry:
             EventTrace(trace_capacity) if trace else None
         )
         self.interval_instructions = interval_instructions
-        self.profiler = Profiler(enabled=profile)
         if spans is False or spans is None:
             self.spans = None
         elif spans is True:
@@ -112,33 +109,24 @@ class Telemetry:
     def instruments_cells(self) -> bool:
         """True when runs need this handle inside the simulation.
 
-        Event tracing, interval dumps and the phase profiler hook into
-        the run itself (and so keep it on the reference replay); a
-        registry-only handle is engine accounting, which the sweep
-        engine collects without instrumenting its cells.
+        Event tracing and interval dumps hook into the run itself (and
+        so keep it on the reference replay); a registry-only handle is
+        engine accounting, which the sweep engine collects without
+        instrumenting its cells.  Spans bracket phases outside the
+        measured loop and do not count.
         """
-        return (
-            self.trace is not None
-            or self.interval_instructions > 0
-            or self.profiler.enabled
-        )
-
-    def phase(self, name: str):
-        """Shorthand for ``telemetry.profiler.phase(name)``."""
-        return self.profiler.phase(name)
+        return self.trace is not None or self.interval_instructions > 0
 
     def counter(self, name: str) -> Counter:
         """Shorthand for ``telemetry.registry.counter(name)``."""
         return self.registry.counter(name)
 
     def summary(self) -> str:
-        """Registry dump plus trace/profile one-liners."""
+        """Registry dump plus a trace one-liner."""
         lines = [self.registry.render()]
         if self.trace is not None:
             lines.append(
                 f"trace: {len(self.trace)} events retained "
                 f"({self.trace.emitted} emitted, {self.trace.dropped} dropped)"
             )
-        if self.profiler.enabled:
-            lines.append(self.profiler.report())
         return "\n".join(lines)

@@ -136,10 +136,29 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "events to" in out
-        assert "measure" in out and "stage1" in out  # profiler report
+        assert "measure" in out and "stage1" in out  # phase wall-time table
         from repro.telemetry import load_events
 
         assert all(e.fields["scheme"] == "S-NUCA" for e in load_events(trace))
+
+    def test_profile_sweep_stays_on_kernel(self, tmp_path, capsys):
+        sweep = ["sweep", "--workloads", "1", "--schemes", "S-NUCA",
+                 "Re-NUCA", "--instructions", "5000", "--seed", "1"]
+        assert main(sweep + ["--out", str(tmp_path / "plain.json")]) == 0
+        capsys.readouterr()
+        assert main(sweep + ["--profile", "--ledger", str(tmp_path / "l.jsonl"),
+                             "--out", str(tmp_path / "profiled.json")]) == 0
+        out = capsys.readouterr().out
+        assert "jobs.replay.kernel = 2" in out
+        assert "phase wall time" in out and "warm-up" in out
+        assert ((tmp_path / "profiled.json").read_bytes()
+                == (tmp_path / "plain.json").read_bytes())
+        from repro.obs.ledger import RunLedger
+
+        records = RunLedger(tmp_path / "l.jsonl").load()
+        assert [sorted(r.profile) for r in records] == [
+            ["measure", "reduce", "stage1", "warm-up"]
+        ] * 2
 
     def test_endoflife_small(self, capsys):
         code = main([

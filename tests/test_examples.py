@@ -29,11 +29,6 @@ class TestFastExamples:
         assert "Cell failed after" in out
         assert "lifetime" in out
 
-    def test_coherent_sharing(self):
-        out = run_example("coherent_sharing.py")
-        assert "invariants held" in out
-        assert "invalidations sent" in out
-
     def test_criticality_predictor_demo(self):
         out = run_example("criticality_predictor_demo.py", "milc")
         assert "Threshold sweep" in out

@@ -227,24 +227,6 @@ class TestSweepJournal:
     def test_missing_file_loads_empty(self, tmp_path):
         assert SweepJournal(tmp_path / "nope.jsonl").load() == {}
 
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with SweepJournal(path) as journal:
-            journal.record(spec_for(), canned_result())
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "fingerprint": "abc", "resu')
-        loaded = SweepJournal(path).load()
-        assert set(loaded) == {spec_for().fingerprint()}
-
-    def test_malformed_middle_line_raises(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with SweepJournal(path) as journal:
-            journal.record(spec_for(), canned_result())
-        text = path.read_text()
-        path.write_text("not json\n" + text)
-        with pytest.raises(ReproError, match="malformed"):
-            SweepJournal(path).load()
-
     def test_unknown_version_raises(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         record = {"v": 999, "fingerprint": "abc", "result": {}}
@@ -531,26 +513,33 @@ class TestRunJobsLedger:
             assert record.n_instructions == INSTR
 
 
-class TestParallelProfilerMerge:
-    """Worker profiler timings must land in the parent handle."""
+class TestLedgerPhaseProfile:
+    """Ledger records carry their cell's phase-span wall seconds."""
 
-    def test_parent_profiler_sees_worker_phases(self, flat_cpi, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
+    def test_records_carry_every_phase(self, flat_cpi, tmp_path, workers):
+        from repro.obs.ledger import RunLedger
+        from repro.obs.spans import SpanRecorder, phase_totals
+
+        recorder = SpanRecorder()
+        path = tmp_path / "ledger.jsonl"
+        run_jobs(grid_jobs()[:2], max_workers=workers, spans=recorder,
+                 ledger=path)
+        records = RunLedger(path).load()
+        assert len(records) == 2
+        for record in records:
+            assert set(record.profile) == {
+                "stage1", "warm-up", "measure", "reduce",
+            }
+        # The per-cell profiles partition the sweep's phase spans.
+        for name, seconds in phase_totals(recorder.spans).items():
+            assert sum(r.profile[name] for r in records) == pytest.approx(
+                seconds
+            )
+
+    def test_no_spans_no_profile(self, flat_cpi, tmp_path):
         from repro.obs.ledger import RunLedger
 
-        telemetry = Telemetry(profile=True)
         path = tmp_path / "ledger.jsonl"
-        run_jobs(grid_jobs()[:2], max_workers=2, telemetry=telemetry,
-                 ledger=path)
-        phases = {tuple(p) for p, _c, _s in telemetry.profiler.export_state()}
-        assert {("stage1",), ("measure",), ("reduce",)} <= phases
-        # And the per-job phase split is in the ledger records.
-        records = RunLedger(path).load()
-        assert all("measure" in r.profile for r in records)
-
-    def test_disabled_profiler_not_polluted(self, flat_cpi):
-        from repro.telemetry import DISABLED_PROFILER
-
-        telemetry = Telemetry()          # profiler disabled
-        assert telemetry.profiler is not DISABLED_PROFILER or True
-        run_jobs(grid_jobs()[:2], max_workers=2, telemetry=telemetry)
-        assert DISABLED_PROFILER.export_state() == []
+        run_jobs(grid_jobs()[:1], ledger=path)
+        assert [r.profile for r in RunLedger(path).load()] == [{}]

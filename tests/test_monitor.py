@@ -277,25 +277,12 @@ class TestSpanPersistence:
     def test_missing_file_loads_empty(self, tmp_path):
         assert load_spans(tmp_path / "absent.jsonl") == []
 
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = self._write(tmp_path, [make_span(), make_span(span_id="s2")])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "trace": "t", "id')  # interrupted append
-        assert len(load_spans(path)) == 2
-
-    def test_malformed_middle_line_raises(self, tmp_path):
-        path = self._write(tmp_path, [make_span()])
-        text = path.read_text()
-        path.write_text("not json\n" + text)
-        with pytest.raises(ReproError, match="malformed"):
-            load_spans(path)
-
     def test_unknown_version_raises(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         record = make_span().to_dict()
         record["v"] = 99
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ReproError, match="unsupported span schema"):
+        with pytest.raises(ReproError, match="unsupported span format"):
             load_spans(path)
 
     def test_truncate_starts_fresh_append_continues(self, tmp_path):

@@ -144,30 +144,12 @@ class TestRunLedger:
         ledger.close()
         assert len(RunLedger(path).load()) == 2
 
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with RunLedger(path) as ledger:
-            ledger.append(make_record())
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "run_id": "r1", "work')
-        records = RunLedger(path).load()
-        assert len(records) == 1
-        assert records[0].scheme == "S-NUCA"
-
-    def test_malformed_middle_line_raises(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with RunLedger(path) as ledger:
-            ledger.append(make_record())
-        path.write_text("not json\n" + path.read_text())
-        with pytest.raises(ReproError, match="malformed"):
-            RunLedger(path).load()
-
     def test_unknown_version_raises(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         payload = make_record().to_dict()
         payload["v"] = LEDGER_FORMAT_VERSION + 1
         path.write_text(json.dumps(payload) + "\n\n")
-        with pytest.raises(ReproError, match="unsupported ledger record"):
+        with pytest.raises(ReproError, match="unsupported ledger format"):
             RunLedger(path).load()
 
     def test_creates_parent_directory(self, tmp_path):
@@ -341,7 +323,7 @@ class TestHtmlReport:
             ledger_records=[make_record(profile={"measure": 1.0})],
         )
         for heading in ("Scheme comparison", "Wear heatmaps",
-                        "Interval write timelines", "Profiler phases",
+                        "Interval write timelines", "Phase wall time",
                         "Run ledger history"):
             assert heading in html
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
-from repro.cache.coherence import MesiDirectory
 from repro.cache.lru import SetAssocArray
 from repro.common.stats import RunningStats, harmonic_mean
 from repro.config import CacheConfig, NocConfig
@@ -88,49 +87,6 @@ class TestMeshProperties:
     def test_triangle_inequality(self, a, b, c):
         mesh = Mesh(NocConfig())
         assert mesh.distance(a, c) <= mesh.distance(a, b) + mesh.distance(b, c)
-
-
-class TestCoherenceProperties:
-    ops = st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 4)),
-        min_size=1,
-        max_size=300,
-    )
-
-    @given(ops)
-    @settings(max_examples=40, deadline=None)
-    def test_invariants_after_any_trace(self, trace):
-        directory = MesiDirectory(4)
-        for op, core, line_idx in trace:
-            line = 0x100 * line_idx
-            if op == 0:
-                directory.read(core, line)
-            elif op == 1:
-                directory.write(core, line)
-            else:
-                directory.evict(core, line)
-        directory.check_invariants()
-
-    @given(ops)
-    @settings(max_examples=40, deadline=None)
-    def test_single_writer(self, trace):
-        from repro.cache.coherence import MesiState
-
-        directory = MesiDirectory(4)
-        for op, core, line_idx in trace:
-            line = 0x100 * line_idx
-            if op == 0:
-                directory.read(core, line)
-            elif op == 1:
-                directory.write(core, line)
-            else:
-                directory.evict(core, line)
-            writers = [
-                c
-                for c in range(4)
-                if directory.private_state(c, line) is MesiState.MODIFIED
-            ]
-            assert len(writers) <= 1
 
 
 class TestTlbProperties:

@@ -1,8 +1,8 @@
-"""Telemetry subsystem: registry, event trace, profiler, intervals.
+"""Telemetry subsystem: registry, event trace, intervals.
 
 Covers the observability contracts documented in docs/OBSERVABILITY.md:
 hierarchical instrument naming, JSONL event round-trips, ring-buffer
-retention, nested phase timing, interval series arithmetic — and the
+retention, phase spans, interval series arithmetic — and the
 headline guarantee that a run without a telemetry handle behaves
 identically to one with it.
 """
@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro.config import baseline_config
+from repro.obs.spans import phase_totals
 from repro.sim.runner import Stage1Cache, run_workload
 from repro.telemetry import (
-    DISABLED_PROFILER,
     KNOWN_KINDS,
     EventTrace,
     IntervalSeries,
-    Profiler,
     StatsRegistry,
     Telemetry,
     TelemetryError,
@@ -183,47 +182,6 @@ class TestEventTrace:
             load_events(tmp_path / "nope.jsonl")
 
 
-class TestProfiler:
-    def test_nested_paths_and_calls(self):
-        prof = Profiler()
-        with prof.phase("measure"):
-            with prof.phase("cpt"):
-                pass
-            with prof.phase("cpt"):
-                pass
-        assert prof.calls() == {"measure": 1, "measure/cpt": 2}
-        totals = prof.totals()
-        assert totals["measure"] >= totals["measure/cpt"] >= 0.0
-
-    def test_disabled_returns_shared_null_context(self):
-        prof = Profiler(enabled=False)
-        assert prof.phase("a") is prof.phase("b")
-        with prof.phase("a"):
-            pass
-        assert prof.totals() == {}
-        assert DISABLED_PROFILER.totals() == {}
-
-    def test_bad_phase_name(self):
-        with pytest.raises(TelemetryError):
-            Profiler().phase("a/b")
-
-    def test_reset_inside_phase_rejected(self):
-        prof = Profiler()
-        with prof.phase("outer"):
-            with pytest.raises(TelemetryError):
-                prof.reset()
-        prof.reset()
-        assert prof.totals() == {}
-
-    def test_report_lists_phases(self):
-        prof = Profiler()
-        with prof.phase("measure"):
-            pass
-        report = prof.report()
-        assert "measure" in report and "share" in report
-        assert Profiler().report() == "(no phases recorded)"
-
-
 class TestIntervalSeries:
     def make_series(self):
         series = IntervalSeries(interval_instructions=100)
@@ -268,7 +226,7 @@ class TestTelemetryHandle:
     def test_defaults_are_cheap(self):
         tel = Telemetry()
         assert tel.trace is None
-        assert not tel.profiler.enabled
+        assert tel.spans is None
         assert tel.interval_instructions == 0
 
     def test_negative_interval_rejected(self):
@@ -276,15 +234,12 @@ class TestTelemetryHandle:
             Telemetry(interval_instructions=-1)
 
     def test_summary_mentions_trace_and_registry(self):
-        tel = Telemetry(trace=True, profile=True)
+        tel = Telemetry(trace=True)
         tel.counter("llc.fetches").inc()
         tel.trace.emit("llc.hit")
-        with tel.phase("measure"):
-            pass
         summary = tel.summary()
         assert "llc.fetches" in summary
         assert "1 events retained" in summary
-        assert "measure" in summary
 
 
 class TestRunnerIntegration:
@@ -295,7 +250,7 @@ class TestRunnerIntegration:
         config = baseline_config()
         workload = make_workloads(num_cores=config.num_cores, seed=5)[0]
         telemetry = Telemetry(
-            trace=True, interval_instructions=20_000, profile=True,
+            trace=True, interval_instructions=20_000, spans=True,
         )
         result = run_workload(
             workload, "Re-NUCA", config, seed=5, n_instructions=6000,
@@ -309,7 +264,7 @@ class TestRunnerIntegration:
         stage1 = Stage1Cache()
         plain = run_workload(workload, "Re-NUCA", config, seed=5,
                              n_instructions=6000, stage1=stage1)
-        tel = Telemetry(trace=True, interval_instructions=10_000, profile=True)
+        tel = Telemetry(trace=True, interval_instructions=10_000, spans=True)
         traced = run_workload(workload, "Re-NUCA", config, seed=5,
                               n_instructions=6000, stage1=stage1,
                               telemetry=tel)
@@ -346,10 +301,10 @@ class TestRunnerIntegration:
         assert kinds
         assert kinds <= KNOWN_KINDS
 
-    def test_profiler_saw_all_phases(self, instrumented):
+    def test_spans_saw_all_phases(self, instrumented):
         _, telemetry = instrumented
-        totals = telemetry.profiler.totals()
-        assert {"stage1", "warm-up", "measure", "reduce"} <= set(totals)
+        totals = phase_totals(telemetry.spans.spans)
+        assert set(totals) == {"stage1", "warm-up", "measure", "reduce"}
 
     def test_trace_round_trip_through_file(self, instrumented, tmp_path):
         _, telemetry = instrumented
@@ -530,45 +485,3 @@ class TestHistogramPercentiles:
         a.merge_state(state)
         assert a.histogram("llc.latency").stats.count == 1
         assert list(a.histogram("llc.latency").recent) == []
-
-
-class TestProfilerStateMerge:
-    """`Profiler.export_state`/`merge_state`: the worker hand-off."""
-
-    def test_export_round_trip(self):
-        worker = Profiler()
-        with worker.phase("stage1"):
-            pass
-        with worker.phase("measure"), worker.phase("inner"):
-            pass
-        parent = Profiler()
-        parent.merge_state(worker.export_state())
-        assert parent.export_state() == worker.export_state()
-
-    def test_merge_accumulates_calls_and_seconds(self):
-        a, b = Profiler(), Profiler()
-        for prof in (a, b):
-            with prof.phase("measure"):
-                pass
-        a.merge_state(b.export_state())
-        paths = {tuple(p): calls for p, calls, _s in a.export_state()}
-        assert paths[("measure",)] == 2
-
-    def test_state_survives_pickling(self):
-        import pickle
-
-        worker = Profiler()
-        with worker.phase("reduce"):
-            pass
-        state = pickle.loads(pickle.dumps(worker.export_state()))
-        parent = Profiler()
-        parent.merge_state(state)
-        assert "reduce" in parent.report()
-
-    def test_report_includes_merged_phases(self):
-        worker = Profiler()
-        with worker.phase("stage1"):
-            pass
-        parent = Profiler()
-        parent.merge_state(worker.export_state())
-        assert "stage1" in parent.report()
