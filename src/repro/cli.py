@@ -532,9 +532,9 @@ def _cmd_search(args) -> int:
     import json as _json
     from pathlib import Path
 
+    from repro.common.store import atomic_write_text
     from repro.obs.progress import tee_observers
     from repro.search import load_space, preset_space, run_search
-    from repro.sim.store import atomic_write_text
 
     # ``--space`` is a JSON file when it looks like one, else a preset.
     if args.space.endswith(".json") or Path(args.space).exists():
@@ -817,9 +817,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.common.store import atomic_write_text
     from repro.obs.html_report import render_html_report
     from repro.obs.ledger import RunLedger
-    from repro.sim.store import atomic_write_text, load_matrix
+    from repro.sim.store import load_matrix
 
     matrix = load_matrix(args.matrix)
     records = RunLedger(args.ledger).load() if args.ledger else None
@@ -919,8 +920,8 @@ def _cmd_history(args) -> int:
     rules = load_rules(args.tolerances) if args.tolerances else None
 
     if args.html:
+        from repro.common.store import atomic_write_text
         from repro.obs.html_report import render_history_report
-        from repro.sim.store import atomic_write_text
 
         atomic_write_text(args.html, render_history_report(
             index, last=args.last, rules=rules,

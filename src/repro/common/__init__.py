@@ -4,9 +4,11 @@ This package holds the pieces that are not specific to any architectural
 component: size/time unit helpers (:mod:`repro.common.units`), address
 arithmetic (:mod:`repro.common.addr`), deterministic random-number plumbing
 (:mod:`repro.common.rng`), statistics helpers (:mod:`repro.common.stats`),
-the exception hierarchy (:mod:`repro.common.errors`) and the append-only
+the exception hierarchy (:mod:`repro.common.errors`), the append-only
 JSONL log behind the journals, ledger and span file
-(:mod:`repro.common.jsonl`).
+(:mod:`repro.common.jsonl`), and the content-addressed store and atomic
+file writer behind the result cache and the stage-1 store
+(:mod:`repro.common.store`).
 """
 
 from repro.common.errors import (

@@ -7,7 +7,8 @@ resumable job:
 * :mod:`repro.jobs.spec` — :class:`JobSpec`, the frozen JSON-serialisable
   identity of one cell with a stable content-hash ``fingerprint()``;
 * :mod:`repro.jobs.cache` — :class:`ResultCache`, an on-disk
-  content-addressed store mapping fingerprints to results;
+  content-addressed store mapping fingerprints to results (a
+  :class:`~repro.common.store.ContentStore`, like the stage-1 store);
 * :mod:`repro.jobs.journal` — :class:`SweepJournal`, an append-only JSONL
   record of completed cells enabling ``--resume``;
 * :mod:`repro.jobs.scheduler` — :func:`run_jobs`, the process-pool

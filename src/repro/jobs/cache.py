@@ -15,90 +15,44 @@ Invalidation rules:
 * every entry embeds ``CACHE_FORMAT_VERSION``; entries written by an
   incompatible engine read as misses (and are overwritten on the next
   ``put``), never as errors;
-* corrupt or truncated entries read as misses too — writes are atomic
-  (:func:`repro.sim.store.atomic_write_text`), so these only appear
-  when something outside the engine damaged the directory.
+* corrupt or truncated entries read as misses too, counted as
+  ``corrupt``.  Writes are atomic, so these only appear when something
+  outside the engine damaged the directory.
 
-Hit/miss/write totals are observable as ``jobs.cache.*`` counters once
-:meth:`ResultCache.bind_telemetry` is called (the scheduler does this
-whenever the sweep has a telemetry handle).
+Atomic writes, miss rules and the ``jobs.cache.*`` hit/miss/write/
+corrupt counters come from :class:`repro.common.store.ContentStore`.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from repro.common.errors import ReproError
+from repro.common.store import ContentStore
 from repro.jobs.spec import JobSpec
 from repro.sim.metrics import WorkloadSchemeResult
-from repro.sim.store import atomic_write_text, result_from_dict, result_to_dict
+from repro.sim.store import result_from_dict, result_to_dict
 
 #: On-disk entry layout version; bump to invalidate every cached result.
 CACHE_FORMAT_VERSION = 1
 
 
-class ResultCache:
+def _decode(fh) -> WorkloadSchemeResult | None:
+    payload = json.load(fh)
+    if payload.get("format_version") != CACHE_FORMAT_VERSION:
+        return None
+    return result_from_dict(payload["result"])
+
+
+class ResultCache(ContentStore):
     """Fingerprint-addressed store of workload/scheme results."""
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot create result cache at {self.root}: {exc}"
-            ) from exc
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self._registry = None
-
-    def bind_telemetry(self, registry) -> None:
-        """Mirror hit/miss/write totals onto ``jobs.cache.*`` counters."""
-        self._registry = registry
-        registry.counter("jobs.cache.hits")
-        registry.counter("jobs.cache.misses")
-        registry.counter("jobs.cache.writes")
-
-    def _count(self, name: str) -> None:
-        if self._registry is not None:
-            self._registry.counter(f"jobs.cache.{name}").inc()
-
-    def path_for(self, fingerprint: str) -> Path:
-        """On-disk location of one fingerprint's entry."""
-        return self.root / f"{fingerprint}.json"
+    kind = "result cache"
+    suffix = ".json"
+    counters = "jobs.cache"
 
     def get(self, spec: JobSpec) -> WorkloadSchemeResult | None:
-        """The cached result for ``spec``, or None on a miss.
-
-        Stale-version, corrupt and unreadable entries all count as
-        misses: the cache is an accelerator, and rerunning the cell is
-        always safe.
-        """
-        path = self.path_for(spec.fingerprint())
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            self._count("misses")
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format_version") != CACHE_FORMAT_VERSION
-        ):
-            self.misses += 1
-            self._count("misses")
-            return None
-        try:
-            result = result_from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError, ReproError):
-            self.misses += 1
-            self._count("misses")
-            return None
-        self.hits += 1
-        self._count("hits")
-        return result
+        """The cached result for ``spec``, or None on a miss."""
+        return self._read(spec.fingerprint(), _decode)
 
     def put(self, spec: JobSpec, result: WorkloadSchemeResult) -> None:
         """Persist one result under its spec's fingerprint (atomic)."""
@@ -109,24 +63,5 @@ class ResultCache:
             "spec": spec.to_dict(),
             "result": result_to_dict(result),
         }
-        atomic_write_text(self.path_for(fingerprint), json.dumps(payload))
-        self.writes += 1
-        self._count("writes")
-
-    def corrupt(self, spec: JobSpec) -> None:
-        """Overwrite ``spec``'s entry with a truncated payload.
-
-        Chaos-harness support (``corrupt`` rules in
-        :mod:`repro.jobs.chaos`): simulates a writer that died mid-file
-        or a damaged disk.  The invariant under test is that the next
-        :meth:`get` treats the mangled entry as a miss — the cell
-        re-executes — rather than raising.  Deliberately bypasses the
-        atomic-write path; a missing entry is left missing.
-        """
-        path = self.path_for(spec.fingerprint())
-        if not path.exists():
-            return
-        path.write_text('{"format_version":', encoding="utf-8")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+        data = json.dumps(payload).encode("utf-8")
+        self._write(fingerprint, lambda fh: fh.write(data))

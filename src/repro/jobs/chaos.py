@@ -16,8 +16,8 @@ pairs:
 * ``exit``  — ``os._exit(value)`` (default 137), a hard exit without
   cleanup — also breaks the pool;
 * ``corrupt`` — parent-side: after the job completes, its result-cache
-  entry is overwritten with garbage, which a later lookup must treat as
-  a miss, not an error.
+  entry is truncated, which a later lookup must count as a corrupt miss,
+  not an error.
 
 Rules match on the job's human label (``mixA/S-NUCA`` — see
 :meth:`repro.jobs.spec.JobSpec.label`) with shell-style globs, and on

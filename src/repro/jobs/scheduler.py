@@ -96,7 +96,7 @@ from repro.obs.spans import (
 )
 from repro.sim.metrics import WorkloadSchemeResult
 from repro.sim.runner import DEFAULT_INSTRUCTIONS, Stage1Cache, run_workload
-from repro.sim.stage1_store import Stage1Store, as_stage1_store
+from repro.sim.stage1_store import Stage1Store
 from repro.telemetry import Telemetry
 from repro.trace.workloads import Workload
 
@@ -294,12 +294,6 @@ def _execute_payload(payload: _Payload) -> _Outcome:
 
 
 # -- parent side -------------------------------------------------------------
-
-
-def _as_cache(cache: ResultCache | str | Path | None) -> ResultCache | None:
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
 
 
 def _as_journal(
@@ -530,12 +524,12 @@ def run_jobs(
                 )
             seen.add(fingerprint)
 
-    cache = _as_cache(cache)
+    cache = ResultCache.coerce(cache)
     journal = _as_journal(journal)
     ledger = as_ledger(ledger)
     quarantine = _as_quarantine(quarantine)
     chaos = as_chaos(chaos)
-    stage1_store = as_stage1_store(stage1_store)
+    stage1_store = Stage1Store.coerce(stage1_store)
     if (
         stage1 is not None
         and stage1_store is not None
@@ -760,7 +754,7 @@ def _chaos_corrupt(
         return
     rule = res.chaos.rule_for(job.spec.label(), attempt)
     if rule is not None and rule.action == "corrupt":
-        cache.corrupt(job.spec)
+        cache._corrupt(job.spec.fingerprint())
 
 
 #: Poison-message verb per failure kind (anything else reads "failed").

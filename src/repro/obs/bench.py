@@ -10,7 +10,7 @@ shows whether the simulator is getting faster or slower and whether the
 paper's comparative claims are drifting.
 
 The file is rewritten atomically on every append
-(:func:`repro.sim.store.atomic_write_text`), so a crashed recorder
+(:func:`repro.common.store.atomic_write_text`), so a crashed recorder
 never leaves a torn trajectory behind.
 """
 
@@ -21,9 +21,9 @@ import time
 from pathlib import Path
 
 from repro.common.errors import ReproError
+from repro.common.store import atomic_write_text
 from repro.obs.ledger import current_git_sha
 from repro.sim.metrics import MatrixResult
-from repro.sim.store import atomic_write_text
 
 #: Trajectory file layout version.
 BENCH_FORMAT_VERSION = 1

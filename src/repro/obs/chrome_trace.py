@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 
 from repro.common.errors import ReproError
+from repro.common.store import atomic_write_text
 from repro.obs.spans import Span, load_spans
 
 #: ``otherData`` stamp in the exported trace.
@@ -183,9 +184,5 @@ def export_chrome_trace(
     spans = load_spans(spans_path)
     trace = chrome_trace(spans)
     validate_chrome_trace(trace)
-    # Local import: store depends only on the sim layer, and the
-    # atomic tmp+replace write is exactly what a trace file wants.
-    from repro.sim.store import atomic_write_text
-
     atomic_write_text(Path(out_path), json.dumps(trace))
     return span_event_count(trace)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ReproError
+from repro.common.store import atomic_write_text
 from repro.obs.bench import load_bench
 from repro.obs.ledger import RunLedger
 
@@ -340,8 +341,6 @@ def _load_scan_cache(path: Path | None) -> dict:
 
 def _save_scan_cache(path: Path, files: dict) -> None:
     """Persist the scan cache (atomic; failures are non-fatal)."""
-    from repro.sim.store import atomic_write_text
-
     try:
         atomic_write_text(path, json.dumps({
             "format_version": SCAN_CACHE_VERSION,

@@ -96,7 +96,7 @@ class Stage1Cache:
         *,
         store=None,
     ) -> None:
-        from repro.sim.stage1_store import as_stage1_store
+        from repro.sim.stage1_store import Stage1Store
 
         if max_entries <= 0:
             raise ReproError("stage-1 cache needs at least one entry")
@@ -104,7 +104,7 @@ class Stage1Cache:
         self.evictions = 0
         self.hits = 0
         self.misses = 0
-        self.store = as_stage1_store(store)
+        self.store = Stage1Store.coerce(store)
         self._registry = None
         self._cache: OrderedDict[tuple, Stage1Result] = OrderedDict()
 

@@ -20,12 +20,10 @@ Invalidation rules (mirroring :class:`~repro.jobs.cache.ResultCache`):
   the seed and the instruction budget — plus ``STAGE1_FORMAT_VERSION``;
 * every entry embeds ``STAGE1_FORMAT_VERSION``; entries written by an
   incompatible engine read as misses, never as errors;
-* corrupt or truncated entries read as misses (writes are atomic:
-  temp file + ``os.replace``), and are additionally counted on the
-  ``corrupt`` telemetry counter.
+* corrupt or truncated entries read as misses, counted as ``corrupt``.
 
-Hit/miss/write/corrupt totals are observable as ``jobs.stage1.store.*``
-counters once :meth:`Stage1Store.bind_telemetry` is called.
+Atomic writes, miss rules and the ``jobs.stage1.store.*`` hit/miss/
+write/corrupt counters come from :class:`repro.common.store.ContentStore`.
 
 The payload is a single ``.npz`` member set: the stream and meter arrays
 verbatim (dtype-preserving, so round-trips are bit-exact) plus one JSON
@@ -35,73 +33,95 @@ uses ``repr``, which round-trips every finite double exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import os
-import tempfile
-import zipfile
-from pathlib import Path
 
 import numpy as np
 
-from repro.common.errors import ReproError
+from repro.common.store import ContentStore
 from repro.config import SystemConfig
 
 #: On-disk entry layout version; bump to invalidate every stored result.
 STAGE1_FORMAT_VERSION = 1
 
-#: L3Stream array fields, in declaration order.
-_STREAM_FIELDS = (
-    "ts", "line", "pc", "is_wb", "is_load", "predicted", "true_critical",
-    "nominal_lat", "stall", "slack", "mlp",
-)
-
-#: CriticalityMeters array fields.
-_METER_ARRAYS = (
-    "true_positive", "predicted_critical", "agree",
-    "noncritical_fetches", "noncritical_writes",
-)
-
-_CACHE_STATS_FIELDS = (
-    "demand_reads", "demand_writes", "hits", "misses", "fills",
-    "writebacks", "clean_evictions", "invalidations",
-)
-_MSHR_STATS_FIELDS = ("primary_misses", "secondary_misses", "stalls")
-_CPT_STATS_FIELDS = (
-    "lookups", "lookup_hits", "predictions_critical", "inserts", "evictions",
-)
+#: Stage1Result statistics fields, stored as JSON objects in the metadata.
+_STATS = ("l1_stats", "l2_stats", "l3_stats", "mshr_stats", "cpt_stats")
 
 
-class Stage1Store:
+def _encode(fh, result, fingerprint: str) -> None:
+    from repro.cpu.core import L3Stream
+
+    scalars, arrays = {}, {}
+    for f in dataclasses.fields(result.meters):
+        value = getattr(result.meters, f.name)
+        if isinstance(value, np.ndarray):
+            arrays[f"meters_{f.name}"] = value
+        else:
+            scalars[f.name] = value
+    meta = {
+        "format_version": STAGE1_FORMAT_VERSION,
+        "fingerprint": fingerprint,
+        "app": result.app,
+        "instructions": result.instructions,
+        "cycles": result.cycles,
+        "base_cpi": result.base_cpi,
+        "mem_queue_cycles": result.mem_queue_cycles,
+        "meters": scalars,
+        **{
+            name: dataclasses.asdict(getattr(result, name))
+            for name in _STATS
+        },
+    }
+    stream = {
+        f"stream_{f.name}": getattr(result.stream, f.name)
+        for f in dataclasses.fields(L3Stream)
+    }
+    np.savez(fh, meta=json.dumps(meta), **stream, **arrays)
+
+
+def _decode(fh):
+    from repro.cache.cache import CacheStats
+    from repro.cache.mshr import MshrStats
+    from repro.core.criticality import CptStats, CriticalityMeters
+    from repro.cpu.core import L3Stream, Stage1Result
+
+    with np.load(fh, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        if meta.get("format_version") != STAGE1_FORMAT_VERSION:
+            return None
+        stream = L3Stream(**{
+            f.name: data[f"stream_{f.name}"] for f in dataclasses.fields(L3Stream)
+        })
+        m = meta["meters"]
+        meters = CriticalityMeters(
+            **{**m, "thresholds": tuple(m["thresholds"])},
+            **{
+                name[len("meters_"):]: data[name]
+                for name in data.files if name.startswith("meters_")
+            },
+        )
+    stats_types = (CacheStats, CacheStats, CacheStats, MshrStats, CptStats)
+    return Stage1Result(
+        app=meta["app"],
+        instructions=meta["instructions"],
+        cycles=meta["cycles"],
+        base_cpi=meta["base_cpi"],
+        stream=stream,
+        meters=meters,
+        mem_queue_cycles=meta["mem_queue_cycles"],
+        **{
+            name: cls(**meta[name]) for name, cls in zip(_STATS, stats_types)
+        },
+    )
+
+
+class Stage1Store(ContentStore):
     """Content-addressed on-disk tier for stage-1 results."""
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot create stage-1 store at {self.root}: {exc}"
-            ) from exc
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.corrupt_entries = 0
-        self._registry = None
-
-    # -- telemetry ---------------------------------------------------------
-
-    def bind_telemetry(self, registry) -> None:
-        """Mirror totals onto ``jobs.stage1.store.*`` counters."""
-        self._registry = registry
-        for name in ("hits", "misses", "writes", "corrupt"):
-            registry.counter(f"jobs.stage1.store.{name}")
-
-    def _count(self, name: str) -> None:
-        if self._registry is not None:
-            self._registry.counter(f"jobs.stage1.store.{name}").inc()
-
-    # -- addressing --------------------------------------------------------
+    kind = "stage-1 store"
+    suffix = ".npz"
+    counters = "jobs.stage1.store"
 
     def fingerprint(
         self,
@@ -126,12 +146,6 @@ class Stage1Store:
         ).hexdigest()
         return digest[:32]
 
-    def path_for(self, fingerprint: str) -> Path:
-        """On-disk location of one fingerprint's entry."""
-        return self.root / f"{fingerprint}.npz"
-
-    # -- read/write --------------------------------------------------------
-
     def get(
         self,
         app: str,
@@ -140,37 +154,11 @@ class Stage1Store:
         seed: int | None = None,
         n_instructions: int,
     ):
-        """The stored result, or None on a miss.
-
-        Stale-version, corrupt and unreadable entries all read as misses
-        (the store is an accelerator; re-simulating is always safe);
-        damaged entries additionally bump the ``corrupt`` counter.
-        """
-        path = self.path_for(
-            self.fingerprint(app, config, seed=seed, n_instructions=n_instructions)
+        """The stored result, or None on a miss."""
+        return self._read(
+            self.fingerprint(app, config, seed=seed, n_instructions=n_instructions),
+            _decode,
         )
-        if not path.exists():
-            self.misses += 1
-            self._count("misses")
-            return None
-        try:
-            result = self._load(path)
-        except (
-            OSError, zipfile.BadZipFile, KeyError, ValueError, TypeError,
-            EOFError,
-        ):
-            self.corrupt_entries += 1
-            self._count("corrupt")
-            self.misses += 1
-            self._count("misses")
-            return None
-        if result is None:  # valid file, incompatible version
-            self.misses += 1
-            self._count("misses")
-            return None
-        self.hits += 1
-        self._count("hits")
-        return result
 
     def put(
         self,
@@ -184,126 +172,4 @@ class Stage1Store:
         fingerprint = self.fingerprint(
             result.app, config, seed=seed, n_instructions=n_instructions
         )
-        path = self.path_for(fingerprint)
-        meters = result.meters
-        meta = {
-            "format_version": STAGE1_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "app": result.app,
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "base_cpi": result.base_cpi,
-            "mem_queue_cycles": result.mem_queue_cycles,
-            "meters": {
-                "thresholds": list(meters.thresholds),
-                "loads": meters.loads,
-                "blocked_loads": meters.blocked_loads,
-                "fetches": meters.fetches,
-                "writes": meters.writes,
-            },
-            "l1_stats": self._stats_dict(result.l1_stats, _CACHE_STATS_FIELDS),
-            "l2_stats": self._stats_dict(result.l2_stats, _CACHE_STATS_FIELDS),
-            "l3_stats": self._stats_dict(result.l3_stats, _CACHE_STATS_FIELDS),
-            "mshr_stats": self._stats_dict(result.mshr_stats, _MSHR_STATS_FIELDS),
-            "cpt_stats": self._stats_dict(result.cpt_stats, _CPT_STATS_FIELDS),
-        }
-        arrays = {
-            f"stream_{name}": getattr(result.stream, name)
-            for name in _STREAM_FIELDS
-        }
-        arrays.update(
-            {f"meters_{name}": getattr(meters, name) for name in _METER_ARRAYS}
-        )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, meta=json.dumps(meta), **arrays)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        self._count("writes")
-
-    @staticmethod
-    def _stats_dict(stats, fields) -> dict:
-        return {name: getattr(stats, name) for name in fields}
-
-    def _load(self, path: Path):
-        from repro.cache.cache import CacheStats
-        from repro.cache.mshr import MshrStats
-        from repro.core.criticality import CptStats, CriticalityMeters
-        from repro.cpu.core import L3Stream, Stage1Result
-
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format_version") != STAGE1_FORMAT_VERSION
-            ):
-                return None
-            stream = L3Stream(
-                **{name: data[f"stream_{name}"] for name in _STREAM_FIELDS}
-            )
-            m = meta["meters"]
-            meters = CriticalityMeters(
-                thresholds=tuple(m["thresholds"]),
-                loads=m["loads"],
-                blocked_loads=m["blocked_loads"],
-                fetches=m["fetches"],
-                writes=m["writes"],
-                **{name: data[f"meters_{name}"] for name in _METER_ARRAYS},
-            )
-        return Stage1Result(
-            app=meta["app"],
-            instructions=meta["instructions"],
-            cycles=meta["cycles"],
-            base_cpi=meta["base_cpi"],
-            stream=stream,
-            meters=meters,
-            l1_stats=CacheStats(**meta["l1_stats"]),
-            l2_stats=CacheStats(**meta["l2_stats"]),
-            l3_stats=CacheStats(**meta["l3_stats"]),
-            mshr_stats=MshrStats(**meta["mshr_stats"]),
-            cpt_stats=CptStats(**meta["cpt_stats"]),
-            mem_queue_cycles=meta["mem_queue_cycles"],
-        )
-
-    # -- chaos -------------------------------------------------------------
-
-    def corrupt(
-        self,
-        app: str,
-        config: SystemConfig,
-        *,
-        seed: int | None = None,
-        n_instructions: int,
-    ) -> None:
-        """Overwrite one entry with a truncated payload (chaos harness).
-
-        The invariant under test is that the next :meth:`get` treats the
-        mangled entry as a miss — the run re-simulates — rather than
-        raising.  Deliberately bypasses the atomic-write path; a missing
-        entry is left missing.
-        """
-        path = self.path_for(
-            self.fingerprint(app, config, seed=seed, n_instructions=n_instructions)
-        )
-        if not path.exists():
-            return
-        path.write_bytes(b"PK\x03\x04 truncated")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.npz"))
-
-
-def as_stage1_store(store) -> Stage1Store | None:
-    """Coerce a ``Stage1Store``/path/None into a store handle."""
-    if store is None or isinstance(store, Stage1Store):
-        return store
-    return Stage1Store(store)
+        self._write(fingerprint, lambda fh: _encode(fh, result, fingerprint))

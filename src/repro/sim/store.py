@@ -11,43 +11,17 @@ module round-trips them to a documented JSON layout so that
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.common.errors import ReproError
+from repro.common.store import atomic_write_text
 from repro.sim.metrics import MatrixResult, WorkloadSchemeResult
 from repro.telemetry.intervals import IntervalSeries
 
 #: Format version written into every result file.
 FORMAT_VERSION = 1
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically.
-
-    The content goes to a temporary file in the same directory first and
-    is moved into place with :func:`os.replace`, so a reader never sees
-    a truncated file and an interrupted writer never clobbers a previous
-    good version.  Used by :func:`save_matrix` and the sweep engine's
-    :class:`~repro.jobs.cache.ResultCache`.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def result_to_dict(result: WorkloadSchemeResult) -> dict:

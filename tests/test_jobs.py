@@ -7,7 +7,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.config import FaultConfig, baseline_config, scaled_config
-from repro.jobs.cache import CACHE_FORMAT_VERSION, ResultCache
+from repro.jobs.cache import ResultCache
 from repro.jobs.journal import SweepJournal
 from repro.jobs.scheduler import SweepJob, matrix_jobs, run_jobs
 from repro.jobs.spec import JobSpec
@@ -165,49 +165,6 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.put(spec_for(), canned_result())
         assert cache.get(spec_for(scheme="Re-NUCA")) is None
-
-    def test_version_mismatch_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = spec_for()
-        cache.put(spec, canned_result())
-        path = cache.path_for(spec.fingerprint())
-        payload = json.loads(path.read_text())
-        payload["format_version"] = CACHE_FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = spec_for()
-        cache.put(spec, canned_result())
-        cache.path_for(spec.fingerprint()).write_text("{ truncated")
-        assert cache.get(spec) is None
-
-    def test_put_leaves_no_temp_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(spec_for(), canned_result())
-        assert [p.name for p in tmp_path.glob("*.tmp")] == []
-
-    def test_bind_telemetry_counts(self, tmp_path):
-        from repro.telemetry import StatsRegistry
-
-        cache = ResultCache(tmp_path)
-        registry = StatsRegistry()
-        cache.bind_telemetry(registry)
-        spec = spec_for()
-        cache.get(spec)
-        cache.put(spec, canned_result())
-        cache.get(spec)
-        snap = registry.snapshot()
-        assert snap["jobs.cache.hits"] == 1
-        assert snap["jobs.cache.misses"] == 1
-        assert snap["jobs.cache.writes"] == 1
-
-    def test_unwritable_root_raises(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        with pytest.raises(ReproError, match="cannot create"):
-            ResultCache(blocker / "cache")
 
 
 class TestSweepJournal:

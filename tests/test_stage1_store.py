@@ -4,9 +4,10 @@ Three contracts (see ``docs/PERFORMANCE.md`` "Stage-1 kernel & store"):
 
 * **Bit-exactness**: a stored :class:`~repro.cpu.core.Stage1Result`
   round-trips field-for-field identical, arrays dtype-preserving.
-* **Corruption safety**: stale-version, truncated and unreadable
-  entries read as *misses*, never errors, and a warm store skips the
-  calibration probes entirely (zero stage-1 simulations).
+* **Warm tier**: a warm store skips the calibration probes entirely
+  (zero stage-1 simulations).  Miss rules shared with the result cache
+  (stale, truncated, unreadable entries) live in
+  ``tests/test_content_store.py``.
 * **Signature completeness**: the content address covers *every*
   configuration field stage 1 reads and *none* it ignores, so sweeps
   over stage-2 knobs (NUCA topology, ReRAM, TLB) share one
@@ -14,9 +15,7 @@ Three contracts (see ``docs/PERFORMANCE.md`` "Stage-1 kernel & store"):
 """
 
 import dataclasses
-import json
 
-import numpy as np
 import pytest
 
 from repro.config import (
@@ -32,11 +31,7 @@ from repro.config import (
 from repro.cpu.core import AppSimulator
 from repro.sim.calibrate import config_signature
 from repro.sim.runner import Stage1Cache
-from repro.sim.stage1_store import (
-    STAGE1_FORMAT_VERSION,
-    Stage1Store,
-    as_stage1_store,
-)
+from repro.sim.stage1_store import Stage1Store
 from repro.telemetry import Telemetry
 from tests.test_stage1_kernel import assert_identical
 
@@ -59,45 +54,6 @@ class TestStage1StoreRoundTrip:
         assert loaded is not None
         assert_identical(result, loaded)
         assert len(store) == 1
-
-    def test_missing_entry_is_miss(self, tmp_path):
-        store = Stage1Store(tmp_path)
-        assert store.get(APP, CFG, seed=SEED, n_instructions=INSTR) is None
-        assert store.misses == 1
-        assert store.hits == 0
-
-    def test_as_stage1_store_coercion(self, tmp_path):
-        assert as_stage1_store(None) is None
-        store = Stage1Store(tmp_path)
-        assert as_stage1_store(store) is store
-        coerced = as_stage1_store(str(tmp_path))
-        assert isinstance(coerced, Stage1Store)
-        assert coerced.root == store.root
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        store = Stage1Store(tmp_path)
-        store.put(_simulate(), CFG, seed=SEED, n_instructions=INSTR)
-        store.corrupt(APP, CFG, seed=SEED, n_instructions=INSTR)
-        assert store.get(APP, CFG, seed=SEED, n_instructions=INSTR) is None
-        assert store.corrupt_entries == 1
-        assert store.misses == 1
-
-    def test_stale_version_reads_as_plain_miss(self, tmp_path):
-        store = Stage1Store(tmp_path)
-        store.put(_simulate(), CFG, seed=SEED, n_instructions=INSTR)
-        path = store.path_for(
-            store.fingerprint(APP, CFG, seed=SEED, n_instructions=INSTR)
-        )
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files if k != "meta"}
-            meta = json.loads(str(data["meta"]))
-        assert meta["format_version"] == STAGE1_FORMAT_VERSION
-        meta["format_version"] = STAGE1_FORMAT_VERSION + 1
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=json.dumps(meta), **arrays)
-        assert store.get(APP, CFG, seed=SEED, n_instructions=INSTR) is None
-        assert store.corrupt_entries == 0  # well-formed, just incompatible
-        assert store.misses == 1
 
 
 class TestStage1CacheStoreTier:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.store import atomic_write_text
 from repro.sim.metrics import MatrixResult, WorkloadSchemeResult
 from repro.sim.store import (
-    atomic_write_text,
     load_matrix,
     result_from_dict,
     result_to_dict,
