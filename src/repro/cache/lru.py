@@ -137,14 +137,19 @@ class SetAssocArray:
 def lru_survivors(set_idx: np.ndarray, assoc: int) -> np.ndarray:
     """Closed form of filling empty LRU sets with a miss-only stream.
 
-    ``set_idx[i]`` is the set of the ``i``-th install.  Every install
-    misses, so each set ends holding its last ``assoc`` installs in
-    insertion order.  Returns their indices grouped by ascending set,
-    in insertion (LRU -> MRU) order within a set.
+    ``set_idx[i]`` is the (non-negative) set of the ``i``-th install.
+    Every install misses, so each set ends holding its last ``assoc``
+    installs in insertion order.  Returns their indices grouped by
+    ascending set, in insertion (LRU -> MRU) order within a set.
+
+    One stable argsort groups the installs by set; a set's survivors
+    are the last ``min(count, assoc)`` of its group, found from
+    per-set counts with int32 ranks.
     """
     n = len(set_idx)
     order = np.argsort(set_idx, kind="stable")
-    sorted_sets = set_idx[order]
-    starts = np.flatnonzero(np.r_[True, sorted_sets[1:] != sorted_sets[:-1]])
-    ends = np.repeat(np.r_[starts[1:], n], np.diff(np.r_[starts, n]))
-    return order[ends - np.arange(n) <= assoc]
+    counts = np.bincount(set_idx)
+    first = (np.cumsum(counts) - np.minimum(counts, assoc)).astype(np.int32)
+    rank = np.arange(n, dtype=np.int32)
+    rank -= first[set_idx[order]]
+    return order[rank >= 0]

@@ -219,6 +219,8 @@ class _Outcome:
     wall_time_s: float = 0.0
     #: Finished worker-side spans (``SpanRecorder.export_state``).
     span_state: list | None = None
+    #: The stage-2 replay the cell took (``ReplayInputs.path``).
+    replay_path: str | None = None
 
 
 def _cell_telemetry(telemetry: Telemetry | None) -> Telemetry | None:
@@ -263,6 +265,7 @@ def _execute_payload(payload: _Payload) -> _Outcome:
             attempt=payload.attempt,
         )
     started = time.perf_counter()
+    run_info: dict = {}
     with scope:
         result = run_workload(
             payload.spec.to_workload(),
@@ -275,12 +278,15 @@ def _execute_payload(payload: _Payload) -> _Outcome:
             telemetry=_cell_telemetry(telemetry),
             spans=recorder,
             accounting=telemetry.registry if telemetry is not None else None,
+            run_info=run_info,
         )
     wall_time_s = time.perf_counter() - started
     span_state = recorder.export_state() if recorder is not None else None
+    replay_path = run_info.get("replay_path")
     if telemetry is None:
         return _Outcome(
             result=result, wall_time_s=wall_time_s, span_state=span_state,
+            replay_path=replay_path,
         )
     return _Outcome(
         result=result,
@@ -290,6 +296,7 @@ def _execute_payload(payload: _Payload) -> _Outcome:
         ),
         wall_time_s=wall_time_s,
         span_state=span_state,
+        replay_path=replay_path,
     )
 
 
@@ -592,8 +599,9 @@ def run_jobs(
     # Tier 1+2: resolve what we already know; collect the remainder.
     resolved: dict[int, WorkloadSchemeResult] = {}
     pending: list[tuple[int, SweepJob]] = []
-    #: Per-index ledger provenance: (source, wall seconds, phase totals).
-    provenance: dict[int, tuple[str, float, dict[str, float]]] = {}
+    #: Per-index ledger provenance: (source, wall seconds, phase totals,
+    #: replay path).
+    provenance: dict[int, tuple[str, float, dict[str, float], str | None]] = {}
     for index, (job, fingerprint) in enumerate(zip(jobs, fingerprints)):
         if fingerprint in journaled:
             if progress is not None:
@@ -601,7 +609,7 @@ def run_jobs(
             if observer is not None:
                 observer(JobEvent("resumed", job.spec.label(), index))
             resolved[index] = journaled[fingerprint]
-            provenance[index] = ("journal", 0.0, {})
+            provenance[index] = ("journal", 0.0, {}, None)
             report.resumed += 1
             if telemetry is not None:
                 telemetry.registry.counter("jobs.journal.resumed").inc()
@@ -614,7 +622,7 @@ def run_jobs(
                 if observer is not None:
                     observer(JobEvent("cache", job.spec.label(), index))
                 resolved[index] = cached
-                provenance[index] = ("cache", 0.0, {})
+                provenance[index] = ("cache", 0.0, {}, None)
                 report.cache_hits += 1
                 if journal is not None:
                     journal.record(job.spec, cached)
@@ -646,7 +654,7 @@ def run_jobs(
             for index, job in enumerate(jobs):
                 if index not in resolved or index not in provenance:
                     continue
-                source, wall_time_s, profile = provenance[index]
+                source, wall_time_s, profile, replay_path = provenance[index]
                 ledger.append(RunRecord.for_result(
                     resolved[index],
                     seed=job.spec.seed,
@@ -656,6 +664,7 @@ def run_jobs(
                     fingerprint=fingerprints[index],
                     profile=profile,
                     engine=engine,
+                    replay_path=replay_path,
                 ))
 
     # Tier 3: execute.
@@ -816,7 +825,7 @@ def _poison(
         ),
     )
     if provenance is not None:
-        provenance[index] = ("failed", 0.0, {})
+        provenance[index] = ("failed", 0.0, {}, None)
     if observer is not None:
         observer(JobEvent("failed", job.spec.label(), index))
 
@@ -881,6 +890,7 @@ def _run_serial(
                         scheme=job.spec.scheme,
                         attempt=attempts,
                     )
+                run_info: dict = {}
                 with scope:
                     result = run_workload(
                         job.spec.to_workload(),
@@ -895,6 +905,7 @@ def _run_serial(
                         accounting=(
                             telemetry.registry if telemetry is not None else None
                         ),
+                        run_info=run_info,
                     )
                 break
             except ReproError as exc:
@@ -943,6 +954,7 @@ def _run_serial(
                 "executed", wall_time_s,
                 phase_totals(span_recorder.spans[first_span:])
                 if span_recorder is not None else {},
+                run_info.get("replay_path"),
             )
         if observer is not None:
             observer(JobEvent(
@@ -1231,6 +1243,7 @@ def _run_parallel(
                                 Span.from_dict(record)
                                 for record in outcome.span_state or ()
                             ),
+                            outcome.replay_path,
                         )
                     _event("done", index, wall_time_s=outcome.wall_time_s)
                     _complete(job, outcome.result, cache, journal)

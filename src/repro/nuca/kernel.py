@@ -6,8 +6,8 @@ reference implementation walks the full object graph per record
 :class:`~repro.cache.cache.Cache` -> :class:`~repro.noc.mesh.Mesh` ->
 :class:`~repro.reram.wear.WearTracker`).  This module replays the same
 stream against **array-backed bank state** (:class:`ArrayBanks`: numpy
-``(sets x ways)`` tag/age/dirty matrices plus a line->frame index dict)
-and batches all side-channel accounting:
+``(sets x ways)`` tag/dirty/owner/critical matrices plus a line->frame
+index dict) and batches all side-channel accounting:
 
 * criticality-blind policies (S-NUCA, R-NUCA, Private) get their bank
   vector, NoC latencies (through the mesh's precomputed distance matrix)
@@ -27,7 +27,8 @@ and batches all side-channel accounting:
 
 The scalar loops read the bank state through flat ``array``/``bytearray``
 views (:func:`_frame_views`), which cost a fraction of the memory of
-Python lists.
+Python lists: the state's own tag, dirty and occupancy buffers, which
+the replay consumes.
 
 The warm state the kernel replays from is built directly as arrays by
 :func:`warm_state` (the closed form of the reference warm-up), so the
@@ -70,15 +71,17 @@ class ArrayBanks:
 
     Sets of every bank are stacked into one global set space
     (``global_set = bank * num_sets + set``); each row holds one set's
-    ``assoc`` ways.  Recency is a monotonically increasing global stamp
-    (``age``): with native LRU and no invalidations the OrderedDict
-    recency order of the reference cache is exactly the ascending stamp
-    order, so the eviction victim is ``argmin(age[set])``.
+    ``assoc`` ways.  No recency is stored: warm-up fills each set's ways
+    in LRU -> MRU order, and the replay loops keep their own stamps from
+    ``clock`` on (see :func:`_frame_views`).
+
+    ``tags``, ``dirty`` and ``occ`` are numpy views of private flat
+    ``array('q')``/``bytearray`` buffers, which the scalar replay loops
+    index directly instead of copies (see :func:`_frame_views`).
 
     ``index`` maps resident line addresses to flat frame positions
     (``global_set * assoc + way``) for O(1) probes from scalar loops.
-    It may be partial (see :meth:`prefill_many` with ``index=False``):
-    the replay loops treat it as a memo — an index miss falls back to a
+    It starts empty and is only a memo: an index miss falls back to a
     16-way scan of the home set's tags, whose result is memoised, and
     victim eviction drops at most a hint (``pop`` with default), which
     the next scan rebuilds.
@@ -90,12 +93,18 @@ class ArrayBanks:
         self.num_sets = num_sets
         self.assoc = assoc
         self.index_shift = index_shift
-        self.tags = np.full((total_sets, assoc), -1, dtype=np.int64)
-        self.age = np.zeros((total_sets, assoc), dtype=np.int64)
-        self.dirty = np.zeros((total_sets, assoc), dtype=bool)
+        self._tag_frames = array("q", [-1]) * (total_sets * assoc)
+        self._dirty_frames = bytearray(total_sets * assoc)
+        self._occ_sets = array("q", [0]) * total_sets
+        self.tags = np.frombuffer(self._tag_frames, dtype=np.int64).reshape(
+            total_sets, assoc
+        )
+        self.dirty = np.frombuffer(self._dirty_frames, dtype=bool).reshape(
+            total_sets, assoc
+        )
+        self.occ = np.frombuffer(self._occ_sets, dtype=np.int64)
         self.owner = np.zeros((total_sets, assoc), dtype=np.int16)
         self.critical = np.zeros((total_sets, assoc), dtype=bool)
-        self.occ = np.zeros(total_sets, dtype=np.int64)
         self.index: dict[int, int] = {}
         self.clock = 0
 
@@ -106,74 +115,6 @@ class ArrayBanks:
         return cls(
             len(llc.banks), cache0.num_sets, cache0.config.assoc, cache0.index_shift
         )
-
-    def prefill_many(
-        self,
-        lines: np.ndarray,
-        gsets: np.ndarray,
-        *,
-        dirty: np.ndarray | None = None,
-        owner: np.ndarray | None = None,
-        critical: np.ndarray | None = None,
-        index: bool = True,
-    ) -> None:
-        """Batched install of resident lines (warm-up scatter).
-
-        ``lines[i]`` is installed into global set ``gsets[i]``; lines of
-        the same set must appear in LRU -> MRU order (their recency
-        stamps follow input order).  All entries land in free ways — a
-        batch that would overflow a set raises, as warm-up never evicts.
-
-        ``index=False`` skips populating the probe ``index`` (and with
-        it the batch duplicate check): the replay loops resolve index
-        misses by scanning the home set's tags and memoising the hit, so
-        prebuilding entries for every warm line — the single most
-        expensive part of installing a full LLC — is wasted work there.
-        """
-        n = len(lines)
-        if n == 0:
-            return
-        lines = np.asarray(lines, dtype=np.int64)
-        gsets = np.asarray(gsets, dtype=np.int64)
-        if np.all(gsets[:-1] <= gsets[1:]):
-            # Already set-ordered (the warm_state path): skip the argsort.
-            s = gsets
-            sorted_lines = lines
-            stamps = self.clock + np.arange(n, dtype=np.int64)
-            order = None
-        else:
-            order = np.argsort(gsets, kind="stable")
-            s = gsets[order]
-            sorted_lines = lines[order]
-            stamps = self.clock + order
-        starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-        counts = np.diff(np.concatenate((starts, [n])))
-        ways = np.arange(n, dtype=np.int64) - np.repeat(starts, counts) + self.occ[s]
-        if int(ways.max()) >= self.assoc:
-            raise SimulationError("prefill_many overflows a set (warm-up never evicts)")
-        pos = s * self.assoc + ways
-        self.tags.reshape(-1)[pos] = sorted_lines
-        self.age.reshape(-1)[pos] = stamps
-        self.clock += n
-        if dirty is not None:
-            dirty = np.asarray(dirty, dtype=bool)
-            self.dirty.reshape(-1)[pos] = dirty if order is None else dirty[order]
-        if owner is not None:
-            owner = np.asarray(owner, dtype=np.int16)
-            self.owner.reshape(-1)[pos] = owner if order is None else owner[order]
-        if critical is not None:
-            critical = np.asarray(critical, dtype=bool)
-            self.critical.reshape(-1)[pos] = (
-                critical if order is None else critical[order]
-            )
-        self.occ[s[starts]] += counts
-        if index:
-            before = len(self.index)
-            self.index.update(zip(sorted_lines.tolist(), pos.tolist()))
-            if len(self.index) != before + n:
-                raise SimulationError(
-                    "duplicate line address in prefill_many batch"
-                )
 
 
 #: Why a run took the reference replay, one name per refusal of
@@ -231,6 +172,26 @@ def _static_banks(policy, core: np.ndarray, line: np.ndarray) -> np.ndarray:
     return np.asarray(policy.clusters, dtype=np.int64)[core, idx]
 
 
+def _fill_banks(policy, start: int, cores, lines, critical) -> np.ndarray:
+    """Warm-up fill bank of each install of one run of the warm stream.
+
+    ``start`` is the run's position in the whole stream: Naive's
+    min-write placement from zero wear is round-robin over the banks in
+    stream order.
+    """
+    ptype = type(policy)
+    if ptype is NaivePolicy:
+        return np.arange(start, start + len(lines)) % policy.num_banks
+    if ptype in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
+        return _static_banks(policy, cores, lines)
+    # Re-NUCA: critical fills near the core, the rest spread.
+    return np.where(
+        critical,
+        _static_banks(policy._rnuca, cores, lines),
+        _static_banks(policy._snuca, cores, lines),
+    )
+
+
 def warm_state(llc, lines, cores, critical) -> ArrayBanks:
     """The warmed LLC as arrays: the kernel path's closed-form warm-up.
 
@@ -246,9 +207,15 @@ def warm_state(llc, lines, cores, critical) -> ArrayBanks:
     The policy metadata the replay reads is installed for the
     survivors: Naive's directory, and Re-NUCA's TLB Mapping Bits (the
     critical survivors OR-ed per page).  Dirty flags stay all-false.
+
+    The stream is worked through one run of a core at a time, so the
+    transient memory is a few stream-length vectors: placement and wear
+    go run by run, and the survivors are scattered straight into the
+    state's frames.  The duplicate check's sorted copy is freed before
+    the state is allocated.
     """
     lines = np.asarray(lines, dtype=np.int64)
-    cores = np.asarray(cores, dtype=np.int64)
+    cores = np.asarray(cores, dtype=np.int16)
     critical = np.asarray(critical, dtype=bool)
     n = len(lines)
     ordered = np.sort(lines)
@@ -256,35 +223,46 @@ def warm_state(llc, lines, cores, critical) -> ArrayBanks:
         raise SimulationError(
             "warm stream repeats a line; the array warm-up needs a miss-only stream"
         )
+    del ordered
     state = ArrayBanks.for_llc(llc)
     policy = llc.policy
+    num_sets = state.num_sets
+    bounds = np.concatenate(([0], np.flatnonzero(cores[1:] != cores[:-1]) + 1, [n]))
+    runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist())) if n else []
+    gset = np.empty(n, dtype=np.int32)
+    wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
+    for lo, hi in runs:
+        run = lines[lo:hi]
+        bank = _fill_banks(policy, lo, cores[lo:hi], run, critical[lo:hi])
+        wear += np.bincount(bank, minlength=len(wear))
+        gset[lo:hi] = bank * num_sets + ((run >> state.index_shift) & (num_sets - 1))
+    keep = lru_survivors(gset, state.assoc)
+    occ = np.minimum(np.bincount(gset, minlength=len(state.occ)), state.assoc)
+    # Survivors come grouped by ascending set, LRU -> MRU within a set:
+    # exactly the order of the occupied frames (set-major, way-minor).
+    frames = np.arange(state.assoc) < occ[:, None]
+    kept = lines[keep]
+    state.tags[frames] = kept
+    state.owner[frames] = cores[keep]
+    state.critical[frames] = critical[keep]
+    state.occ[:] = occ
+    state.clock = len(keep)
+    llc.wear.add_writes(wear)
     ptype = type(policy)
     if ptype is NaivePolicy:
-        bank = np.arange(n, dtype=np.int64) % policy.num_banks
-    elif ptype in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
-        bank = _static_banks(policy, cores, lines)
-    else:  # Re-NUCA: critical fills near the core, the rest spread.
-        bank = np.where(
-            critical,
-            _static_banks(policy._rnuca, cores, lines),
-            _static_banks(policy._snuca, cores, lines),
-        )
-    gset = bank * state.num_sets + (
-        (lines >> state.index_shift) & (state.num_sets - 1)
-    )
-    keep = lru_survivors(gset, state.assoc)
-    state.prefill_many(
-        lines[keep], gset[keep],
-        owner=cores[keep], critical=critical[keep], index=False,
-    )
-    llc.wear.add_writes(np.bincount(bank, minlength=llc.wear.num_banks))
-    if ptype is NaivePolicy:
-        policy._directory.update(zip(lines[keep].tolist(), bank[keep].tolist()))
+        policy._directory.update(zip(kept.tolist(), (gset[keep] // num_sets).tolist()))
     elif ptype not in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
-        mapped = keep[critical[keep]]
+        mapped = np.zeros(n, dtype=bool)
+        mapped[keep] = True
+        mapped &= critical
         for core, tlb in enumerate(policy.tlbs):
-            mine = cores == core
-            tlb.load_warm_state(lines[mine], lines[mapped[cores[mapped] == core]])
+            mine = [(lo, hi) for lo, hi in runs if cores[lo] == core]
+            tlb.load_warm_state(
+                np.concatenate([lines[lo:hi] for lo, hi in mine] or [lines[:0]]),
+                np.concatenate(
+                    [lines[lo:hi][mapped[lo:hi]] for lo, hi in mine] or [lines[:0]]
+                ),
+            )
     return state
 
 
@@ -749,7 +727,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
 
     lines = _LineIds(state, merged, policy)
     cpt = _CptCounters(cpts, merged)
-    tags_f, age_f, dirty_f, occ = _frame_views(state, lines.tags)
+    tags_f, age_f, dirty_f, occ = _frame_views(state)
     mbit = lines.mbit
     memo = lines.memo
     copies = lines.copies
@@ -1013,9 +991,10 @@ class _LineIds:
     with :attr:`ArrayBanks.index` semantics (-1: none known) — and
     ``copies``, how many frames hold it (at most two, one per mapping).
     ``tags`` is what the loop sees in each frame: the id of a referenced
-    line, ``~line`` for a warm line the stream never references, or -1.
-    Only the candidate sets of referenced lines are searched for warm
-    copies, so the search does not grow with the LLC size.  Mapping
+    line, ``~line`` for a warm line the stream never references, or -1;
+    it is written over the state's own tag frames, which the replay
+    consumes.  Only the candidate sets of referenced lines are searched
+    for warm copies, so the search does not grow with the LLC size.  Mapping
     Bits are per (core, line); lines in the runner's per-core address
     spaces never collide, which is checked.
     """
@@ -1045,10 +1024,10 @@ class _LineIds:
         # Find the warm copies: a line can only sit in its two candidate
         # sets (the S-NUCA one skipped when both are the same set).
         assoc = state.assoc
-        tags = np.where(state.tags >= 0, ~state.tags, -1).reshape(-1)
         owner = state.owner.reshape(-1)
         memo = np.full(n, -1, dtype=np.int64)
         copies = np.zeros(n, dtype=np.uint8)
+        held_at, held_ids = [], []
         for lo in range(0, n, _CHUNK):
             ids = np.arange(lo, min(lo + _CHUNK, n))
             for sets, other in ((self.set_r, None), (self.set_s, self.set_r)):
@@ -1062,9 +1041,14 @@ class _LineIds:
                     raise SimulationError(
                         "Re-NUCA replay needs disjoint per-core line address spaces"
                     )
-                tags[pos] = found
+                held_at.append(pos)
+                held_ids.append(found)
                 memo[found] = pos
                 copies[found] += 1
+        tags = state.tags.reshape(-1)
+        np.invert(tags, out=tags, where=tags >= 0)
+        for pos, found in zip(held_at, held_ids):
+            tags[pos] = found
         self.tags = tags
         self.memo = array("q", memo.tobytes())
         self.copies = bytearray(copies.tobytes())
@@ -1076,7 +1060,7 @@ class _LineIds:
         self.mbit = bytearray(mbit.tobytes())
         # Warm lines the stream never references keep their starting
         # Mapping Bits until evicted; their clears are logged apart, as
-        # (record, frame) pairs.
+        # (record, frame, line) triples.
         self.start_mbvs = dict(zip(self.mbv_keys.tolist(), mbv_ints(self.mbv_bits)))
         self.warm_owner = owner
         self.warm_clears = array("q")
@@ -1090,8 +1074,7 @@ class _LineIds:
             line not in self._cleared
         ):
             self._cleared.add(line)
-            self.warm_clears.append(i)
-            self.warm_clears.append(pos)
+            self.warm_clears.extend((i, pos, line))
 
     def page_keys(self, lines: np.ndarray, cores: np.ndarray) -> np.ndarray:
         """One int64 key per (core, page) of ``lines``."""
@@ -1179,8 +1162,8 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     events = np.concatenate((refill_at, evict_at))
     log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
     ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
-    warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 2)
-    line = np.concatenate((lines.line_of[ids], ~lines.tags[warm[:, 1]]))
+    warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 3)
+    line = np.concatenate((lines.line_of[ids], warm[:, 2]))
     change_keys = lines.page_keys(
         line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
     )
@@ -1360,24 +1343,24 @@ class _CptCounters:
             stats.evictions += self.evictions[core]
 
 
-def _frame_views(state: ArrayBanks, tags: np.ndarray | None = None):
+def _frame_views(state: ArrayBanks):
     """Flat loop views of ``state``: tags, recency stamps, dirty, occupancy.
 
-    ``array('q')``/``bytearray`` copies, cheap to index from the scalar
-    replay loops and a fraction of the memory of Python lists.  ``tags``
-    replaces the frames' line addresses (Re-NUCA replays line ids).
-    Warm recency starts at all-zero: within a set the warm ways are
-    already in LRU -> MRU order, and ``seg.index(min(seg))`` resolves
-    ties to the lowest way — exactly the warm LRU.  Every touch stamps
+    The tag, dirty and occupancy views are the state's own
+    ``array('q')``/``bytearray`` buffers (the replay consumes the
+    state), cheap to index from the scalar replay loops and a fraction
+    of the memory of Python lists.  Recency is not stored: warm stamps
+    start at all-zero, as within a set the warm ways are already in
+    LRU -> MRU order, and ``seg.index(min(seg))`` resolves ties to the
+    lowest way — exactly the warm LRU.  Every touch stamps
     ``state.clock + i`` (> 0), so touched lines outrank untouched warm
     ones and each other in record order, matching the reference's clock.
     """
-    tags = state.tags.reshape(-1) if tags is None else tags
     return (
-        array("q", tags.astype(np.int64).tobytes()),
-        array("q", bytes(8 * tags.size)),
-        bytearray(state.dirty.tobytes()),
-        array("q", state.occ.astype(np.int64).tobytes()),
+        state._tag_frames,
+        array("q", [0]) * len(state._tag_frames),
+        state._dirty_frames,
+        state._occ_sets,
     )
 
 

@@ -4,8 +4,9 @@ A :class:`RunLedger` is a JSONL file with one :class:`RunRecord` per
 resolved run — the identity of the cell (workload/scheme/seed/budget
 plus the :meth:`JobSpec fingerprint <repro.jobs.spec.JobSpec.fingerprint>`
 of its inputs), where the result came from (executed, result cache or
-resume journal), the headline metrics, wall time, the repository commit
-and the run's per-phase wall seconds when spans were recorded.  ``run_workload``, the sweep
+resume journal), which stage-2 replay an executed run took, the
+headline metrics, wall time, the repository commit and the run's
+per-phase wall seconds when spans were recorded.  ``run_workload``, the sweep
 engine's ``run_jobs`` and the CLI all append to it, so a directory's
 ledger is the full history of what was simulated there and what it
 measured — the raw material of the ``repro diff`` regression gate and
@@ -83,6 +84,10 @@ class RunRecord:
     #: Sweep-engine accounting for grid runs (``{"total": N, ...}``);
     #: empty for standalone runs.
     engine: dict[str, int] = field(default_factory=dict)
+    #: The stage-2 replay the run took: ``kernel`` or
+    #: ``reference.<reason>`` (``ReplayInputs.path``); None when the
+    #: result was served from the cache or the journal, or failed.
+    replay_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.source not in SOURCES:
@@ -104,6 +109,7 @@ class RunRecord:
         run_id: str | None = None,
         profile: dict[str, float] | None = None,
         engine: dict[str, int] | None = None,
+        replay_path: str | None = None,
     ) -> "RunRecord":
         """Build the ledger record of one stage-2 result."""
         return cls(
@@ -127,6 +133,7 @@ class RunRecord:
             timestamp=time.time(),
             profile=dict(profile or {}),
             engine=dict(engine or {}),
+            replay_path=replay_path,
         )
 
     def to_dict(self) -> dict:
@@ -177,6 +184,10 @@ class RunRecord:
                     str(k): int(v)
                     for k, v in data.get("engine", {}).items()
                 },
+                replay_path=(
+                    None if data.get("replay_path") is None
+                    else str(data["replay_path"])
+                ),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ReproError(f"malformed ledger record: {exc}") from exc

@@ -255,6 +255,20 @@ def _merge_streams(results: list[Stage1Result]) -> _MergedStream:
     )
 
 
+def _warm_ranges(workload: Workload, config: SystemConfig):
+    """Each core's L3-resident working set: ``(core, [range, ...])``.
+
+    The ranges are line addresses before the core's address offset
+    (:func:`_core_base`), in install order.
+    """
+    from repro.trace.profiles import get_profile
+    from repro.trace.synthetic import derive_params, warm_sets
+
+    for core, app in enumerate(workload.apps):
+        params = derive_params(get_profile(app), config)
+        yield core, warm_sets(params, l2_lines=config.l2.num_lines)["l3"]
+
+
 def _warm_blocks(
     llc,
     workload: Workload,
@@ -277,12 +291,9 @@ def _warm_blocks(
     other policies placement ignores criticality, so no draws are made.)
     """
     from repro.common.rng import derive_rng
-    from repro.trace.profiles import get_profile
-    from repro.trace.synthetic import derive_params, warm_sets
 
     uses_criticality = getattr(llc.policy, "consumes_criticality", False)
-    for core, app in enumerate(workload.apps):
-        params = derive_params(get_profile(app), config)
+    for core, blocks in _warm_ranges(workload, config):
         offset = _core_base(core)
         p_critical = 0.0
         if uses_criticality:
@@ -291,7 +302,7 @@ def _warm_blocks(
             if fetches.any():
                 p_critical = float(s.predicted[fetches].mean())
         rng = derive_rng(seed, "prefill", workload.name, core)
-        for block in warm_sets(params, l2_lines=config.l2.num_lines)["l3"]:
+        for block in blocks:
             lines = np.arange(block.start, block.stop, block.step, dtype=np.int64)
             # One rng.random(len(block)) draw per block, exactly as the
             # historical per-line loop consumed it — warm-up criticality
@@ -340,23 +351,28 @@ def _warm_arrays(
 ) -> ArrayBanks:
     """The kernel path's warm-up: the same stream, built as arrays.
 
-    Concatenates :func:`_warm_blocks` and hands it to
-    :func:`~repro.nuca.kernel.warm_state`, which leaves the per-bank
-    ``Cache`` objects empty and returns the warm :class:`ArrayBanks`.
+    Fills the stream of :func:`_warm_blocks` into preallocated
+    ``lines``/``cores``/``critical`` arrays, one block at a time, and
+    hands it to :func:`~repro.nuca.kernel.warm_state`, which leaves the
+    per-bank ``Cache`` objects empty and returns the warm
+    :class:`ArrayBanks`.
     """
-    cores, lines, critical = [], [], []
+    n = sum(len(block) for _, blocks in _warm_ranges(workload, config)
+            for block in blocks)
+    lines = np.empty(n, dtype=np.int64)
+    cores = np.empty(n, dtype=np.int16)
+    critical = np.zeros(n, dtype=bool)
+    at = 0
     for core, block, draws in _warm_blocks(
         llc, workload, config, results1, seed=seed
     ):
-        cores.append(np.full(len(block), core, dtype=np.int64))
-        lines.append(block)
-        critical.append(
-            np.zeros(len(block), dtype=bool) if draws is None else draws
-        )
-    return warm_state(
-        llc, np.concatenate(lines), np.concatenate(cores),
-        np.concatenate(critical),
-    )
+        end = at + len(block)
+        lines[at:end] = block
+        cores[at:end] = core
+        if draws is not None:
+            critical[at:end] = draws
+        at = end
+    return warm_state(llc, lines, cores, critical)
 
 
 @dataclass
@@ -528,6 +544,7 @@ def run_workload(
     use_kernel: bool | None = None,
     spans=None,
     accounting=None,
+    run_info: dict | None = None,
 ) -> WorkloadSchemeResult:
     """Stage-2 simulation of one workload under one NUCA scheme.
 
@@ -577,6 +594,11 @@ def run_workload(
     memo's ``jobs.stage1.*`` and one ``jobs.replay.kernel`` or
     ``jobs.replay.reference.<reason>`` count.  The sweep engine passes
     its own registry here; defaults to ``telemetry.registry``.
+
+    ``run_info`` — a dict — receives how the run was simulated:
+    ``replay_path``, the replay taken (``kernel`` or
+    ``reference.<reason>``).  The sweep engine stamps it on the cell's
+    ledger record.
     """
     stage1 = Stage1Cache() if stage1 is None else stage1
     if accounting is None and telemetry is not None:
@@ -715,6 +737,8 @@ def run_workload(
     result.energy_mj = energy_of_result(result, config).total_mj
     if accounting is not None:
         accounting.counter(f"jobs.replay.{prep.path}").inc()
+    if run_info is not None:
+        run_info["replay_path"] = prep.path
 
     if ledger is not None:
         from repro.jobs.spec import JobSpec
@@ -733,6 +757,7 @@ def run_workload(
                 wall_time_s=time.perf_counter() - run_started,
                 fingerprint=fingerprint,
                 profile=phase_totals(spans.spans[first_span:]),
+                replay_path=prep.path,
             ))
 
     return result

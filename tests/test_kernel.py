@@ -29,7 +29,6 @@ from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, make_policy
 from repro.nuca.kernel import (
     FALLBACK_REASONS,
-    ArrayBanks,
     kernel_fallback_reason,
     _ordered_sum,
     kernel_supported,
@@ -103,57 +102,60 @@ class TestKernelEquivalence:
                 assert a == b, field.name
 
 
-class TestArrayBanks:
-    def _state(self):
-        return ArrayBanks(num_banks=2, num_sets=4, assoc=2, index_shift=6)
+#: 8 banks of 4 sets x 2 ways: small enough to fill a set by hand.
+TINY = dataclasses.replace(
+    CFG8, l3_bank=CacheConfig(4 * 2 * 64, 2, 100, name="L3-bank")
+)
 
-    def test_prefill_scatters_in_order(self):
-        state = self._state()
-        lines = np.array([0x100, 0x200, 0x300], dtype=np.int64)
-        gsets = np.array([0, 0, 5], dtype=np.int64)
-        state.prefill_many(lines, gsets, dirty=np.array([True, False, True]))
-        assert state.tags[0].tolist() == [0x100, 0x200]
-        assert state.tags[5].tolist() == [0x300, -1]
+
+class TestWarmStateScatter:
+    """How warm_state scatters a stream into the frames (S-NUCA on TINY)."""
+
+    @staticmethod
+    def _warm(lines):
+        llc = _fresh_llc("S-NUCA", TINY)
+        state = warm_state(llc, lines, [0] * len(lines), [False] * len(lines))
+        return llc, state
+
+    @staticmethod
+    def _gset(state, line):
+        bank = line & (state.num_banks - 1)
+        return bank * state.num_sets + (
+            (line >> state.index_shift) & (state.num_sets - 1)
+        )
+
+    def test_scatters_in_order(self):
+        _, state = self._warm([0x100, 0x200, 0x101])
+        home, other = self._gset(state, 0x100), self._gset(state, 0x101)
+        assert self._gset(state, 0x200) == home != other
         # LRU -> MRU within the set follows input order.
-        assert state.age[0, 0] < state.age[0, 1]
-        assert state.dirty[0].tolist() == [True, False]
-        assert state.occ.tolist() == [2, 0, 0, 0, 0, 1, 0, 0]
-        assert state.index == {0x100: 0, 0x200: 1, 0x300: 10}
+        assert state.tags[home].tolist() == [0x100, 0x200]
+        assert state.tags[other].tolist() == [0x101, -1]
+        assert not state.dirty.any()
+        occ = [0] * len(state.occ)
+        occ[home], occ[other] = 2, 1
+        assert state.occ.tolist() == occ
+        assert state.clock == 3
+        assert state.index == {}
 
-    def test_prefill_unsorted_batch_matches_sorted(self):
-        a, b = self._state(), self._state()
-        lines = np.array([1, 2, 3, 4], dtype=np.int64)
-        gsets = np.array([0, 1, 0, 2], dtype=np.int64)
-        a.prefill_many(lines, gsets)
-        order = np.argsort(gsets, kind="stable")
-        b.prefill_many(lines[order], gsets[order])
+    def test_interleaved_sets_match_grouped(self):
+        _, a = self._warm([0x100, 0x101, 0x200, 0x102])
+        _, b = self._warm([0x100, 0x200, 0x101, 0x102])
         assert np.array_equal(a.tags, b.tags)
         assert np.array_equal(a.occ, b.occ)
-        assert a.index == b.index
 
-    def test_prefill_overflow_raises(self):
-        state = self._state()
-        lines = np.arange(3, dtype=np.int64)
-        gsets = np.zeros(3, dtype=np.int64)
-        with pytest.raises(SimulationError, match="overflows"):
-            state.prefill_many(lines, gsets)
+    def test_full_set_keeps_its_last_installs(self):
+        llc, state = self._warm([0x100, 0x200, 0x300])
+        home = self._gset(state, 0x100)
+        assert self._gset(state, 0x300) == home
+        assert state.tags[home].tolist() == [0x200, 0x300]
+        assert state.occ[home] == 2
+        # Warm-up wear counts every fill, the evicted one too.
+        assert llc.wear.bank_writes[0x100 & 7] == 3
 
-    def test_prefill_duplicate_line_raises(self):
-        state = self._state()
-        lines = np.array([7, 7], dtype=np.int64)
-        gsets = np.array([0, 1], dtype=np.int64)
-        with pytest.raises(SimulationError, match="duplicate"):
-            state.prefill_many(lines, gsets)
-
-    def test_prefill_index_false_leaves_memo_empty(self):
-        state = self._state()
-        state.prefill_many(
-            np.array([7, 7], dtype=np.int64),
-            np.array([0, 1], dtype=np.int64),
-            index=False,
-        )
-        assert state.index == {}
-        assert state.occ.tolist()[:2] == [1, 1]
+    def test_duplicate_line_raises(self):
+        with pytest.raises(SimulationError, match="repeats a line"):
+            self._warm([7, 7])
 
 
 def _fresh_llc(scheme, config, *, telemetry=None, faults=None,
@@ -279,11 +281,83 @@ class TestArrayWarmState:
             assert len(np.unique(lines)) == len(lines), core
 
 
+class TestWarmStateDifferential:
+    """warm_state against the reference warm-up on drawn geometries and streams.
+
+    Each core draws distinct lines from its own four-page region, and a
+    core's later runs continue its draw: interleaved runs such as
+    ``[0, 1, 0]`` share an address range, so the duplicate check takes
+    its whole-stream path.  Small banks make sets overflow, so LRU
+    decides which installs survive.
+    """
+
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        l3_sets=st.sampled_from([1, 2, 4, 8]),
+        l3_assoc=st.sampled_from([1, 2, 4]),
+        runs=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(1, 40)),
+            min_size=1, max_size=5,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_prefill(self, scheme, l3_sets, l3_assoc, runs, seed):
+        config = dataclasses.replace(
+            CFG8,
+            l3_bank=CacheConfig(l3_sets * l3_assoc * 64, l3_assoc, 100,
+                                name="L3-bank"),
+        )
+        rng = np.random.default_rng(seed)
+        pools = {core: (core << 12) + rng.permutation(256) for core, _ in runs}
+        drawn = dict.fromkeys(pools, 0)
+        ref = _fresh_llc(scheme, config)
+        stream = []
+        for core, count in runs:
+            lines = pools[core][drawn[core]:drawn[core] + count]
+            drawn[core] += count
+            critical = rng.random(count) < 0.5
+            ref.prefill_many(core, lines.tolist(), critical=critical.tolist())
+            stream.append((lines, np.full(count, core), critical))
+        fast = _fresh_llc(scheme, config)
+        lines, cores, critical = (np.concatenate(c) for c in zip(*stream))
+        state = warm_state(fast, lines, cores, critical)
+        assert _array_snapshot(state) == _bank_snapshot(ref)
+        assert np.array_equal(fast.wear.bank_writes, ref.wear.bank_writes)
+        if isinstance(ref.policy, NaivePolicy):
+            assert fast.policy._directory == ref.policy._directory
+        if isinstance(ref.policy, ReNucaPolicy):
+            for core, (tlb_ref, tlb_fast) in enumerate(
+                zip(ref.policy.tlbs, fast.policy.tlbs)
+            ):
+                assert tlb_fast.resident_pages() == tlb_ref.resident_pages()
+                assert tlb_fast._backing == tlb_ref._backing
+                for page in {tlb_ref.page_of(x) for x in lines[cores == core]}:
+                    assert tlb_fast.mbv_of_page(page) == tlb_ref.mbv_of_page(page)
+
+
 class TestWarmStateGuards:
     def test_repeated_line_raises(self):
         llc = _fresh_llc("S-NUCA", CFG8)
         with pytest.raises(SimulationError, match="repeats a line"):
             warm_state(llc, [5, 9, 5], [0, 0, 1], [False] * 3)
+
+    def test_line_repeated_within_a_run_raises(self):
+        llc = _fresh_llc("Re-NUCA", CFG8)
+        with pytest.raises(SimulationError, match="repeats a line"):
+            warm_state(llc, [3, 5, 8, 9, 8], [0, 0, 1, 1, 1], [False] * 5)
+        assert llc.wear.total_writes() == 0
+
+    def test_line_repeated_across_overlapping_runs_raises(self):
+        lines = [3, 9, 5, 9]
+        llc = _fresh_llc("S-NUCA", CFG8)
+        with pytest.raises(SimulationError, match="repeats a line"):
+            warm_state(llc, lines, [0, 0, 1, 1], [False] * 4)
+        assert llc.wear.total_writes() == 0
+        state = warm_state(
+            _fresh_llc("S-NUCA", CFG8), [3, 9, 5, 7], [0, 0, 1, 1], [False] * 4
+        )
+        assert int(state.occ.sum()) == 4
 
     def test_tlb_needs_fresh_state(self):
         tlb = _fresh_llc("Re-NUCA", CFG8).policy.tlbs[0]

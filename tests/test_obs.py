@@ -122,6 +122,52 @@ class TestRunRecord:
     def test_run_ids_are_unique(self):
         assert new_run_id() != new_run_id()
 
+    def test_replay_path_round_trips_and_defaults_to_null(self):
+        record = make_record(replay_path="reference.env")
+        clone = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+        assert clone.replay_path == "reference.env"
+        # Records written before the field existed load as null.
+        payload = make_record().to_dict()
+        del payload["replay_path"]
+        assert RunRecord.from_dict(payload).replay_path is None
+
+
+class TestLedgerReplayPath:
+    """Executed cells carry their replay path; served cells carry null."""
+
+    def test_sweep_stamps_the_replay_path(self, tmp_path, monkeypatch):
+        from repro.config import baseline_config, scaled_config
+        from repro.jobs import JobSpec, SweepJob, run_jobs
+        from repro.jobs.scheduler import _execute_payload, _Payload
+        from repro.trace.workloads import Workload
+
+        config = scaled_config(baseline_config(), cores=4)
+        workload = Workload("mix4", ("hmmer", "namd", "povray", "dealII"))
+        job = SweepJob(
+            spec=JobSpec.for_run(workload, "S-NUCA", config, seed=7,
+                                 n_instructions=4000),
+            config=config,
+        )
+        ledger = tmp_path / "ledger.jsonl"
+        cache = tmp_path / "cache"
+        run_jobs([job], ledger=ledger, cache=cache)
+        run_jobs([job], ledger=ledger, cache=cache)
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        run_jobs([job], ledger=ledger)
+        records = RunLedger(ledger).load()
+        assert [(r.source, r.replay_path) for r in records] == [
+            ("executed", "kernel"),
+            ("cache", None),
+            ("executed", "reference.env"),
+        ]
+        # A pool worker ships the path back with its outcome.
+        monkeypatch.delenv("REPRO_KERNEL")
+        outcome = _execute_payload(_Payload(
+            spec=job.spec, config=config, collect_telemetry=False,
+            trace=False, trace_capacity=0, interval_instructions=0,
+        ))
+        assert outcome.replay_path == "kernel"
+
 
 class TestRunLedger:
     def test_append_load_round_trip(self, tmp_path):
