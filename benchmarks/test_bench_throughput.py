@@ -13,7 +13,10 @@ figures:
   a working-memory bound per warm line (``tracemalloc`` peak);
 * the Re-NUCA replay kernel against the reference loop on a 16-core
   WL3 cell, which must stay >= 1.5x faster and within a working-memory
-  bound per warm frame and per record (``tracemalloc`` peak).
+  bound per warm frame and per record (``tracemalloc`` peak);
+* the stream merge plus the kernel replay of that cell under Re-NUCA
+  and R-NUCA, which must stay within a working-memory bound per merged
+  record (``tracemalloc`` peak).
 
 Set ``REPRO_BENCH_RECORD=<path>`` to append each bench's best time to a
 trajectory file via :mod:`repro.obs.bench` (CI uploads it as an
@@ -26,6 +29,8 @@ import os
 import time
 import tracemalloc
 
+import pytest
+
 from repro.config import baseline_config
 from repro.cpu.core import AppSimulator
 from repro.mem.model import MainMemory
@@ -35,6 +40,7 @@ from repro.nuca.kernel import replay as kernel_replay
 from repro.reram.wear import WearTracker
 from repro.sim.runner import (
     Stage1Cache,
+    _merge_streams,
     _replay_reference,
     _warm_arrays,
     _warm_llc,
@@ -66,11 +72,19 @@ _WARMUP_BYTES_PER_LINE = 80
 _RENUCA_MIN_SPEEDUP = 1.5
 #: Bound on the Re-NUCA replay's ``tracemalloc`` peak: bytes per warm
 #: LLC frame plus bytes per replayed record.  The replay keeps flat
-#: per-frame and per-line arrays and per-chunk lists (about 42 B/frame
-#: and 90 B/record measured); turning every record column into a Python
-#: list costs over 200 B/record.
-_RENUCA_BYTES_PER_FRAME = 56
-_RENUCA_BYTES_PER_RECORD = 128
+#: per-frame and per-line arrays, per-first-copy columns and one chunk
+#: of lists (about 25 B/frame and 30-40 B/record measured); turning
+#: every record column into a Python list costs over 200 B/record.
+_RENUCA_BYTES_PER_FRAME = 32
+_RENUCA_BYTES_PER_RECORD = 64
+#: Bound on the stream merge plus the kernel replay's ``tracemalloc``
+#: peak per merged record, on the WL3 cell of seed 9 under Re-NUCA and
+#: R-NUCA.  The cell's frames are fixed, so the figure moves with what
+#: the merge and the replay hold per record: each core's first copy, a
+#: 5 B index entry per merged record and one chunk of lists (238-270
+#: B/record measured, per-frame state included).  Building every copy
+#: and the whole-stream lists of the static replay cost 324-445 B/record.
+_REPLAY_BYTES_PER_RECORD = 300
 
 
 def _record(name: str, *, count: int, seconds: float, unit: str,
@@ -314,4 +328,59 @@ def test_bench_renuca_replay():
     assert peak <= bound, (
         f"Re-NUCA replay peaked at {peak / 1e6:.1f} MB, over its "
         f"{bound / 1e6:.1f} MB bound"
+    )
+
+
+@pytest.fixture(scope="module")
+def wl3_stage1():
+    """Stage 1 of the WL3 mix of seed 9, shared by the memory benches."""
+    config = baseline_config()
+    stage1 = Stage1Cache()
+    workload = make_workloads(num_cores=16, seed=9)[2]
+    for app in workload.apps:
+        stage1.get(app, config, seed=9, n_instructions=_KERNEL_INSTRUCTIONS)
+    return workload, stage1
+
+
+@pytest.mark.parametrize("scheme", ["Re-NUCA", "R-NUCA"])
+def test_bench_replay_memory(wl3_stage1, scheme):
+    """Stream merge plus kernel replay in bounded memory per merged record.
+
+    The cell is the WL3 mix of seed 9 that ``test_bench_renuca_replay``
+    replays.  Stage 1 and the warm-up run outside; the merge of the
+    cores' streams and the kernel replay of the merged stream run under
+    ``tracemalloc`` (so the recorded time includes its overhead).
+    """
+    workload, stage1 = wl3_stage1
+    prep = prepare_replay(
+        workload, scheme, baseline_config(), seed=9,
+        n_instructions=_KERNEL_INSTRUCTIONS, stage1=stage1, use_kernel=True,
+    )
+    prep.merged = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        merged = _merge_streams(prep.results1)
+        kernel_replay(
+            prep.llc, merged, state=prep.state, cpts=prep.cpts,
+            threshold=prep.threshold, block_cycles=prep.block_cycles,
+        )
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = merged.total
+    per_record = peak / records
+    print(f"\n{scheme} merge + replay: {records} merged records "
+          f"({merged.measured} measured), peak {peak / 1e6:.1f} MB "
+          f"({per_record:.0f} B/record, bound {_REPLAY_BYTES_PER_RECORD})")
+    _record(f"replay_memory_{scheme.replace('-', '').lower()}", count=records,
+            seconds=seconds, unit="records",
+            details={"peak_mb": round(peak / 1e6, 2),
+                     "bytes_per_record": round(per_record, 1),
+                     "traced": True})
+    assert per_record <= _REPLAY_BYTES_PER_RECORD, (
+        f"{scheme} merge + replay peaked at {per_record:.0f} B per merged "
+        f"record, over its {_REPLAY_BYTES_PER_RECORD} B bound"
     )

@@ -11,19 +11,22 @@ index dict) and batches all side-channel accounting:
 
 * criticality-blind policies (S-NUCA, R-NUCA, Private) get their bank
   vector, NoC latencies (through the mesh's precomputed distance matrix)
-  and per-record hit latencies computed vectorized up front; the scalar
+  and per-record hit latencies computed vectorized per chunk; the scalar
   loop only runs the sequential parts (LRU state, the in-order memory
   pipe), and wear / hop / message totals are reduced with
-  ``np.bincount``-style operations afterwards;
+  ``np.bincount``-style operations after each chunk;
 * Naive keeps its exact directory + min-write-bank oracle (placement
   feeds back through wear, so it stays scalar) on the array engine;
 * Re-NUCA keeps its in-order CPT feedback loop, on flat per-line state:
-  dense line ids carry the Mapping Bit and the probe memo, the CPT is a
-  pair of counters per (core, pc), and records stream through in
-  bounded chunks.  The enhanced TLBs leave the loop: their residency
-  depends only on each core's page sequence, so a separate pass replays
-  it and rebuilds their exact state from the loop's log of Mapping Bit
-  changes.
+  dense line ids carry the Mapping Bit and the probe memo, and the CPT
+  is a pair of counters per (core, pc).  The enhanced TLBs leave the
+  loop: their residency depends only on each core's page sequence, so a
+  separate pass replays it and rebuilds their exact state from the
+  loop's log of Mapping Bit changes.
+
+Every replay reads the runner's merged stream, an index over each
+core's first copy, one chunk of ``_CHUNK`` records at a time, and
+returns the latencies of the measured (first-copy) records only.
 
 The scalar loops read the bank state through flat ``array``/``bytearray``
 views (:func:`_frame_views`), which cost a fraction of the memory of
@@ -122,8 +125,8 @@ class ArrayBanks:
 #: ``pinned`` (``use_kernel=False``), which the runner decides.
 FALLBACK_REASONS = ("telemetry", "faults", "policy", "cache-mode", "env", "pinned")
 
-#: Records per chunk of the Re-NUCA replay: bounds the Python lists its
-#: scalar loop reads, whatever the stream length.
+#: Records per chunk of every replay: bounds the columns and Python
+#: lists the scalar loops read, whatever the stream length.
 _CHUNK = 1 << 14
 
 
@@ -269,26 +272,22 @@ def warm_state(llc, lines, cores, critical) -> ArrayBanks:
 def replay(
     llc, merged, *, state: ArrayBanks, cpts=None, threshold=0.0, block_cycles=0.0,
 ) -> np.ndarray:
-    """Replay a merged stream through the kernel; returns per-record latency.
+    """Replay a merged stream through the kernel; returns measured latencies.
 
     Drop-in replacement for the reference measured loop: ``state`` is
     the warm state from :func:`warm_state` (consumed: the replay mutates
     it), ``llc`` the measurement-reset controller whose statistics and
     policy metadata the replay updates, ``merged`` the runner's
-    ``_MergedStream``.  ``cpts``/``threshold``/``block_cycles`` feed the
-    Re-NUCA criticality loop and are ignored by the blind policies.
+    ``_MergedStream``, read one chunk of ``_CHUNK`` records at a time.
+    ``cpts``/``threshold``/``block_cycles`` feed the Re-NUCA criticality
+    loop and are ignored by the blind policies.  The result holds the
+    latency of each measured (first-copy) record, in ``merged.first``
+    order.
     """
     policy = llc.policy
     ptype = type(policy)
     if ptype in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
-        # S-NUCA's bank is a pure function of the line address, so a
-        # line is resident in at most one set — probe hints can skip
-        # the home-set guard.
-        return _replay_static(
-            llc, merged, state,
-            _static_banks(policy, merged.core.astype(np.int64), merged.line),
-            multi_copy=ptype is not SNucaPolicy,
-        )
+        return _replay_static(llc, merged, state)
     if ptype is NaivePolicy:
         return _replay_naive(llc, merged, state)
     from repro.core.renuca import ReNucaPolicy
@@ -312,51 +311,27 @@ def _mem_params(memory) -> tuple[float, float, int, int, int, float, dict]:
     )
 
 
-def _replay_static(llc, merged, state, bank_vec, *, multi_copy: bool) -> np.ndarray:
+def _replay_static(llc, merged, state) -> np.ndarray:
     """S-NUCA / R-NUCA / Private: pure-function mapping, no criticality.
 
-    Everything derivable from (core, line) alone is vectorized up front;
-    the scalar loop carries only the genuinely sequential state — LRU
-    recency, set occupancy and the in-order memory pipe.  ``multi_copy``
-    marks mappings that depend on the requesting core (R-NUCA, Private),
-    where one line can be resident in several banks and a probe hint
-    must be checked against the record's home set.
+    Everything derivable from (core, line) alone is vectorized per
+    chunk; the scalar loop carries only the genuinely sequential state —
+    LRU recency, set occupancy and the in-order memory pipe.  R-NUCA's
+    and Private's mappings depend on the requesting core, so one line
+    can be resident in several banks and a probe hint must be checked
+    against the record's home set; S-NUCA's bank is a pure function of
+    the line address, so its hints skip that guard.
     """
+    policy = llc.policy
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
-    n = merged.total
-    pen = float(llc.policy.lookup_penalty)
+    pen = float(policy.lookup_penalty)
+    multi_copy = type(policy) is not SNucaPolicy
 
     dist = mesh.distance_matrix()
     hop = config.noc.hop_cycles
-    core = merged.core.astype(np.int64)
-    line = merged.line
-    bank = np.asarray(bank_vec, dtype=np.int64)
     mcs = np.asarray(mesh.memory_controllers, dtype=np.int64)
-    mc = mcs[(line >> 4) % len(mcs)]
-    d_cb = dist[core, bank].astype(np.int64)
-    d_bmc = dist[bank, mc].astype(np.int64)
-    d_mcc = dist[mc, core].astype(np.int64)
-    # Reference op order: (penalty + round_trip) + read_latency, and
-    # (now + penalty) + (send + tag + send) — kept bit-exact in float64.
-    hit_lat = (pen + 2 * d_cb * hop) + bank0.read_latency
-    to_mc = d_cb * hop + bank0.tag_latency + d_bmc * hop
-    ret = d_mcc * hop
-    rt_hops = 2 * d_cb
-    miss_hops = d_cb + d_bmc + d_mcc
-
-    gset = bank * state.num_sets + ((line >> state.index_shift) & (state.num_sets - 1))
-    wb_arr = merged.is_wb
-
-    # Only the columns the scalar loop reads become Python lists.
-    line_l = line.tolist()
-    gset_l = gset.tolist()
-    wb_l = wb_arr.tolist()
-    ts_l = merged.ts.tolist()
-    hit_lat_l = hit_lat.tolist()
-    to_mc_l = to_mc.tolist()
-    ret_l = ret.tolist()
 
     service, pipe_free, miss_cycles, rowhit_cycles, dram_mask, row_shift, open_rows = (
         _mem_params(llc.memory)
@@ -371,105 +346,144 @@ def _replay_static(llc, merged, state, bank_vec, *, multi_copy: bool) -> np.ndar
     tags_f, age_f, dirty_f, occ_l = _frame_views(state)
     assoc = state.assoc
     stamp0 = state.clock
-    hits = bytearray(n)
-    lat_l = [0.0] * n
+    out = np.empty(merged.measured, dtype=np.float32)
+    total_lat = llc.stats.total_fetch_latency
     queue_acc = 0.0
     row_hits = 0
     mem_writes = 0
+    fetches = fetch_hits = wbs = wb_hits = n_miss = messages = hops = 0
+    wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
 
-    for i, (line_i, is_wb, gs) in enumerate(zip(line_l, wb_l, gset_l)):
-        # Probe: the index is a lazily-built memo.  For multi-copy
-        # mappings a hit must point into this record's home set;
-        # otherwise scan the home set's 16 tags once and memoise.
-        pos = index_get(line_i)
-        if pos is None or (multi_copy and pos // assoc != gs):
-            base = gs * assoc
-            try:
-                pos = tags_f.index(line_i, base, base + assoc)
-                index[line_i] = pos
-            except ValueError:
-                pos = None
-        if is_wb:
-            if pos is not None:
-                dirty_f[pos] = True
-                age_f[pos] = stamp0 + i
-                hits[i] = 1
-                continue
-            fill_dirty = True
-        else:
-            if pos is not None:
-                age_f[pos] = stamp0 + i
-                lat_l[i] = hit_lat_l[i]
-                hits[i] = 1
-                continue
-            ts = ts_l[i]
-            arrival = ts + pen + to_mc_l[i]
-            start = arrival if arrival > pipe_free else pipe_free
-            queue_acc += start - arrival
-            pipe_free = start + service
-            row = line_i >> row_shift
-            rbank = row & dram_mask
-            if open_get(rbank) == row:
-                mlat = rowhit_cycles
-                row_hits += 1
+    for rec in merged.chunks():
+        core = rec.core.astype(np.int64)
+        line = rec.line
+        bank = _static_banks(policy, core, line)
+        mc = mcs[(line >> 4) % len(mcs)]
+        d_cb = dist[core, bank].astype(np.int64)
+        d_bmc = dist[bank, mc].astype(np.int64)
+        d_mcc = dist[mc, core].astype(np.int64)
+        # Reference op order: (penalty + round_trip) + read_latency, and
+        # (now + penalty) + (send + tag + send) — kept bit-exact in float64.
+        hit_lat = (pen + 2 * d_cb * hop) + bank0.read_latency
+        to_mc = d_cb * hop + bank0.tag_latency + d_bmc * hop
+        gset = bank * state.num_sets + ((line >> state.index_shift) & (state.num_sets - 1))
+        wb_arr = rec.is_wb
+
+        # Only the columns the scalar loop reads become Python lists.
+        line_l = line.tolist()
+        gset_l = gset.tolist()
+        wb_l = wb_arr.tolist()
+        ts_l = rec.ts.tolist()
+        hit_lat_l = hit_lat.tolist()
+        to_mc_l = to_mc.tolist()
+        ret_l = (d_mcc * hop).tolist()
+        m = len(line_l)
+        stamp = stamp0 + rec.lo
+        hits = bytearray(m)
+        lat_l = [0.0] * m
+
+        for i, (line_i, is_wb, gs) in enumerate(zip(line_l, wb_l, gset_l)):
+            # Probe: the index is a lazily-built memo.  For multi-copy
+            # mappings a hit must point into this record's home set;
+            # otherwise scan the home set's 16 tags once and memoise.
+            pos = index_get(line_i)
+            if pos is None or (multi_copy and pos // assoc != gs):
+                base = gs * assoc
+                try:
+                    pos = tags_f.index(line_i, base, base + assoc)
+                    index[line_i] = pos
+                except ValueError:
+                    pos = None
+            if is_wb:
+                if pos is not None:
+                    dirty_f[pos] = True
+                    age_f[pos] = stamp + i
+                    hits[i] = 1
+                    continue
+                fill_dirty = True
             else:
-                open_rows[rbank] = row
-                mlat = miss_cycles
-            lat_l[i] = (start + mlat - ts) + ret_l[i]
-            fill_dirty = False
-        # Fill (wb re-allocation or demand miss): free way, else LRU victim.
-        oc = occ_l[gs]
-        if oc < assoc:
-            pos2 = gs * assoc + oc
-            occ_l[gs] = oc + 1
-        else:
-            base = gs * assoc
-            seg = age_f[base:base + assoc]
-            pos2 = base + seg.index(min(seg))
-            vline = tags_f[pos2]
-            index_pop(vline, None)
-            if dirty_f[pos2]:
+                if pos is not None:
+                    age_f[pos] = stamp + i
+                    lat_l[i] = hit_lat_l[i]
+                    hits[i] = 1
+                    continue
                 ts = ts_l[i]
-                start = ts if ts > pipe_free else pipe_free
-                queue_acc += start - ts
+                arrival = ts + pen + to_mc_l[i]
+                start = arrival if arrival > pipe_free else pipe_free
+                queue_acc += start - arrival
                 pipe_free = start + service
-                vrow = vline >> row_shift
-                vbank = vrow & dram_mask
-                if open_get(vbank) == vrow:
+                row = line_i >> row_shift
+                rbank = row & dram_mask
+                if open_get(rbank) == row:
+                    mlat = rowhit_cycles
                     row_hits += 1
                 else:
-                    open_rows[vbank] = vrow
-                mem_writes += 1
-        tags_f[pos2] = line_i
-        age_f[pos2] = stamp0 + i
-        dirty_f[pos2] = fill_dirty
-        index[line_i] = pos2
+                    open_rows[rbank] = row
+                    mlat = miss_cycles
+                lat_l[i] = (start + mlat - ts) + ret_l[i]
+                fill_dirty = False
+            # Fill (wb re-allocation or demand miss): free way, else LRU victim.
+            oc = occ_l[gs]
+            if oc < assoc:
+                pos2 = gs * assoc + oc
+                occ_l[gs] = oc + 1
+            else:
+                base = gs * assoc
+                seg = age_f[base:base + assoc]
+                pos2 = base + seg.index(min(seg))
+                vline = tags_f[pos2]
+                index_pop(vline, None)
+                if dirty_f[pos2]:
+                    ts = ts_l[i]
+                    start = ts if ts > pipe_free else pipe_free
+                    queue_acc += start - ts
+                    pipe_free = start + service
+                    vrow = vline >> row_shift
+                    vbank = vrow & dram_mask
+                    if open_get(vbank) == vrow:
+                        row_hits += 1
+                    else:
+                        open_rows[vbank] = vrow
+                    mem_writes += 1
+            tags_f[pos2] = line_i
+            age_f[pos2] = stamp + i
+            dirty_f[pos2] = fill_dirty
+            index[line_i] = pos2
 
-    state.clock = stamp0 + n
-    # Batched accounting: everything the loop did not need in-order.
-    hit_mask = np.frombuffer(bytes(hits), dtype=np.uint8).astype(bool)
-    fetch_mask = ~wb_arr
-    miss_mask = fetch_mask & ~hit_mask
-    n_miss = int(miss_mask.sum())
+        # Batched accounting of the chunk: everything the loop did not
+        # need in order.
+        hit_mask = np.frombuffer(hits, dtype=bool)
+        fetch_mask = ~wb_arr
+        miss_mask = fetch_mask & ~hit_mask
+        chunk_misses = int(miss_mask.sum())
+        n_miss += chunk_misses
+        fetches += int(fetch_mask.sum())
+        fetch_hits += int((fetch_mask & hit_mask).sum())
+        wbs += int(wb_arr.sum())
+        wb_hits += int((wb_arr & hit_mask).sum())
+        # Write-back records add an exact float no-op (x + 0.0 == x).
+        total_lat = _ordered_sum(total_lat, lat_l)
+        wear += np.bincount(bank[wb_arr | miss_mask], minlength=len(wear))
+        messages += 2 * m + chunk_misses
+        hops += int(2 * d_cb[~miss_mask].sum()) + int(
+            (d_cb + d_bmc + d_mcc)[miss_mask].sum()
+        )
+        rec.scatter_measured(out, lat_l)
+
+    state.clock = stamp0 + merged.total
     stats = llc.stats
-    stats.fetches += int(fetch_mask.sum())
-    stats.fetch_hits += int((fetch_mask & hit_mask).sum())
-    stats.writebacks += int(wb_arr.sum())
-    stats.writeback_hits += int((wb_arr & hit_mask).sum())
+    stats.fetches += fetches
+    stats.fetch_hits += fetch_hits
+    stats.writebacks += wbs
+    stats.writeback_hits += wb_hits
     stats.memory_reads += n_miss
     stats.memory_writes += mem_writes
-    # Write-back records add an exact float no-op (x + 0.0 == x).
-    stats.total_fetch_latency = _ordered_sum(stats.total_fetch_latency, lat_l)
-    llc.wear.add_writes(
-        np.bincount(bank[wb_arr | miss_mask], minlength=llc.wear.num_banks)
-    )
-    mesh.record_traffic(
-        2 * n + n_miss,
-        int(rt_hops[~miss_mask].sum()) + int(miss_hops[miss_mask].sum()),
-    )
+    stats.total_fetch_latency = total_lat
+    llc.wear.add_writes(wear)
+    mesh.record_traffic(messages, hops)
     _write_back_memory(llc.memory, n_miss + mem_writes, row_hits, queue_acc,
                        pipe_free, open_rows)
-    return np.asarray(lat_l, dtype=np.float32)
+    return out
 
 
 def _replay_naive(llc, merged, state) -> np.ndarray:
@@ -480,12 +494,13 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     bank engine, hoisted locals and table lookups instead of method
     chains.  The policy's real directory dict is mutated in place so its
     consistency invariants (and post-run inspection) are preserved.
+    Records stream through in chunks; only the chunk at hand becomes
+    Python lists.
     """
     policy = llc.policy
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
-    n = merged.total
     pen = float(policy.lookup_penalty)
     nb = policy.num_banks
     bmask = nb - 1
@@ -500,11 +515,6 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
         [(pen + 2 * dist_l[c][b] * hop) + read_lat for b in range(nb)]
         for c in range(len(dist_l))
     ]
-
-    core_l = merged.core.tolist()
-    line_l = merged.line.tolist()
-    wb_l = merged.is_wb.tolist()
-    ts_l = merged.ts.tolist()
 
     service, pipe_free, miss_cycles, rowhit_cycles, dram_mask, row_shift, open_rows = (
         _mem_params(llc.memory)
@@ -521,132 +531,142 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     assoc = state.assoc
     stamp0 = state.clock
     bw = llc.wear.bank_writes.tolist()
-    lat_l = [0.0] * n
+    out = np.empty(merged.measured, dtype=np.float32)
+    total_lat = llc.stats.total_fetch_latency
     queue_acc = 0.0
     row_hits = 0
     fetches = fetch_hits = wbs = wb_hits = mem_reads = mem_writes = 0
     messages = 0
     hops = 0
 
-    for i, (core, line_i, is_wb) in enumerate(zip(core_l, line_l, wb_l)):
-        bank = dir_get(line_i)
-        if is_wb:
-            wbs += 1
-            if bank is not None:
-                messages += 2
-                hops += 2 * dist_l[core][bank]
-                pos = index_get(line_i)
-                if pos is None:
-                    # Lazy index memo: scan the directory-recorded home
-                    # set (Naive keeps a single-copy invariant, so a
-                    # present entry never points at a stale set).
-                    base = (
-                        bank * num_sets + ((line_i >> index_shift) & set_mask)
-                    ) * assoc
-                    try:
-                        pos = tags_f.index(line_i, base, base + assoc)
-                    except ValueError:
-                        raise SimulationError(
-                            f"Naive directory says line {line_i:#x} is "
-                            "resident but the bank array disagrees"
-                        ) from None
-                    index[line_i] = pos
-                dirty_f[pos] = True
-                age_f[pos] = stamp0 + i
-                bw[bank] += 1
-                wb_hits += 1
-                continue
-            place = bw.index(min(bw))
-            fill_dirty = True
-        else:
-            fetches += 1
-            ts = ts_l[i]
-            if bank is not None:
-                messages += 2
-                hops += 2 * dist_l[core][bank]
-                pos = index_get(line_i)
-                if pos is None:
-                    base = (
-                        bank * num_sets + ((line_i >> index_shift) & set_mask)
-                    ) * assoc
-                    try:
-                        pos = tags_f.index(line_i, base, base + assoc)
-                    except ValueError:
-                        raise SimulationError(
-                            f"Naive directory says line {line_i:#x} is "
-                            "resident but the bank array disagrees"
-                        ) from None
-                    index[line_i] = pos
-                age_f[pos] = stamp0 + i
-                lat_l[i] = hitlat[core][bank]
-                fetch_hits += 1
-                continue
-            # Directory miss: learn of it at the line's directory slice,
-            # forward to the memory controller, refill straight to core.
-            dir_node = line_i & bmask
-            mc = mcs[(line_i >> 4) % nmc]
-            to_mc = dist_l[core][dir_node] * hop + dist_l[dir_node][mc] * hop
-            messages += 3
-            hops += dist_l[core][dir_node] + dist_l[dir_node][mc] + dist_l[mc][core]
-            arrival = ts + pen + to_mc
-            start = arrival if arrival > pipe_free else pipe_free
-            queue_acc += start - arrival
-            pipe_free = start + service
-            row = line_i >> row_shift
-            rbank = row & dram_mask
-            if open_get(rbank) == row:
-                mlat = rowhit_cycles
-                row_hits += 1
+    for rec in merged.chunks():
+        core_l = rec.core.tolist()
+        line_l = rec.line.tolist()
+        wb_l = rec.is_wb.tolist()
+        ts_l = rec.ts.tolist()
+        stamp = stamp0 + rec.lo
+        lat_l = [0.0] * len(ts_l)
+        for i, (core, line_i, is_wb) in enumerate(zip(core_l, line_l, wb_l)):
+            bank = dir_get(line_i)
+            if is_wb:
+                wbs += 1
+                if bank is not None:
+                    messages += 2
+                    hops += 2 * dist_l[core][bank]
+                    pos = index_get(line_i)
+                    if pos is None:
+                        # Lazy index memo: scan the directory-recorded home
+                        # set (Naive keeps a single-copy invariant, so a
+                        # present entry never points at a stale set).
+                        base = (
+                            bank * num_sets + ((line_i >> index_shift) & set_mask)
+                        ) * assoc
+                        try:
+                            pos = tags_f.index(line_i, base, base + assoc)
+                        except ValueError:
+                            raise SimulationError(
+                                f"Naive directory says line {line_i:#x} is "
+                                "resident but the bank array disagrees"
+                            ) from None
+                        index[line_i] = pos
+                    dirty_f[pos] = True
+                    age_f[pos] = stamp + i
+                    bw[bank] += 1
+                    wb_hits += 1
+                    continue
+                place = bw.index(min(bw))
+                fill_dirty = True
             else:
-                open_rows[rbank] = row
-                mlat = miss_cycles
-            mem_reads += 1
-            lat_l[i] = (start + mlat - ts) + dist_l[mc][core] * hop
-            place = bw.index(min(bw))
-            fill_dirty = False
-        gs = place * num_sets + ((line_i >> index_shift) & set_mask)
-        oc = occ_l[gs]
-        victim = None
-        if oc < assoc:
-            pos2 = gs * assoc + oc
-            occ_l[gs] = oc + 1
-        else:
-            base = gs * assoc
-            seg = age_f[base:base + assoc]
-            pos2 = base + seg.index(min(seg))
-            vline = tags_f[pos2]
-            index.pop(vline, None)
-            victim = (vline, dirty_f[pos2])
-        bw[place] += 1
-        tags_f[pos2] = line_i
-        age_f[pos2] = stamp0 + i
-        dirty_f[pos2] = fill_dirty
-        index[line_i] = pos2
-        directory[line_i] = place
-        if victim is not None:
-            vline, vdirty = victim
-            recorded = directory.pop(vline, None)
-            if recorded is None:
-                raise SimulationError(f"Naive directory lost line {vline:#x}")
-            if recorded != place:
-                raise SimulationError(
-                    f"Naive directory says line {vline:#x} is in bank "
-                    f"{recorded}, evicted from {place}"
-                )
-            if vdirty:
+                fetches += 1
                 ts = ts_l[i]
-                start = ts if ts > pipe_free else pipe_free
-                queue_acc += start - ts
+                if bank is not None:
+                    messages += 2
+                    hops += 2 * dist_l[core][bank]
+                    pos = index_get(line_i)
+                    if pos is None:
+                        base = (
+                            bank * num_sets + ((line_i >> index_shift) & set_mask)
+                        ) * assoc
+                        try:
+                            pos = tags_f.index(line_i, base, base + assoc)
+                        except ValueError:
+                            raise SimulationError(
+                                f"Naive directory says line {line_i:#x} is "
+                                "resident but the bank array disagrees"
+                            ) from None
+                        index[line_i] = pos
+                    age_f[pos] = stamp + i
+                    lat_l[i] = hitlat[core][bank]
+                    fetch_hits += 1
+                    continue
+                # Directory miss: learn of it at the line's directory slice,
+                # forward to the memory controller, refill straight to core.
+                dir_node = line_i & bmask
+                mc = mcs[(line_i >> 4) % nmc]
+                to_mc = dist_l[core][dir_node] * hop + dist_l[dir_node][mc] * hop
+                messages += 3
+                hops += dist_l[core][dir_node] + dist_l[dir_node][mc] + dist_l[mc][core]
+                arrival = ts + pen + to_mc
+                start = arrival if arrival > pipe_free else pipe_free
+                queue_acc += start - arrival
                 pipe_free = start + service
-                vrow = vline >> row_shift
-                vbank = vrow & dram_mask
-                if open_get(vbank) == vrow:
+                row = line_i >> row_shift
+                rbank = row & dram_mask
+                if open_get(rbank) == row:
+                    mlat = rowhit_cycles
                     row_hits += 1
                 else:
-                    open_rows[vbank] = vrow
-                mem_writes += 1
+                    open_rows[rbank] = row
+                    mlat = miss_cycles
+                mem_reads += 1
+                lat_l[i] = (start + mlat - ts) + dist_l[mc][core] * hop
+                place = bw.index(min(bw))
+                fill_dirty = False
+            gs = place * num_sets + ((line_i >> index_shift) & set_mask)
+            oc = occ_l[gs]
+            victim = None
+            if oc < assoc:
+                pos2 = gs * assoc + oc
+                occ_l[gs] = oc + 1
+            else:
+                base = gs * assoc
+                seg = age_f[base:base + assoc]
+                pos2 = base + seg.index(min(seg))
+                vline = tags_f[pos2]
+                index.pop(vline, None)
+                victim = (vline, dirty_f[pos2])
+            bw[place] += 1
+            tags_f[pos2] = line_i
+            age_f[pos2] = stamp + i
+            dirty_f[pos2] = fill_dirty
+            index[line_i] = pos2
+            directory[line_i] = place
+            if victim is not None:
+                vline, vdirty = victim
+                recorded = directory.pop(vline, None)
+                if recorded is None:
+                    raise SimulationError(f"Naive directory lost line {vline:#x}")
+                if recorded != place:
+                    raise SimulationError(
+                        f"Naive directory says line {vline:#x} is in bank "
+                        f"{recorded}, evicted from {place}"
+                    )
+                if vdirty:
+                    ts = ts_l[i]
+                    start = ts if ts > pipe_free else pipe_free
+                    queue_acc += start - ts
+                    pipe_free = start + service
+                    vrow = vline >> row_shift
+                    vbank = vrow & dram_mask
+                    if open_get(vbank) == vrow:
+                        row_hits += 1
+                    else:
+                        open_rows[vbank] = vrow
+                    mem_writes += 1
+        total_lat = _ordered_sum(total_lat, lat_l)
+        rec.scatter_measured(out, lat_l)
 
-    state.clock = stamp0 + n
+    state.clock = stamp0 + merged.total
     stats = llc.stats
     stats.fetches += fetches
     stats.fetch_hits += fetch_hits
@@ -654,13 +674,13 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     stats.writeback_hits += wb_hits
     stats.memory_reads += mem_reads
     stats.memory_writes += mem_writes
-    stats.total_fetch_latency = _ordered_sum(stats.total_fetch_latency, lat_l)
+    stats.total_fetch_latency = total_lat
     wear = llc.wear
     wear.add_writes(np.asarray(bw, dtype=np.int64) - wear.bank_writes)
     mesh.record_traffic(messages, hops)
     _write_back_memory(llc.memory, mem_reads + mem_writes, row_hits, queue_acc,
                        pipe_free, open_rows)
-    return np.asarray(lat_l, dtype=np.float32)
+    return out
 
 
 def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndarray:
@@ -671,10 +691,11 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     predictor's issue/commit feedback.  Everything else moves out:
 
     * **Per-line state.**  Every line the stream references gets a
-      dense id from one ``np.unique``, and per-id flat arrays hold its
-      candidate sets, its Mapping Bit, its probe memo (``ArrayBanks.index``
-      semantics) and the number of frames holding it, so a probe scans
-      a set only when a copy the memo does not point to exists.  Frames
+      dense id from one ``np.unique`` over the cores' first copies, and
+      per-id flat arrays hold its candidate sets, its Mapping Bit, its
+      probe memo (``ArrayBanks.index`` semantics) and the number of
+      frames holding it, so a probe scans a set only when a copy the
+      memo does not point to exists.  Frames
       hold ids (``~line`` for warm lines the stream never references).
       The Mapping Bit of a line is a per-line fact — the enhanced TLB
       only *caches* it, and its backing store keeps every non-zero MBV
@@ -693,15 +714,15 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
       (probe mapping, hit, critical placement); wear, hops, messages,
       counters and hit latencies are reduced from it with numpy.
 
-    Records stream through in chunks of ``_CHUNK``, so the Python lists
-    the loop reads stay bounded whatever the replay length.
+    Records stream through in chunks of ``_CHUNK``, gathered from the
+    merged stream's index, so the columns and Python lists the loop
+    reads stay bounded whatever the replay length.
     """
     policy = llc.policy
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
     tlbs = policy.tlbs
-    n = merged.total
     ncores = len(tlbs)
     nb = llc.wear.num_banks
     pen = float(policy.lookup_penalty)
@@ -744,7 +765,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     )
     open_get = open_rows.get
     stamp0 = state.clock
-    out = np.empty(n, dtype=np.float32)
+    out = np.empty(merged.measured, dtype=np.float32)
     total_lat = llc.stats.total_fetch_latency
     queue_acc = 0.0
     row_hits = mem_writes = 0
@@ -754,14 +775,14 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     fetches = mem_reads = wbs = crit_allocs = 0
     messages = hops = 0
 
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        m = hi - lo
-        core = merged.core[lo:hi].astype(np.int64)
-        line = merged.line[lo:hi]
-        wb = merged.is_wb[lo:hi]
-        load = merged.is_load[lo:hi] & ~wb
-        rid = lines.record_ids[lo:hi]
+    for rec in merged.chunks():
+        lo = rec.lo
+        m = len(rec.src)
+        core = rec.core.astype(np.int64)
+        line = rec.line
+        wb = rec.is_wb
+        load = rec.is_load & ~wb
+        rid = lines.ids[rec.src]
         b_r = lines.bank_r[rid]
         b_s = lines.bank_s[rid]
         cb_r = core * nodes + b_r
@@ -771,10 +792,12 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         # blocks the ROB head if it hits in its R-NUCA/S-NUCA bank".
         kind = load.astype(np.int64) | (wb.astype(np.int64) << 1)
         ld = np.flatnonzero(load)
-        nominal = merged.nominal[lo:hi].astype(np.float64)
-        stall = merged.stall[lo:hi].astype(np.float64)
-        slack = merged.slack[lo:hi].astype(np.float64)
-        mlp = merged.mlp[lo:hi].astype(np.float64)
+        cptk = cpt.record_keys[rec.src]
+        cpt.count_loads(lo + ld, cptk[ld])
+        nominal = rec.nominal.astype(np.float64)
+        stall = rec.stall.astype(np.float64)
+        slack = rec.slack.astype(np.float64)
+        mlp = rec.mlp.astype(np.float64)
         for cb, flag in ((cb_r, 4), (cb_s, 8)):
             diff = hitlat.take(cb[ld]) - nominal[ld]
             stall2 = np.where(
@@ -789,16 +812,16 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         # Frame base of the record's R-NUCA and S-NUCA candidate sets.
         br_l = (lines.set_r[rid] * assoc).tolist()
         bs_l = (lines.set_s[rid] * assoc).tolist()
-        ts_a = _flat(merged.ts[lo:hi])
+        ts_a = _flat(rec.ts)
         tomcr_a = _flat(to_mc.take(cb_r * nmc + mci))
         tomcs_a = _flat(to_mc.take(cb_s * nmc + mci))
         ret_a = _flat(ret.take(core * nmc + mci))
         row_a = _flat(line >> row_shift)
-        cptk_a = _flat(cpt.record_keys[lo:hi])
+        cptk_a = _flat(cptk)
         nominal_a = _flat(nominal)
         stall_a = _flat(stall)
         slack_a = _flat(slack)
-        mlp_a = _flat(merged.mlp[lo:hi])
+        mlp_a = _flat(rec.mlp)
         codes = bytearray(m)
         miss_lat = array("d", bytes(8 * m))
         stamp = stamp0 + lo
@@ -955,9 +978,9 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         )
         lat = np.where(hit & fetch, hitlat.take(cb), np.frombuffer(miss_lat))
         total_lat = _ordered_sum(total_lat, lat[fetch])
-        out[lo:hi] = lat
+        rec.scatter_measured(out, lat)
 
-    state.clock = stamp0 + n
+    state.clock = stamp0 + merged.total
     _replay_tlbs(tlbs, merged, lines, mbv_log, touches, wb_misses)
     cpt.write_back(cpts)
     wb_miss_total = int(wb_misses.sum())
@@ -982,9 +1005,10 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
 class _LineIds:
     """Dense ids for the lines a Re-NUCA replay references, and their state.
 
-    One ``np.unique`` numbers the stream's distinct lines:
-    ``record_ids`` is each record's id, ``line_of``/``core_of`` each
-    id's line and core.  Per id: both candidate banks and global sets
+    One ``np.unique`` over the first copies numbers the stream's
+    distinct lines (later copies repeat them): ``ids`` is each
+    first-copy record's id, ``line_of``/``core_of`` each id's line and
+    core.  Per id: both candidate banks and global sets
     (``bank_r``/``set_r`` for R-NUCA, ``bank_s``/``set_s`` for S-NUCA),
     the Mapping Bit ``mbit`` (read from the owning core's TLB MBV or
     backing store), the probe memo ``memo`` — a frame holding the line,
@@ -1004,15 +1028,16 @@ class _LineIds:
         self.ncores = len(tlbs)
         self.shift = tlbs[0]._line_shift
         self.line_mask = tlbs[0]._line_mask
-        line, record_ids = np.unique(merged.line, return_inverse=True)
+        first = merged.first
+        line, ids = np.unique(first["line"], return_inverse=True)
         n = len(line)
         core = np.zeros(n, dtype=np.int16)
-        core[record_ids] = merged.core
-        if (core[record_ids] != merged.core).any():
+        core[ids] = first["core"]
+        if (core[ids] != first["core"]).any():
             raise SimulationError(
                 "Re-NUCA replay needs disjoint per-core line address spaces"
             )
-        self.record_ids = record_ids.astype(np.int32)
+        self.ids = ids.astype(np.int32)
         self.line_of, self.core_of = line, core
         set_idx = (line >> state.index_shift) & (state.num_sets - 1)
         bank_r = _static_banks(policy._rnuca, core, line)
@@ -1117,49 +1142,19 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     Each record touches its core's TLB at the record's page (a refill on
     a miss, evicting the set's LRU page); nothing else changes
     residency, so one pass over the (core, page) sequence gives every
-    refill and eviction.  An eviction writes the page's MBV back and a
-    refill restores it when that MBV is non-zero at the touch: the MBV
-    at any record is the starting MBV plus the Mapping Bit changes of
-    earlier records (``mbv_log``), counted per page with one sort.  The
-    final set dicts hold the resident pages in LRU order with their
-    final MBVs, and the backing store every other non-zero MBV.
+    refill and eviction (:func:`_tlb_trail`).  An eviction writes the
+    page's MBV back and a refill restores it when that MBV is non-zero
+    at the touch: the MBV at any record is the starting MBV plus the
+    Mapping Bit changes of earlier records (``mbv_log``), counted by
+    :func:`_tlb_event_counts`.  The final set dicts hold the resident
+    pages in LRU order with their final MBVs, and the backing store
+    every other non-zero MBV.
     """
     ncores = len(tlbs)
-    tlb0 = tlbs[0]
-    num_sets = tlb0.config.num_sets
-    ways_max = tlb0._array.assoc
+    num_sets = tlbs[0].config.num_sets
     # Every core's set dicts, flat: core * num_sets + set.  Values are
     # placeholders until the final MBVs are installed below.
     sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
-    # Refills (record index), each followed by its eviction (~page).
-    trail = array("q")
-    log_event = trail.append
-    n = merged.total
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        pages = merged.line[lo:hi] >> lines.shift
-        sid_l = (
-            merged.core[lo:hi].astype(np.int64) * num_sets + (pages & (num_sets - 1))
-        ).tolist()
-        for i, sid, page in zip(range(lo, hi), sid_l, pages.tolist()):
-            ways = sets[sid]
-            if ways.pop(page, None) is None:
-                log_event(i)
-                if len(ways) >= ways_max:
-                    victim = next(iter(ways))
-                    del ways[victim]
-                    log_event(~victim)
-            ways[page] = True
-
-    trail = np.frombuffer(trail, dtype=np.int64)
-    evicted = np.flatnonzero(trail < 0)
-    refill_at = trail[trail >= 0]
-    evict_at = trail[evicted - 1]
-    ev_keys = np.concatenate((
-        lines.page_keys(merged.line[refill_at], merged.core[refill_at]),
-        ~trail[evicted] * ncores + merged.core[evict_at],
-    ))
-    events = np.concatenate((refill_at, evict_at))
     log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
     ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
     warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 3)
@@ -1167,37 +1162,21 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     change_keys = lines.page_keys(
         line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
     )
-    # MBV popcount just before each touch: events sort before the
-    # changes of their own record (which follow the touch).
-    keys = np.concatenate((ev_keys, change_keys))
-    times = np.concatenate((2 * events, 2 * log[:, 0] + 1, 2 * warm[:, 0] + 1))
-    delta = np.concatenate((
-        np.zeros(len(events), dtype=np.int64),
-        np.where(log[:, 1] >= 0, 1, -1),
-        np.full(len(warm), -1, dtype=np.int64),
-    ))
-    order = np.lexsort((times, keys))
-    step = delta[order]
-    before = np.cumsum(step) - step
-    count = np.empty(len(order), dtype=np.int64)
-    count[order] = before - before[_group_starts(keys[order])]
-    # Starting popcounts; row -1 (no MBV yet) reads the appended 0.
-    start = np.append(lines.mbv_bits.sum(axis=1), 0)[_rows(lines.mbv_keys, ev_keys)]
-    nonzero = count[:len(events)] + start > 0
-    ev_core = ev_keys % ncores
-    n_ref = len(refill_at)
-    per_core = [
-        np.bincount(ev_core[sel], minlength=ncores).tolist()
-        for sel in (
-            slice(0, n_ref), slice(n_ref, None),
-            np.flatnonzero(nonzero[:n_ref]),
-            n_ref + np.flatnonzero(nonzero[n_ref:]),
-        )
-    ]
+    events = _tlb_events(
+        _tlb_trail(sets, merged, lines.shift, num_sets, tlbs[0]._array.assoc),
+        merged, lines,
+    )
+    # Changes follow the touch of their own record: odd times.
+    refill_n, evict_n, restore_n, writeback_n = _tlb_event_counts(
+        *events, lines, change_keys,
+        np.concatenate((2 * log[:, 0] + 1, 2 * warm[:, 0] + 1)),
+        np.concatenate((
+            np.where(log[:, 1] >= 0, 1, -1), np.full(len(warm), -1, dtype=np.int64)
+        )),
+    )
 
     # Final MBV per (core, page): the starting bits with the logged
     # changes toggled.
-    # The plain np.unique form would import numpy.ma (tens of ms).
     all_keys = np.unique(
         np.concatenate((lines.mbv_keys, change_keys)), return_index=True
     )[0]
@@ -1220,7 +1199,6 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
         if mbv and key not in resident:
             tlbs[key % ncores]._backing[key // ncores] = mbv
 
-    refill_n, evict_n, restore_n, writeback_n = per_core
     for core, tlb in enumerate(tlbs):
         stats = tlb.stats
         lookups = int(touches[core] + wb_misses[core])
@@ -1232,23 +1210,117 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
         stats.mbv_writebacks += writeback_n[core]
 
 
+def _tlb_trail(sets, merged, shift: int, num_sets: int, ways_max: int) -> array:
+    """Replay the TLB sets' residency over the merged stream, in place.
+
+    ``sets`` are every core's set dicts (``core * num_sets + set``).
+    Returns the trail: each refill's record index, followed by ``~page``
+    of the page it evicted, if any.
+    """
+    trail = array("q")
+    log_event = trail.append
+    n = merged.total
+    for lo in range(0, n, _CHUNK):
+        at = slice(lo, min(lo + _CHUNK, n))
+        pages = merged.at("line", at) >> shift
+        sid_l = (
+            merged.at("core", at).astype(np.int64) * num_sets
+            + (pages & (num_sets - 1))
+        ).tolist()
+        for i, sid, page in zip(range(lo, at.stop), sid_l, pages.tolist()):
+            ways = sets[sid]
+            if ways.pop(page, None) is None:
+                log_event(i)
+                if len(ways) >= ways_max:
+                    victim = next(iter(ways))
+                    del ways[victim]
+                    log_event(~victim)
+            ways[page] = True
+    return trail
+
+
+def _tlb_events(trail, merged, lines: _LineIds):
+    """The refills, then the evictions, of a TLB trail (:func:`_tlb_trail`).
+
+    Returns their (core, page) keys, their touch times (twice the
+    record index) and the number of refills.
+    """
+    trail = np.frombuffer(trail, dtype=np.int64)
+    evicted = np.flatnonzero(trail < 0)
+    refill_at = trail[trail >= 0]
+    evict_at = trail[evicted - 1]
+    ev_keys = np.concatenate((
+        lines.page_keys(merged.at("line", refill_at), merged.at("core", refill_at)),
+        ~trail[evicted] * lines.ncores + merged.at("core", evict_at),
+    ))
+    return ev_keys, 2 * np.concatenate((refill_at, evict_at)), len(refill_at)
+
+
+def _tlb_event_counts(ev_keys, ev_times, n_ref: int, lines: _LineIds, change_keys,
+                      change_times, change_deltas) -> list[list[int]]:
+    """Per core: refills, evictions, MBV restores and MBV write-backs.
+
+    The events are :func:`_tlb_events`.  A refill restores, and an
+    eviction writes back, when its page's MBV popcount just before the
+    touch is non-zero: the starting popcount plus the page's earlier
+    changes (``change_keys`` at ``change_times``, by ``change_deltas``).
+    """
+    ncores = lines.ncores
+    count = _counts_before(ev_keys, ev_times, change_keys, change_times, change_deltas)
+    # Starting popcounts; row -1 (no MBV yet) reads the appended 0.
+    count += np.append(lines.mbv_bits.sum(axis=1), 0)[_rows(lines.mbv_keys, ev_keys)]
+    nonzero = count > 0
+    ev_core = ev_keys % ncores
+    return [
+        np.bincount(ev_core[sel], minlength=ncores).tolist()
+        for sel in (
+            slice(0, n_ref), slice(n_ref, None),
+            np.flatnonzero(nonzero[:n_ref]),
+            n_ref + np.flatnonzero(nonzero[n_ref:]),
+        )
+    ]
+
+
+def _counts_before(ev_keys, ev_times, keys, times, deltas) -> np.ndarray:
+    """Per event, the sum of the ``deltas`` of its key at earlier ``times``.
+
+    One stable sort by (key, time) of the changes and of the events on
+    keys that change; the other events count 0.  Event and change times
+    must differ.
+    """
+    # The plain np.unique form would import numpy.ma (tens of ms).
+    changed = np.unique(keys, return_index=True)[0]
+    on = np.flatnonzero(_rows(changed, ev_keys) >= 0)
+    keys = np.concatenate((ev_keys[on], keys))
+    order = np.lexsort((np.concatenate((ev_times[on], times)), keys))
+    step = np.concatenate((np.zeros(len(on), dtype=np.int64), deltas))[order]
+    before = np.cumsum(step) - step
+    before -= before[_group_starts(keys[order])]
+    touch = order < len(on)
+    count = np.zeros(len(ev_keys), dtype=np.int64)
+    count[on[order[touch]]] = before[touch]
+    return count
+
+
 class _CptCounters:
     """The per-core Criticality Predictor Tables as flat counters.
 
     Every (core, pc) the tables hold or the stream's loads use gets a
     dense key; ``issued``/``blocked`` are the entries' ``num_loads`` and
-    ``rob_blocks`` (0 issued: untracked) and ``record_keys`` each load
-    record's key.  While no table can overflow the counters are the
-    whole state: a table's LRU order is its entries' last-touch order,
-    rebuilt by :meth:`write_back`.  Otherwise ``commit`` is set and
-    keeps each table's ``OrderedDict`` recency (with its evictions)
+    ``rob_blocks`` (0 issued: untracked) and ``record_keys`` each
+    first-copy load record's key.  The replay reports each chunk's loads
+    to :meth:`count_loads`.  While no table can overflow the counters
+    are the whole state: a table's LRU order is its entries' last-touch
+    order, rebuilt by :meth:`write_back`.  Otherwise ``commit`` is set
+    and keeps each table's ``OrderedDict`` recency (with its evictions)
     beside the counters; the replay calls it once per load.
     """
 
     def __init__(self, cpts, merged) -> None:
         ncores = len(cpts)
         self.ncores = ncores
-        load = merged.is_load & ~merged.is_wb
+        first = merged.first
+        load = first["is_load"] & ~first["is_wb"]
         table_keys = [
             pc * ncores + core
             for core, cpt in enumerate(cpts) for pc in cpt._table
@@ -1257,22 +1329,25 @@ class _CptCounters:
         self.keys, inv = np.unique(
             np.concatenate((
                 np.asarray(table_keys, dtype=np.int64),
-                merged.pc[load].astype(np.int64) * ncores + merged.core[load],
+                first["pc"][load].astype(np.int64) * ncores + first["core"][load],
             )),
             return_inverse=True,
         )
         self.table_ids = inv[:self.n_table]
-        self.load_keys = inv[self.n_table:]
-        self.record_keys = np.zeros(merged.total, dtype=np.int32)
-        self.record_keys[load] = self.load_keys
+        self.record_keys = np.zeros(merged.measured, dtype=np.int32)
+        self.record_keys[load] = inv[self.n_table:]
+        self.key_core = self.keys % ncores
+        self.loads = np.zeros(ncores, dtype=np.int64)
+        #: Per key, the merged position of its last load (-1: none).
+        self.last_load = np.full(len(self.keys), -1, dtype=np.int64)
         self.issued = [0] * len(self.keys)
         self.blocked = [0] * len(self.keys)
         entries = [entry for cpt in cpts for entry in cpt._table.values()]
         for k, (issued, blocked) in zip(self.table_ids.tolist(), entries):
             self.issued[k] = issued
             self.blocked[k] = blocked
-        key_core = (self.keys % ncores).tolist()
-        per_core = np.bincount(self.keys % ncores, minlength=ncores)
+        key_core = self.key_core.tolist()
+        per_core = np.bincount(self.key_core, minlength=ncores)
         caps = [cpt.config.table_entries for cpt in cpts]
         self.commit = None
         self.inserts = [0] * ncores
@@ -1306,18 +1381,21 @@ class _CptCounters:
 
         self.commit = commit
 
+    def count_loads(self, positions: np.ndarray, keys: np.ndarray) -> None:
+        """Count the loads at merged ``positions``, of CPT ``keys``."""
+        self.loads += np.bincount(self.key_core[keys], minlength=self.ncores)
+        np.maximum.at(self.last_load, keys, positions)
+
     def write_back(self, cpts) -> None:
         """Rebuild each predictor's table and statistics from the counters."""
         ncores = self.ncores
-        key_core = self.keys % ncores
-        loads = np.bincount(
-            key_core[self.load_keys], minlength=ncores
-        ).tolist()
+        key_core = self.key_core
+        loads = self.loads.tolist()
         if self.commit is None:
             # LRU order: untouched entries first, in table order, then
             # every touched key by its last load.
-            touched, first = np.unique(self.load_keys[::-1], return_index=True)
-            by_touch = touched[np.argsort(-first)]
+            touched = np.flatnonzero(self.last_load >= 0)
+            by_touch = touched[np.argsort(self.last_load[touched])]
             fresh = np.ones(len(self.keys), dtype=bool)
             fresh[self.table_ids] = False
             self.inserts = np.bincount(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.faults.injector import FaultInjector
 from repro.mem.model import MainMemory
 from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, make_policy
+from repro.nuca import kernel as nuca_kernel
 from repro.nuca.kernel import ArrayBanks, kernel_fallback_reason, warm_state
 from repro.nuca.kernel import replay as kernel_replay
 from repro.obs.spans import DISABLED_SPANS, phase_totals
@@ -171,10 +172,27 @@ class Stage1Cache:
         self._cache.clear()
 
 
-@dataclass
-class _MergedStream:
-    """All cores' L3 references in global timestamp order."""
+#: The per-record columns of a merged stream besides ``ts``: the
+#: :class:`~repro.cpu.core.L3Stream` columns stage 2 reads (``nominal``
+#: is ``nominal_lat``), plus the record's core.
+_COLUMNS = ("core", "line", "pc", "is_wb", "is_load", "stall", "slack", "mlp",
+            "nominal")
 
+
+@dataclass(slots=True)
+class _Records:
+    """Merged records ``lo`` to ``lo + len(src)``, column by column.
+
+    ``src`` is each record's first-copy record (a position in
+    :attr:`_MergedStream.first`), ``rep`` its copy number (0: the
+    measured copy).  ``line`` is in the core's address space
+    (:func:`_core_base`) and ``ts`` is shifted by the copy's whole run
+    lengths.
+    """
+
+    lo: int
+    src: np.ndarray
+    rep: np.ndarray
     ts: np.ndarray
     core: np.ndarray
     line: np.ndarray
@@ -185,15 +203,59 @@ class _MergedStream:
     slack: np.ndarray
     mlp: np.ndarray
     nominal: np.ndarray
-    order: np.ndarray       # permutation applied (for un-sorting latencies)
-    #: Per-core (lo, hi) slices in the *unsorted* concatenation covering
-    #: the measured (first-copy) records, aligned with each core's
-    #: original :class:`~repro.cpu.core.L3Stream` record order.
-    measured_slices: tuple[tuple[int, int], ...] = ()
-    total: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.total = len(self.ts)
+    def scatter_measured(self, out: np.ndarray, values) -> None:
+        """Store the measured (first-copy) records' ``values`` at ``out[src]``."""
+        first = self.rep == 0
+        out[self.src[first]] = np.asarray(values, dtype=out.dtype)[first]
+
+
+class _MergedStream:
+    """All cores' L3 references in global timestamp order, as an index.
+
+    Each core's stream is held once: ``first`` has the columns of the
+    first (measured) copies, concatenated core by core, and
+    ``measured_slices`` each core's ``(lo, hi)`` slice of them, aligned
+    with its :class:`~repro.cpu.core.L3Stream` record order.  Per merged
+    record, ``src`` is its first-copy record and ``rep`` its copy
+    number; :meth:`chunks` gathers the columns one chunk at a time and
+    rebuilds a copy's timestamps as ``ts + rep * span`` of its core.
+    """
+
+    def __init__(self, first: dict, span: np.ndarray, src: np.ndarray,
+                 rep: np.ndarray, measured_slices) -> None:
+        self.first = first
+        self.span = span
+        self.src = src
+        self.rep = rep
+        self.measured_slices = tuple(measured_slices)
+        self.total = len(src)
+        #: Number of measured records: ``len`` of every ``first`` column.
+        self.measured = len(first["ts"])
+
+    def chunk(self, lo: int, hi: int) -> _Records:
+        """Records ``lo`` to ``hi`` of the merged order."""
+        src = self.src[lo:hi]
+        rep = self.rep[lo:hi]
+        cols = {name: self.first[name][src] for name in _COLUMNS}
+        return _Records(lo, src, rep, _copy_ts(self.first, self.span, src, rep), **cols)
+
+    def chunks(self):
+        """Every record, in chunks of the replay kernel's ``_CHUNK``."""
+        step = nuca_kernel._CHUNK
+        for lo in range(0, self.total, step):
+            yield self.chunk(lo, min(lo + step, self.total))
+
+    def at(self, name: str, positions: np.ndarray) -> np.ndarray:
+        """Column ``name`` (not ``ts``) of the records at ``positions``."""
+        return self.first[name][self.src[positions]]
+
+    @property
+    def last_ts(self) -> float:
+        """Timestamp of the last record (0.0 for an empty stream)."""
+        if not self.total:
+            return 0.0
+        return float(self.chunk(self.total - 1, self.total).ts[0])
 
 
 def _merge_streams(results: list[Stage1Result]) -> _MergedStream:
@@ -208,51 +270,74 @@ def _merge_streams(results: list[Stage1Result]) -> _MergedStream:
     the slowest core's horizon.  Only the first copy carries exposure
     accounting (it is the measured instruction window); replays exist to
     produce realistic interference and wear rates.
+
+    The copies are never built: one stable argsort of every copy's
+    timestamps (core by core, copy by copy, in record order) orders the
+    records, and the result keeps only each record's first-copy record
+    and copy number.
     """
     horizon = max(float(r.cycles) for r in results)
-    cols: dict[str, list[np.ndarray]] = {
-        name: [] for name in
-        ("ts", "line", "pc", "is_wb", "is_load", "stall", "slack", "mlp", "nominal")
+    sizes = [len(r.stream) for r in results]
+    starts = np.cumsum([0] + sizes)
+
+    def column(name):
+        return np.concatenate([getattr(r.stream, name) for r in results])
+
+    first = {
+        "ts": column("ts"),
+        "core": np.repeat(np.arange(len(results), dtype=np.int16), sizes),
+        "line": np.concatenate([
+            r.stream.line + _core_base(core) for core, r in enumerate(results)
+        ]),
+        "pc": column("pc"),
+        "is_wb": column("is_wb"),
+        "is_load": column("is_load"),
+        "stall": column("stall"),
+        "slack": column("slack"),
+        "mlp": column("mlp"),
+        "nominal": column("nominal_lat"),
     }
-    core_parts = []
-    measured_slices: list[tuple[int, int]] = []
-    cursor = 0
+    span = np.array([max(float(r.cycles), 1.0) for r in results])
+    # Each copy's records in first-copy positions: the whole stream for
+    # copy 0, the records at or before the horizon for later copies.
+    parts: list[tuple[int, np.ndarray]] = []
     for core, result in enumerate(results):
         s = result.stream
-        span = max(float(result.cycles), 1.0)
-        reps = max(1, int(np.ceil(horizon / span)))
-        line = s.line + _core_base(core)
-        measured_slices.append((cursor, cursor + len(s)))
+        reps = max(1, int(np.ceil(horizon / span[core])))
         for rep in range(reps):
-            ts_rep = s.ts + rep * span
             if rep:
-                keep = ts_rep <= horizon
-                if not keep.any():
+                keep = np.flatnonzero(s.ts + rep * span[core] <= horizon)
+                if not len(keep):
                     break
-                ts_rep = ts_rep[keep]
             else:
-                keep = slice(None)
-            cols["ts"].append(ts_rep)
-            cols["line"].append(line[keep])
-            cols["pc"].append(s.pc[keep])
-            cols["is_wb"].append(s.is_wb[keep])
-            cols["is_load"].append(s.is_load[keep])
-            cols["stall"].append(s.stall[keep])
-            cols["slack"].append(s.slack[keep])
-            cols["mlp"].append(s.mlp[keep])
-            cols["nominal"].append(s.nominal_lat[keep])
-            count = len(ts_rep)
-            core_parts.append(np.full(count, core, dtype=np.int16))
-            cursor += count
-    ts = np.concatenate(cols["ts"])
-    order = np.argsort(ts, kind="stable")
-    merged = {name: np.concatenate(parts)[order] for name, parts in cols.items()}
-    return _MergedStream(
-        core=np.concatenate(core_parts)[order],
-        order=order,
-        measured_slices=tuple(measured_slices),
-        **merged,
+                keep = np.arange(len(s))
+            parts.append((rep, (keep + starts[core]).astype(np.int32)))
+    copy = np.repeat(
+        np.array([rep for rep, _ in parts],
+                 dtype=np.min_scalar_type(max(rep for rep, _ in parts))),
+        [len(keep) for _, keep in parts],
     )
+    src = np.concatenate([keep for _, keep in parts])
+    del parts
+    ts = np.empty(len(src))
+    step = nuca_kernel._CHUNK
+    for lo in range(0, len(src), step):
+        ts[lo:lo + step] = _copy_ts(first, span, src[lo:lo + step], copy[lo:lo + step])
+    order = np.argsort(ts, kind="stable")
+    del ts
+    return _MergedStream(
+        first, span, src[order], copy[order],
+        zip(starts[:-1].tolist(), starts[1:].tolist()),
+    )
+
+
+def _copy_ts(first: dict, span: np.ndarray, src: np.ndarray, rep: np.ndarray):
+    """Timestamps of copy ``rep`` of first-copy records ``src``.
+
+    ``ts + rep * span`` element by element: the same float64 operations,
+    in the same order, as shifting a whole stream by ``rep`` run lengths.
+    """
+    return first["ts"][src] + rep * span[first["core"][src]]
 
 
 def _warm_ranges(workload: Workload, config: SystemConfig):
@@ -657,13 +742,13 @@ def run_workload(
 
     with spans.span("measure", path=prep.path):
         if prep.state is not None:
-            scheme_lat_sorted = kernel_replay(
+            scheme_lat = kernel_replay(
                 llc, merged, state=prep.state,
                 cpts=cpts, threshold=prep.threshold,
                 block_cycles=prep.block_cycles,
             )
         else:
-            scheme_lat_sorted = _replay_reference(
+            scheme_lat = _replay_reference(
                 llc, merged,
                 cpts=cpts, threshold=prep.threshold,
                 block_cycles=prep.block_cycles,
@@ -676,16 +761,12 @@ def run_workload(
         intervals.record(
             accesses=merged.total,
             instructions=total_instr,
-            cycles=float(merged.ts[-1]) if merged.total else 0.0,
+            cycles=merged.last_ts,
             sample=snapshot(),
         )
 
     with spans.span("reduce"):
-        # Un-sort latencies back to per-core record order.
-        scheme_lat = np.empty(merged.total, dtype=np.float32)
-        scheme_lat[merged.order] = scheme_lat_sorted
-
-        # Per-core IPC via the exposure model.
+        # Per-core IPC via the exposure model, over the measured copies.
         n_cores = len(results1)
         ipc = np.zeros(n_cores)
         instructions = np.zeros(n_cores, dtype=np.int64)
@@ -781,70 +862,73 @@ def _replay_reference(
 
     This is the semantic ground truth the kernel is verified against,
     and the only path able to carry telemetry/fault instrumentation.
-    The numpy-to-list conversions live here so the kernel path never
-    materializes the Python lists.
+    Records stream through in the kernel's chunks; only the chunk at
+    hand becomes Python lists.  Returns the measured (first-copy)
+    records' latencies, in ``merged.first`` order.
     """
-    scheme_lat_sorted = np.zeros(merged.total, dtype=np.float32)
+    scheme_lat = np.zeros(merged.measured, dtype=np.float32)
     fetch = llc.fetch
     writeback = llc.writeback
     trace = telemetry.trace if telemetry is not None else None
     snapshot = telemetry.registry.snapshot if telemetry is not None else None
-    ts_l = merged.ts.tolist()
-    core_l = merged.core.tolist()
-    line_l = merged.line.tolist()
-    wb_l = merged.is_wb.tolist()
-    load_l = merged.is_load.tolist()
-    pc_l = merged.pc.tolist()
-    stall_l = merged.stall.tolist()
-    slack_l = merged.slack.tolist()
-    mlp_l = merged.mlp.tolist()
-    nominal_l = merged.nominal.tolist()
-    lat_out = scheme_lat_sorted  # direct ndarray indexing is fine for writes
-    for i in range(merged.total):
-        if interval_every and i and i % interval_every == 0:
-            intervals.record(
-                accesses=i,
-                instructions=(i * total_instr) // merged.total,
-                cycles=ts_l[i],
-                sample=snapshot(),
-            )
-            if trace is not None:
-                trace.emit(
-                    "run.interval", ts=ts_l[i],
-                    index=len(intervals) - 1, accesses=i,
+    for rec in merged.chunks():
+        ts_l = rec.ts.tolist()
+        core_l = rec.core.tolist()
+        line_l = rec.line.tolist()
+        wb_l = rec.is_wb.tolist()
+        load_l = rec.is_load.tolist()
+        pc_l = rec.pc.tolist()
+        stall_l = rec.stall.tolist()
+        slack_l = rec.slack.tolist()
+        mlp_l = rec.mlp.tolist()
+        nominal_l = rec.nominal.tolist()
+        lat_out = np.zeros(len(ts_l), dtype=np.float32)
+        for j, i in enumerate(range(rec.lo, rec.lo + len(ts_l))):
+            if interval_every and i and i % interval_every == 0:
+                intervals.record(
+                    accesses=i,
+                    instructions=(i * total_instr) // merged.total,
+                    cycles=ts_l[j],
+                    sample=snapshot(),
                 )
-        core = core_l[i]
-        if wb_l[i]:
-            writeback(core, line_l[i], ts_l[i])
-            continue
-        if cpts is not None and load_l[i]:
-            ratio = cpts[core].ratio(pc_l[i])
-            predicted = ratio is not None and ratio >= threshold
-        else:
-            predicted = False
-        lat, _hit = fetch(core, line_l[i], ts_l[i], predicted)
-        lat_out[i] = lat
-        if cpts is not None and load_l[i]:
-            # Ground truth under this scheme's latency (exposure model).
-            diff = lat - nominal_l[i]
-            stall = stall_l[i]
-            if stall > 0:
-                stall2 = stall + diff / mlp_l[i]
-            else:
-                stall2 = (diff - slack_l[i]) / mlp_l[i]
-            blocked = stall2 >= block_cycles
-            cpts[core].observe_commit(pc_l[i], blocked)
-            if cpt_mispredicts is not None:
-                if predicted:
-                    cpt_predicted.inc()
-                if predicted != blocked:
-                    cpt_mispredicts.inc()
                 if trace is not None:
                     trace.emit(
-                        "cpt.predict", ts=ts_l[i], core=core,
-                        pc=pc_l[i], predicted=predicted, blocked=blocked,
+                        "run.interval", ts=ts_l[j],
+                        index=len(intervals) - 1, accesses=i,
                     )
-    return scheme_lat_sorted
+            core = core_l[j]
+            if wb_l[j]:
+                writeback(core, line_l[j], ts_l[j])
+                continue
+            if cpts is not None and load_l[j]:
+                ratio = cpts[core].ratio(pc_l[j])
+                predicted = ratio is not None and ratio >= threshold
+            else:
+                predicted = False
+            lat, _hit = fetch(core, line_l[j], ts_l[j], predicted)
+            lat_out[j] = lat
+            if cpts is not None and load_l[j]:
+                # Ground truth under this scheme's latency (exposure model).
+                diff = lat - nominal_l[j]
+                stall = stall_l[j]
+                if stall > 0:
+                    stall2 = stall + diff / mlp_l[j]
+                else:
+                    stall2 = (diff - slack_l[j]) / mlp_l[j]
+                blocked = stall2 >= block_cycles
+                cpts[core].observe_commit(pc_l[j], blocked)
+                if cpt_mispredicts is not None:
+                    if predicted:
+                        cpt_predicted.inc()
+                    if predicted != blocked:
+                        cpt_mispredicts.inc()
+                    if trace is not None:
+                        trace.emit(
+                            "cpt.predict", ts=ts_l[j], core=core,
+                            pc=pc_l[j], predicted=predicted, blocked=blocked,
+                        )
+        rec.scatter_measured(scheme_lat, lat_out)
+    return scheme_lat
 
 
 def run_matrix(

@@ -9,7 +9,10 @@ engine's batched prefill, the closed-form array warm-up against the
 object-graph warm-up it replaces, the support gate with its named
 fallback reasons and the ``use_kernel`` tri-state.  Re-NUCA gets two
 more: its TLB/CPT object state after a replay, and a Hypothesis
-differential test over drawn TLB, predictor, NoC and L3 settings.
+differential test over drawn TLB, predictor, NoC and L3 settings; the
+static and Naive replays get a differential test over drawn NoC and L3
+settings.  Both differential tests stream the records in small odd
+chunks.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ from repro.core.renuca import ReNucaPolicy
 from repro.faults.injector import FaultInjector
 from repro.mem.model import MainMemory
 from repro.noc.mesh import Mesh
-from repro.nuca import NucaLLC, make_policy
+from repro.nuca import NucaLLC, kernel, make_policy
 from repro.nuca.kernel import (
     FALLBACK_REASONS,
     kernel_fallback_reason,
@@ -580,8 +583,13 @@ class _BaseStage1(Stage1Cache):
         return self.memo.get(app, self.base, **kwargs)
 
 
-def _run_capturing_state(config, workload, seed, stage1, use_kernel):
-    """run_workload plus the replay's TLB/CPT state and TLB stats deltas."""
+#: A small odd chunk: the differential tests' replays, kernel and
+#: reference, cross many chunk boundaries.
+ODD_CHUNK = 97
+
+
+def _run_capturing_prep(config, workload, scheme, seed, stage1, use_kernel):
+    """run_workload plus its replay inputs and the TLB stats before replay."""
     captured = {}
     real = runner.prepare_replay
 
@@ -589,21 +597,44 @@ def _run_capturing_state(config, workload, seed, stage1, use_kernel):
         prep = real(*args, **kwargs)
         captured["prep"] = prep
         captured["before"] = [
-            dataclasses.replace(t.stats) for t in prep.policy.tlbs
+            dataclasses.replace(t.stats)
+            for t in getattr(prep.policy, "tlbs", ())
         ]
         return prep
 
-    with mock.patch.object(runner, "prepare_replay", prepare):
+    with mock.patch.object(runner, "prepare_replay", prepare), \
+            mock.patch.object(kernel, "_CHUNK", ODD_CHUNK):
         result = run_workload(
-            workload, "Re-NUCA", config, seed=seed, n_instructions=INSTR,
+            workload, scheme, config, seed=seed, n_instructions=INSTR,
             stage1=stage1, use_kernel=use_kernel,
         )
-    prep = captured["prep"]
+    return captured["prep"], result, captured["before"]
+
+
+def _run_capturing_state(config, workload, seed, stage1, use_kernel):
+    """run_workload plus the replay's TLB/CPT state and TLB stats deltas."""
+    prep, result, before = _run_capturing_prep(
+        config, workload, "Re-NUCA", seed, stage1, use_kernel
+    )
     deltas = [
-        _tlb_stats_delta(b, t.stats)
-        for b, t in zip(captured["before"], prep.policy.tlbs)
+        _tlb_stats_delta(b, t.stats) for b, t in zip(before, prep.policy.tlbs)
     ]
     return prep, result, _renuca_object_state(prep), deltas
+
+
+def _assert_same_run(ref_prep, ref, fast_prep, fast):
+    """Paths, every result field, LLC/memory stats and DRAM open rows agree."""
+    assert (ref_prep.path, fast_prep.path) == ("reference.pinned", "kernel")
+    for field in dataclasses.fields(ref):
+        a, b = getattr(ref, field.name), getattr(fast, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+    for name in ("llc", "memory"):
+        a, b = getattr(ref_prep, name).stats, getattr(fast_prep, name).stats
+        assert dataclasses.asdict(a) == dataclasses.asdict(b), name
+    assert ref_prep.memory._open_rows == fast_prep.memory._open_rows
 
 
 class TestReNucaDifferential:
@@ -661,18 +692,53 @@ class TestReNucaDifferential:
         fast_prep, fast, fast_state, fast_deltas = _run_capturing_state(
             config, workload, seed, memo, True
         )
-        assert (ref_prep.path, fast_prep.path) == ("reference.pinned", "kernel")
-        for field in dataclasses.fields(ref):
-            a, b = getattr(ref, field.name), getattr(fast, field.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), field.name
-            else:
-                assert a == b, field.name
+        _assert_same_run(ref_prep, ref, fast_prep, fast)
         assert fast_state == ref_state
         assert fast_deltas == ref_deltas
-        for name in ("llc", "memory"):
-            a, b = getattr(ref_prep, name).stats, getattr(fast_prep, name).stats
-            assert dataclasses.asdict(a) == dataclasses.asdict(b), name
-        assert ref_prep.memory._open_rows == fast_prep.memory._open_rows
+        # The shrunken L3 evicts dirty lines the replay wrote.
+        assert ref_prep.llc.stats.memory_writes > 0
+
+
+class TestBlindDifferential:
+    """Kernel vs reference static and Naive replays across drawn configs.
+
+    The criticality-blind schemes get the draw space of
+    :class:`TestReNucaDifferential` that reaches them: a shrunken L3
+    bank forces evictions of lines the replay touched, dirty write-backs
+    to memory and re-allocations of write-back misses, and the hop
+    latency varies every NoC table.  Both paths stream the records in
+    chunks of ``ODD_CHUNK``.
+    """
+
+    @given(
+        scheme=st.sampled_from(("S-NUCA", "R-NUCA", "Private", "Naive")),
+        apps=st.permutations(MIX8.apps),
+        seed=st.sampled_from(SEEDS),
+        hop_cycles=st.integers(0, 32),
+        l3_sets=st.sampled_from([4, 8, 16]),
+        l3_assoc=st.sampled_from([2, 4, 8]),
+    )
+    @settings(max_examples=16, deadline=None)
+    def test_kernel_matches_reference(
+        self, stage1, scheme, apps, seed, hop_cycles, l3_sets, l3_assoc,
+    ):
+        config = dataclasses.replace(
+            CFG8,
+            l3_bank=CacheConfig(
+                l3_sets * l3_assoc * 64, l3_assoc, 100, name="L3-bank"
+            ),
+            noc=dataclasses.replace(CFG8.noc, hop_cycles=hop_cycles),
+        )
+        workload = Workload("kdiff8", tuple(apps))
+        memo = _BaseStage1(CFG8, stage1)
+        ref_prep, ref, _ = _run_capturing_prep(
+            config, workload, scheme, seed, memo, False
+        )
+        fast_prep, fast, _ = _run_capturing_prep(
+            config, workload, scheme, seed, memo, True
+        )
+        _assert_same_run(ref_prep, ref, fast_prep, fast)
+        if scheme == "Naive":
+            assert fast_prep.policy._directory == ref_prep.policy._directory
         # The shrunken L3 evicts dirty lines the replay wrote.
         assert ref_prep.llc.stats.memory_writes > 0

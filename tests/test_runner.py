@@ -1,13 +1,26 @@
 """Stage-2 runner: merging, workload execution, matrices."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ReproError
 from repro.config import baseline_config
+from repro.cpu.core import L3Stream
+from repro.nuca import kernel as nuca_kernel
 from repro.sim.calibrate import calibrated_base_cpi, config_signature
 from repro.sim.metrics import MatrixResult
-from repro.sim.runner import Stage1Cache, _merge_streams, run_matrix, run_workload
+from repro.sim.runner import (
+    Stage1Cache,
+    _core_base,
+    _merge_streams,
+    run_matrix,
+    run_workload,
+)
 from repro.trace.workloads import Workload
 
 INSTR = 40_000
@@ -78,20 +91,25 @@ class TestCalibration:
         )
 
 
+def _merged_column(merged, name):
+    """Column ``name`` of a merged stream, reassembled from its chunks."""
+    return np.concatenate([getattr(rec, name) for rec in merged.chunks()])
+
+
 class TestMergeStreams:
     def test_sorted_by_time(self, stage1):
         cfg = baseline_config()
         results = [stage1.get(a, cfg, seed=2, n_instructions=INSTR)
                    for a in ("hmmer", "milc")]
         merged = _merge_streams(results)
-        assert np.all(np.diff(merged.ts) >= 0)
+        assert np.all(np.diff(_merged_column(merged, "ts")) >= 0)
 
     def test_replay_extends_fast_cores(self, stage1):
         cfg = baseline_config()
         results = [stage1.get(a, cfg, seed=2, n_instructions=INSTR)
                    for a in ("hmmer", "milc")]  # hmmer much faster
         merged = _merge_streams(results)
-        fast_records = int(np.count_nonzero(merged.core == 0))
+        fast_records = int(np.count_nonzero(_merged_column(merged, "core") == 0))
         assert fast_records > len(results[0].stream)  # replayed
 
     def test_measured_slices_align_with_streams(self, stage1):
@@ -102,15 +120,145 @@ class TestMergeStreams:
         for core, result in enumerate(results):
             lo, hi = merged.measured_slices[core]
             assert hi - lo == len(result.stream)
+            assert np.array_equal(merged.first["ts"][lo:hi], result.stream.ts)
 
     def test_address_spaces_disjoint(self, stage1):
         cfg = baseline_config()
         results = [stage1.get(a, cfg, seed=2, n_instructions=INSTR)
                    for a in ("hmmer", "hmmer")]
         merged = _merge_streams(results)
-        lines0 = set(merged.line[merged.core == 0].tolist())
-        lines1 = set(merged.line[merged.core == 1].tolist())
+        core = _merged_column(merged, "core")
+        line = _merged_column(merged, "line")
+        lines0 = set(line[core == 0].tolist())
+        lines1 = set(line[core == 1].tolist())
         assert not lines0 & lines1
+
+
+def _merge_copies(results):
+    """Oracle: the merge that builds every cyclic copy, then sorts them.
+
+    Returns the merged columns, the sort permutation of the copies'
+    concatenation and each core's first-copy slice of it.
+    """
+    horizon = max(float(r.cycles) for r in results)
+    cols = {name: [] for name in
+            ("ts", "line", "pc", "is_wb", "is_load", "stall", "slack", "mlp",
+             "nominal")}
+    core_parts = []
+    measured_slices = []
+    cursor = 0
+    for core, result in enumerate(results):
+        s = result.stream
+        span = max(float(result.cycles), 1.0)
+        reps = max(1, int(np.ceil(horizon / span)))
+        line = s.line + _core_base(core)
+        measured_slices.append((cursor, cursor + len(s)))
+        for rep in range(reps):
+            ts_rep = s.ts + rep * span
+            if rep:
+                keep = ts_rep <= horizon
+                if not keep.any():
+                    break
+                ts_rep = ts_rep[keep]
+            else:
+                keep = slice(None)
+            cols["ts"].append(ts_rep)
+            cols["line"].append(line[keep])
+            cols["pc"].append(s.pc[keep])
+            cols["is_wb"].append(s.is_wb[keep])
+            cols["is_load"].append(s.is_load[keep])
+            cols["stall"].append(s.stall[keep])
+            cols["slack"].append(s.slack[keep])
+            cols["mlp"].append(s.mlp[keep])
+            cols["nominal"].append(s.nominal_lat[keep])
+            core_parts.append(np.full(len(ts_rep), core, dtype=np.int16))
+            cursor += len(ts_rep)
+    order = np.argsort(np.concatenate(cols["ts"]), kind="stable")
+    merged = {name: np.concatenate(parts)[order] for name, parts in cols.items()}
+    merged["core"] = np.concatenate(core_parts)[order]
+    return merged, order, measured_slices
+
+
+@st.composite
+def _stage1_results(draw):
+    """A few cores' stage-1 results: streams and run lengths only.
+
+    Timestamps are quarter cycles from a small range, so cores tie;
+    run lengths below 1 cycle, and ones that are not exact in binary,
+    make the copies' shifted timestamps round as a whole-stream shift
+    would.
+    """
+    results = []
+    for core in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 12))
+        ticks = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            ticks.sort()
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        stream = L3Stream(
+            ts=np.asarray(ticks, dtype=np.float64) / 4,
+            line=rng.integers(0, 1 << 20, n),
+            pc=rng.integers(0, 1 << 32, n, dtype=np.uint32),
+            is_wb=rng.random(n) < 0.3,
+            is_load=rng.random(n) < 0.6,
+            predicted=rng.random(n) < 0.5,
+            true_critical=rng.random(n) < 0.5,
+            nominal_lat=rng.random(n, dtype=np.float32) * 300,
+            stall=rng.random(n, dtype=np.float32) * 40 - 10,
+            slack=rng.random(n, dtype=np.float32) * 50,
+            mlp=rng.integers(1, 8, n, dtype=np.int16),
+        )
+        cycles = draw(st.sampled_from([0.0, 0.4, 1.0, 2.7, 3.3, 7.7, 15.0]))
+        results.append(SimpleNamespace(cycles=cycles, stream=stream))
+    return results
+
+
+class TestMergedIndex:
+    """The index merge reassembles, chunk by chunk, the merge of copies."""
+
+    @given(results=_stage1_results(), chunk=st.sampled_from([1, 3, 7, 13, 1 << 14]))
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_equal_the_copies(self, results, chunk):
+        want, order, slices = _merge_copies(results)
+        with mock.patch.object(nuca_kernel, "_CHUNK", chunk):
+            merged = _merge_streams(results)
+            chunks = list(merged.chunks())
+        assert merged.total == len(order)
+        assert [rec.lo for rec in chunks] == list(range(0, merged.total, chunk))
+        for name, column in want.items():
+            parts = [getattr(rec, name) for rec in chunks]
+            got = np.concatenate(parts) if parts else column[:0]
+            assert got.dtype == column.dtype, name
+            assert got.tobytes() == column.tobytes(), name
+        assert merged.last_ts == (float(want["ts"][-1]) if len(order) else 0.0)
+        # Each measured record lands where the copies' unsort puts it:
+        # the oracle's slices cover the first copies among all copies.
+        assert [hi - lo for lo, hi in merged.measured_slices] == [
+            hi - lo for lo, hi in slices
+        ]
+        where = np.empty(merged.measured, dtype=np.int64)
+        for rec in chunks:
+            rec.scatter_measured(where, np.arange(rec.lo, rec.lo + len(rec.src)))
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        assert np.array_equal(
+            where, np.concatenate([position[lo:hi] for lo, hi in slices])
+        )
+
+    def test_empty_streams_merge_to_nothing(self):
+        results = [
+            SimpleNamespace(cycles=cycles, stream=L3Stream(
+                *(np.zeros(0, dtype=dtype) for dtype in (
+                    np.float64, np.int64, np.uint32, bool, bool, bool, bool,
+                    np.float32, np.float32, np.float32, np.int16,
+                ))
+            ))
+            for cycles in (0.0, 5.0)
+        ]
+        merged = _merge_streams(results)
+        assert merged.total == merged.measured == 0
+        assert list(merged.chunks()) == []
+        assert merged.last_ts == 0.0
 
 
 class TestRunWorkload:
