@@ -10,13 +10,15 @@ figures:
   (same warmed state, replay phase only), which must stay >= 3x faster;
 * the closed-form array warm-up against the object-graph warm-up
   (``NucaLLC.prefill_many``), which must stay >= 10x faster and within
-  a working-memory bound per warm line (``tracemalloc`` peak);
+  a working-memory bound per warm line (``tracemalloc`` peak): the warm
+  state plus one run of the warm stream;
 * the Re-NUCA replay kernel against the reference loop on a 16-core
   WL3 cell, which must stay >= 1.5x faster and within a working-memory
   bound per warm frame and per record (``tracemalloc`` peak);
 * the stream merge plus the kernel replay of that cell under Re-NUCA
   and R-NUCA, which must stay within a working-memory bound per merged
-  record (``tracemalloc`` peak).
+  record (``tracemalloc`` peak); under Re-NUCA that figure must not
+  grow from half the budget to the full budget.
 
 Set ``REPRO_BENCH_RECORD=<path>`` to append each bench's best time to a
 trajectory file via :mod:`repro.obs.bench` (CI uploads it as an
@@ -60,11 +62,12 @@ _KERNEL_MIN_SPEEDUP = 3.0
 _WARMUP_MIN_SPEEDUP = 10.0
 #: Bound on the array warm-up's ``tracemalloc`` peak per warm line.  The
 #: warm state itself is about 15 B/line (tag, owner, criticality and
-#: dirty per frame), the stream about 15 B/line, and the run-by-run
-#: build a few stream-length vectors more (about 52 B/line measured in
-#: all); holding every whole-stream temporary at once costs about
-#: 140 B/line.
-_WARMUP_BYTES_PER_LINE = 80
+#: dirty per frame).  The warm-up streams the warm stream run by run
+#: in two passes, so only one run's vectors and a few per-set counts
+#: come on top (about 23 B/line measured in all).  Building the whole
+#: stream and sorting it costs about 52 B/line, and holding every
+#: whole-stream temporary at once about 140 B/line.
+_WARMUP_BYTES_PER_LINE = 30
 #: Floor of the Re-NUCA replay kernel over the reference loop.  Its
 #: criticality feedback keeps the record loop scalar, so the floor sits
 #: below the criticality-blind schemes' (2-5x measured on a busy 2-core
@@ -81,10 +84,15 @@ _RENUCA_BYTES_PER_RECORD = 64
 #: peak per merged record, on the WL3 cell of seed 9 under Re-NUCA and
 #: R-NUCA.  The cell's frames are fixed, so the figure moves with what
 #: the merge and the replay hold per record: each core's first copy, a
-#: 5 B index entry per merged record and one chunk of lists (238-270
+#: 5 B index entry per merged record and one chunk of lists (238-263
 #: B/record measured, per-frame state included).  Building every copy
 #: and the whole-stream lists of the static replay cost 324-445 B/record.
-_REPLAY_BYTES_PER_RECORD = 300
+_REPLAY_BYTES_PER_RECORD = 280
+#: Most Re-NUCA's merge + replay peak per merged record may grow from
+#: half of ``_KERNEL_INSTRUCTIONS`` to all of it.  The per-frame state is
+#: fixed and the per-record state grows with the stream, so the figure
+#: falls with the budget unless some pass builds stream-long transients.
+_BUDGET_GROWTH = 1.1
 
 
 def _record(name: str, *, count: int, seconds: float, unit: str,
@@ -342,19 +350,15 @@ def wl3_stage1():
     return workload, stage1
 
 
-@pytest.mark.parametrize("scheme", ["Re-NUCA", "R-NUCA"])
-def test_bench_replay_memory(wl3_stage1, scheme):
-    """Stream merge plus kernel replay in bounded memory per merged record.
+def _merge_and_replay_peak(workload, stage1, scheme, budget):
+    """Merge plus kernel replay of one WL3 cell under ``tracemalloc``.
 
-    The cell is the WL3 mix of seed 9 that ``test_bench_renuca_replay``
-    replays.  Stage 1 and the warm-up run outside; the merge of the
-    cores' streams and the kernel replay of the merged stream run under
-    ``tracemalloc`` (so the recorded time includes its overhead).
+    Stage 1 and the warm-up run outside.  Returns the merged stream,
+    the traced peak and the (traced) wall seconds.
     """
-    workload, stage1 = wl3_stage1
     prep = prepare_replay(
         workload, scheme, baseline_config(), seed=9,
-        n_instructions=_KERNEL_INSTRUCTIONS, stage1=stage1, use_kernel=True,
+        n_instructions=budget, stage1=stage1, use_kernel=True,
     )
     prep.merged = None
     gc.collect()
@@ -370,6 +374,25 @@ def test_bench_replay_memory(wl3_stage1, scheme):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return merged, peak, seconds
+
+
+@pytest.mark.parametrize("scheme", ["Re-NUCA", "R-NUCA"])
+def test_bench_replay_memory(wl3_stage1, scheme):
+    """Stream merge plus kernel replay in bounded memory per merged record.
+
+    The cell is the WL3 mix of seed 9 that ``test_bench_renuca_replay``
+    replays.  Stage 1 and the warm-up run outside; the merge of the
+    cores' streams and the kernel replay of the merged stream run under
+    ``tracemalloc`` (so the recorded time includes its overhead).
+    Re-NUCA also replays the cell at half the budget: its peak per
+    record must not grow with the budget, as it would if some pass held
+    stream-long transients on top of the per-record state.
+    """
+    workload, stage1 = wl3_stage1
+    merged, peak, seconds = _merge_and_replay_peak(
+        workload, stage1, scheme, _KERNEL_INSTRUCTIONS
+    )
     records = merged.total
     per_record = peak / records
     print(f"\n{scheme} merge + replay: {records} merged records "
@@ -383,4 +406,17 @@ def test_bench_replay_memory(wl3_stage1, scheme):
     assert per_record <= _REPLAY_BYTES_PER_RECORD, (
         f"{scheme} merge + replay peaked at {per_record:.0f} B per merged "
         f"record, over its {_REPLAY_BYTES_PER_RECORD} B bound"
+    )
+    if scheme != "Re-NUCA":
+        return
+    half, half_peak, _ = _merge_and_replay_peak(
+        workload, stage1, scheme, _KERNEL_INSTRUCTIONS // 2
+    )
+    half_per_record = half_peak / half.total
+    print(f"at half the budget: {half.total} merged records, peak "
+          f"{half_peak / 1e6:.1f} MB ({half_per_record:.0f} B/record)")
+    assert per_record <= _BUDGET_GROWTH * half_per_record, (
+        f"Re-NUCA merge + replay peaked at {per_record:.0f} B per merged "
+        f"record at {_KERNEL_INSTRUCTIONS} instructions/core, over "
+        f"{_BUDGET_GROWTH}x its {half_per_record:.0f} B at half the budget"
     )

@@ -60,6 +60,7 @@ The kernel only drives caches in their native-LRU, un-degraded mode;
 
 from __future__ import annotations
 
+import gc
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -126,7 +127,13 @@ def _range_lines(*blocks: range) -> np.ndarray:
 
 
 def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> None:
-    """Leave ``cache`` as LRU-filling an empty cache with ``lines`` would."""
+    """Leave ``cache`` as LRU-filling an empty cache with ``lines`` would.
+
+    The cyclic garbage collector is paused while the payload lists are
+    built and installed: they are tens of thousands of small containers
+    that cannot form cycles, and each collection would only walk them.
+    A caller that had it disabled finds it disabled.
+    """
     from repro.cache.cache import CacheStats
 
     views = cache._array.set_views()
@@ -145,12 +152,18 @@ def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> N
     sets_l, firsts = np.unique(kept_sets, return_index=True)
     bounds = np.r_[firsts, len(keep)].tolist()
     line_l = lines[keep].tolist()
-    if dirty is None:
-        payloads = [[False, None] for _ in line_l]
-    else:
-        payloads = [[d, None] for d in dirty[keep].tolist()]
-    for s, lo, hi in zip(sets_l.tolist(), bounds, bounds[1:]):
-        views[s].update(zip(line_l[lo:hi], payloads[lo:hi]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if dirty is None:
+            payloads = [[False, None] for _ in line_l]
+        else:
+            payloads = [[d, None] for d in dirty[keep].tolist()]
+        for s, lo, hi in zip(sets_l.tolist(), bounds, bounds[1:]):
+            views[s].update(zip(line_l[lo:hi], payloads[lo:hi]))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 #: Outcome of one bundle's cache walk (:class:`CacheWalk` ``code``).  An

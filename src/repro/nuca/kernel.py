@@ -60,7 +60,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache.lru import lru_survivors
 from repro.common.errors import SimulationError
 from repro.core.tlb import mbv_bits, mbv_ints
 from repro.nuca.naive import NaivePolicy
@@ -195,11 +194,14 @@ def _fill_banks(policy, start: int, cores, lines, critical) -> np.ndarray:
     )
 
 
-def warm_state(llc, lines, cores, critical) -> ArrayBanks:
+def warm_state(llc, runs) -> ArrayBanks:
     """The warmed LLC as arrays: the kernel path's closed-form warm-up.
 
-    ``lines``/``cores``/``critical`` are the whole warm stream in install
-    order (what the reference warm-up feeds ``NucaLLC.prefill_many``).
+    ``runs()`` yields the warm stream in install order (what the
+    reference warm-up feeds ``NucaLLC.prefill_many``) as runs ``(core,
+    lines, critical)`` of one core each (``critical`` None: all False).
+    It is called once per pass and must yield the same runs each time:
+    the stream is never concatenated.
     The stream must be duplicate-free, so every line misses and is
     filled, and each placement is a pure function of (core, line,
     critical) — Naive's min-write placement starting from zero wear is
@@ -211,62 +213,133 @@ def warm_state(llc, lines, cores, critical) -> ArrayBanks:
     survivors: Naive's directory, and Re-NUCA's TLB Mapping Bits (the
     critical survivors OR-ed per page).  Dirty flags stay all-false.
 
-    The stream is worked through one run of a core at a time, so the
-    transient memory is a few stream-length vectors: placement and wear
-    go run by run, and the survivors are scattered straight into the
-    state's frames.  The duplicate check's sorted copy is freed before
-    the state is allocated.
+    The first pass counts each set's installs and the warm-up wear,
+    checks each run for a repeated line and notes its line range; runs
+    whose ranges overlap are then checked together.  The second pass
+    places every install by its rank among its set's installs: the last
+    ``assoc`` survive, scattered straight into the state's frames.  So
+    the transient memory is one run plus a few per-set vectors.
     """
-    lines = np.asarray(lines, dtype=np.int64)
-    cores = np.asarray(cores, dtype=np.int16)
-    critical = np.asarray(critical, dtype=bool)
-    n = len(lines)
-    ordered = np.sort(lines)
+    state = ArrayBanks.for_llc(llc)
+    policy = llc.policy
+    renuca = type(policy) not in (NaivePolicy, SNucaPolicy, PrivatePolicy, RNucaPolicy)
+    total_sets = len(state.occ)
+    counts = np.zeros(total_sets, dtype=np.int64)
+    wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
+    spans = []
+    # Re-NUCA: each core's page stream, each page repeated back to back
+    # kept once (its last touch), which keeps the order of last touches.
+    touched: dict[int, list] = {}
+    for i, (core, lines, _, bank, gset) in enumerate(_placed_runs(runs(), state, policy)):
+        if len(lines):
+            ordered = np.sort(lines)
+            _check_distinct(ordered)
+            spans.append((int(ordered[0]), int(ordered[-1]), i))
+        np.add.at(counts, gset, 1)
+        np.add.at(wear, bank, 1)
+        if renuca:
+            pages = lines >> policy.tlbs[core]._line_shift
+            last = np.append(pages[1:] != pages[:-1], True)
+            touched.setdefault(core, []).append(pages[last])
+    _check_overlapping_runs(runs, spans)
+
+    assoc = state.assoc
+    # Per set: installs evicted before the warm-up ends, installs so far.
+    dropped = np.maximum(counts - assoc, 0)
+    seen = np.zeros(total_sets, dtype=np.int64)
+    tags = state.tags.reshape(-1)
+    owner = state.owner.reshape(-1)
+    crit = state.critical.reshape(-1)
+    # The narrowest set key: small integer keys sort stably in linear time.
+    key = np.min_scalar_type(total_sets - 1)
+    for core, lines, critical, _, gset in _placed_runs(runs(), state, policy):
+        order = np.argsort(gset.astype(key), kind="stable")
+        sets = gset[order]
+        way = seen[sets] - dropped[sets] + (np.arange(len(sets)) - _group_starts(sets))
+        keep = way >= 0
+        at = order[keep]
+        pos = sets[keep] * assoc + way[keep]
+        tags[pos] = lines[at]
+        owner[pos] = core
+        crit[pos] = critical[at]
+        np.add.at(seen, gset, 1)
+    state.occ[:] = np.minimum(counts, assoc)
+    state.clock = int(state.occ.sum())
+    llc.wear.add_writes(wear)
+    if type(policy) is NaivePolicy:
+        # Occupied frames in frame order: set-major, LRU -> MRU in a set.
+        held = np.flatnonzero(tags >= 0)
+        policy._directory.update(
+            zip(tags[held].tolist(), (held // (state.num_sets * assoc)).tolist())
+        )
+    elif renuca:
+        # Only survivors set a frame's critical flag.
+        mapped = np.flatnonzero(crit)
+        for core, tlb in enumerate(policy.tlbs):
+            pages = np.concatenate(touched.get(core, [np.empty(0, dtype=np.int64)]))
+            tlb.load_warm_state(
+                pages << tlb._line_shift, tags[mapped[owner[mapped] == core]]
+            )
+    return state
+
+
+def _placed_runs(runs, state: ArrayBanks, policy):
+    """Each warm run with its fill banks and their global sets.
+
+    Yields ``(core, lines, critical, bank, gset)``; Naive's round-robin
+    counts from the run's position in the whole stream.
+    """
+    start = 0
+    for core, lines, critical in runs:
+        lines = np.asarray(lines, dtype=np.int64)
+        n = len(lines)
+        critical = (
+            np.zeros(n, dtype=bool) if critical is None
+            else np.asarray(critical, dtype=bool)
+        )
+        bank = _fill_banks(
+            policy, start, np.full(n, core, dtype=np.int16), lines, critical
+        )
+        start += n
+        gset = bank * state.num_sets + (
+            (lines >> state.index_shift) & (state.num_sets - 1)
+        )
+        yield core, lines, critical, bank, gset
+
+
+def _check_distinct(ordered: np.ndarray) -> None:
+    """Refuse a warm stream whose sorted lines repeat one."""
     if (ordered[1:] == ordered[:-1]).any():
         raise SimulationError(
             "warm stream repeats a line; the array warm-up needs a miss-only stream"
         )
-    del ordered
-    state = ArrayBanks.for_llc(llc)
-    policy = llc.policy
-    num_sets = state.num_sets
-    bounds = np.concatenate(([0], np.flatnonzero(cores[1:] != cores[:-1]) + 1, [n]))
-    runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist())) if n else []
-    gset = np.empty(n, dtype=np.int32)
-    wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
-    for lo, hi in runs:
-        run = lines[lo:hi]
-        bank = _fill_banks(policy, lo, cores[lo:hi], run, critical[lo:hi])
-        wear += np.bincount(bank, minlength=len(wear))
-        gset[lo:hi] = bank * num_sets + ((run >> state.index_shift) & (num_sets - 1))
-    keep = lru_survivors(gset, state.assoc)
-    occ = np.minimum(np.bincount(gset, minlength=len(state.occ)), state.assoc)
-    # Survivors come grouped by ascending set, LRU -> MRU within a set:
-    # exactly the order of the occupied frames (set-major, way-minor).
-    frames = np.arange(state.assoc) < occ[:, None]
-    kept = lines[keep]
-    state.tags[frames] = kept
-    state.owner[frames] = cores[keep]
-    state.critical[frames] = critical[keep]
-    state.occ[:] = occ
-    state.clock = len(keep)
-    llc.wear.add_writes(wear)
-    ptype = type(policy)
-    if ptype is NaivePolicy:
-        policy._directory.update(zip(kept.tolist(), (gset[keep] // num_sets).tolist()))
-    elif ptype not in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
-        mapped = np.zeros(n, dtype=bool)
-        mapped[keep] = True
-        mapped &= critical
-        for core, tlb in enumerate(policy.tlbs):
-            mine = [(lo, hi) for lo, hi in runs if cores[lo] == core]
-            tlb.load_warm_state(
-                np.concatenate([lines[lo:hi] for lo, hi in mine] or [lines[:0]]),
-                np.concatenate(
-                    [lines[lo:hi][mapped[lo:hi]] for lo, hi in mine] or [lines[:0]]
-                ),
-            )
-    return state
+
+
+def _check_overlapping_runs(runs, spans) -> None:
+    """Check runs whose line ranges overlap for a line they share.
+
+    ``spans`` holds each non-empty run's ``(lowest, highest, index)``.
+    Runs whose ranges chain into one overlapping group are generated
+    again and sorted together; disjoint runs cannot share a line (the
+    runner's runs never overlap: each core has its own address space).
+    """
+    groups: list[list[int]] = []
+    reach = None
+    for lo, hi, i in sorted(spans):
+        if reach is None or lo > reach:
+            groups.append([])
+            reach = hi
+        reach = max(reach, hi)
+        groups[-1].append(i)
+    shared = {i: g for g, runs_in in enumerate(groups) if len(runs_in) > 1 for i in runs_in}
+    if not shared:
+        return
+    parts: dict[int, list] = {}
+    for i, (_, lines, _) in enumerate(runs()):
+        if i in shared:
+            parts.setdefault(shared[i], []).append(np.asarray(lines, dtype=np.int64))
+    for group in parts.values():
+        _check_distinct(np.sort(np.concatenate(group)))
 
 
 def replay(
@@ -1142,13 +1215,13 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     Each record touches its core's TLB at the record's page (a refill on
     a miss, evicting the set's LRU page); nothing else changes
     residency, so one pass over the (core, page) sequence gives every
-    refill and eviction (:func:`_tlb_trail`).  An eviction writes the
-    page's MBV back and a refill restores it when that MBV is non-zero
-    at the touch: the MBV at any record is the starting MBV plus the
-    Mapping Bit changes of earlier records (``mbv_log``), counted by
-    :func:`_tlb_event_counts`.  The final set dicts hold the resident
-    pages in LRU order with their final MBVs, and the backing store
-    every other non-zero MBV.
+    refill and eviction.  An eviction writes the page's MBV back and a
+    refill restores it when that MBV is non-zero at the touch: the MBV
+    at any record is the starting MBV plus the Mapping Bit changes of
+    earlier records (``mbv_log``).  :func:`_tlb_counts` counts both
+    chunk by chunk, so nothing stream-long is built.  The final set
+    dicts hold the resident pages in LRU order with their final MBVs,
+    and the backing store every other non-zero MBV.
     """
     ncores = len(tlbs)
     num_sets = tlbs[0].config.num_sets
@@ -1162,17 +1235,15 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     change_keys = lines.page_keys(
         line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
     )
-    events = _tlb_events(
-        _tlb_trail(sets, merged, lines.shift, num_sets, tlbs[0]._array.assoc),
-        merged, lines,
-    )
-    # Changes follow the touch of their own record: odd times.
-    refill_n, evict_n, restore_n, writeback_n = _tlb_event_counts(
-        *events, lines, change_keys,
-        np.concatenate((2 * log[:, 0] + 1, 2 * warm[:, 0] + 1)),
+    # Both logs are in record order; merge them by record.
+    change_at = np.concatenate((log[:, 0], warm[:, 0]))
+    order = np.argsort(change_at, kind="stable")
+    refill_n, evict_n, restore_n, writeback_n = _tlb_counts(
+        sets, merged, lines, num_sets, tlbs[0]._array.assoc,
+        change_at[order], change_keys[order],
         np.concatenate((
             np.where(log[:, 1] >= 0, 1, -1), np.full(len(warm), -1, dtype=np.int64)
-        )),
+        ))[order],
     )
 
     # Final MBV per (core, page): the starting bits with the logged
@@ -1210,24 +1281,43 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
         stats.mbv_writebacks += writeback_n[core]
 
 
-def _tlb_trail(sets, merged, shift: int, num_sets: int, ways_max: int) -> array:
+def _tlb_counts(sets, merged, lines: _LineIds, num_sets: int, ways_max: int,
+                change_at, change_keys, change_deltas) -> list[list[int]]:
     """Replay the TLB sets' residency over the merged stream, in place.
 
     ``sets`` are every core's set dicts (``core * num_sets + set``).
-    Returns the trail: each refill's record index, followed by ``~page``
-    of the page it evicted, if any.
+    Returns, per core: refills, evictions, MBV restores and MBV
+    write-backs.  A refill restores, and an eviction writes back, when
+    its page's MBV popcount just before the touch is non-zero.  The
+    Mapping Bit changes are ``change_keys`` at records ``change_at``
+    (ascending; a change follows its own record's touch), by
+    ``change_deltas``.  The stream goes through in chunks of
+    ``_CHUNK`` records; an event's popcount is the page's starting
+    popcount, plus a running popcount per changed (core, page) key
+    carried across chunks, plus the chunk's own earlier changes.
     """
-    trail = array("q")
-    log_event = trail.append
+    ncores = lines.ncores
+    shift = lines.shift
+    # Starting popcounts; row -1 (no MBV yet) reads the appended 0.
+    start = np.append(lines.mbv_bits.sum(axis=1), 0)
+    # The plain np.unique form would import numpy.ma (tens of ms).
+    changed = np.unique(change_keys, return_index=True)[0]
+    # Per changed key, its changes in earlier chunks; row -1 (a key that
+    # never changes) reads the trailing 0.
+    running = np.zeros(len(changed) + 1, dtype=np.int64)
+    counts = np.zeros((4, ncores), dtype=np.int64)
     n = merged.total
     for lo in range(0, n, _CHUNK):
-        at = slice(lo, min(lo + _CHUNK, n))
-        pages = merged.at("line", at) >> shift
-        sid_l = (
-            merged.at("core", at).astype(np.int64) * num_sets
-            + (pages & (num_sets - 1))
-        ).tolist()
-        for i, sid, page in zip(range(lo, at.stop), sid_l, pages.tolist()):
+        hi = min(lo + _CHUNK, n)
+        line = merged.at("line", slice(lo, hi))
+        core = merged.at("core", slice(lo, hi)).astype(np.int64)
+        pages = line >> shift
+        sid_l = (core * num_sets + (pages & (num_sets - 1))).tolist()
+        # Each refill's chunk position, then ``~page`` of the page it
+        # evicted, if any.
+        trail = array("q")
+        log_event = trail.append
+        for i, sid, page in zip(range(hi - lo), sid_l, pages.tolist()):
             ways = sets[sid]
             if ways.pop(page, None) is None:
                 log_event(i)
@@ -1236,49 +1326,32 @@ def _tlb_trail(sets, merged, shift: int, num_sets: int, ways_max: int) -> array:
                     del ways[victim]
                     log_event(~victim)
             ways[page] = True
-    return trail
 
-
-def _tlb_events(trail, merged, lines: _LineIds):
-    """The refills, then the evictions, of a TLB trail (:func:`_tlb_trail`).
-
-    Returns their (core, page) keys, their touch times (twice the
-    record index) and the number of refills.
-    """
-    trail = np.frombuffer(trail, dtype=np.int64)
-    evicted = np.flatnonzero(trail < 0)
-    refill_at = trail[trail >= 0]
-    evict_at = trail[evicted - 1]
-    ev_keys = np.concatenate((
-        lines.page_keys(merged.at("line", refill_at), merged.at("core", refill_at)),
-        ~trail[evicted] * lines.ncores + merged.at("core", evict_at),
-    ))
-    return ev_keys, 2 * np.concatenate((refill_at, evict_at)), len(refill_at)
-
-
-def _tlb_event_counts(ev_keys, ev_times, n_ref: int, lines: _LineIds, change_keys,
-                      change_times, change_deltas) -> list[list[int]]:
-    """Per core: refills, evictions, MBV restores and MBV write-backs.
-
-    The events are :func:`_tlb_events`.  A refill restores, and an
-    eviction writes back, when its page's MBV popcount just before the
-    touch is non-zero: the starting popcount plus the page's earlier
-    changes (``change_keys`` at ``change_times``, by ``change_deltas``).
-    """
-    ncores = lines.ncores
-    count = _counts_before(ev_keys, ev_times, change_keys, change_times, change_deltas)
-    # Starting popcounts; row -1 (no MBV yet) reads the appended 0.
-    count += np.append(lines.mbv_bits.sum(axis=1), 0)[_rows(lines.mbv_keys, ev_keys)]
-    nonzero = count > 0
-    ev_core = ev_keys % ncores
-    return [
-        np.bincount(ev_core[sel], minlength=ncores).tolist()
-        for sel in (
+        trail = np.frombuffer(trail, dtype=np.int64)
+        evicted = np.flatnonzero(trail < 0)
+        refill_at = trail[trail >= 0]
+        evict_at = trail[evicted - 1]
+        n_ref = len(refill_at)
+        ev_keys = np.concatenate((
+            lines.page_keys(line[refill_at], core[refill_at]),
+            ~trail[evicted] * ncores + core[evict_at],
+        ))
+        # Touches at even times, changes at odd ones.
+        ev_times = 2 * (lo + np.concatenate((refill_at, evict_at)))
+        a, b = np.searchsorted(change_at, (lo, hi))
+        keys, deltas = change_keys[a:b], change_deltas[a:b]
+        count = start[_rows(lines.mbv_keys, ev_keys)]
+        count += _counts_before(ev_keys, ev_times, keys, 2 * change_at[a:b] + 1, deltas)
+        count += running[_rows(changed, ev_keys)]
+        np.add.at(running, np.searchsorted(changed, keys), deltas)
+        nonzero = count > 0
+        ev_core = ev_keys % ncores
+        for k, sel in enumerate((
             slice(0, n_ref), slice(n_ref, None),
-            np.flatnonzero(nonzero[:n_ref]),
-            n_ref + np.flatnonzero(nonzero[n_ref:]),
-        )
-    ]
+            np.flatnonzero(nonzero[:n_ref]), n_ref + np.flatnonzero(nonzero[n_ref:]),
+        )):
+            counts[k] += np.bincount(ev_core[sel], minlength=ncores)
+    return counts.tolist()
 
 
 def _counts_before(ev_keys, ev_times, keys, times, deltas) -> np.ndarray:

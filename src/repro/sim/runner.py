@@ -340,20 +340,6 @@ def _copy_ts(first: dict, span: np.ndarray, src: np.ndarray, rep: np.ndarray):
     return first["ts"][src] + rep * span[first["core"][src]]
 
 
-def _warm_ranges(workload: Workload, config: SystemConfig):
-    """Each core's L3-resident working set: ``(core, [range, ...])``.
-
-    The ranges are line addresses before the core's address offset
-    (:func:`_core_base`), in install order.
-    """
-    from repro.trace.profiles import get_profile
-    from repro.trace.synthetic import derive_params, warm_sets
-
-    for core, app in enumerate(workload.apps):
-        params = derive_params(get_profile(app), config)
-        yield core, warm_sets(params, l2_lines=config.l2.num_lines)["l3"]
-
-
 def _warm_blocks(
     llc,
     workload: Workload,
@@ -376,9 +362,13 @@ def _warm_blocks(
     other policies placement ignores criticality, so no draws are made.)
     """
     from repro.common.rng import derive_rng
+    from repro.trace.profiles import get_profile
+    from repro.trace.synthetic import derive_params, warm_sets
 
     uses_criticality = getattr(llc.policy, "consumes_criticality", False)
-    for core, blocks in _warm_ranges(workload, config):
+    for core, app in enumerate(workload.apps):
+        blocks = warm_sets(derive_params(get_profile(app), config),
+                           l2_lines=config.l2.num_lines)["l3"]
         offset = _core_base(core)
         p_critical = 0.0
         if uses_criticality:
@@ -436,28 +426,15 @@ def _warm_arrays(
 ) -> ArrayBanks:
     """The kernel path's warm-up: the same stream, built as arrays.
 
-    Fills the stream of :func:`_warm_blocks` into preallocated
-    ``lines``/``cores``/``critical`` arrays, one block at a time, and
-    hands it to :func:`~repro.nuca.kernel.warm_state`, which leaves the
-    per-bank ``Cache`` objects empty and returns the warm
-    :class:`ArrayBanks`.
+    Hands :func:`~repro.nuca.kernel.warm_state` the blocks of
+    :func:`_warm_blocks` as its runs, generated afresh for each of its
+    passes (the per-core criticality draws are seeded, so every pass
+    sees the same stream), and returns the warm :class:`ArrayBanks`; the
+    per-bank ``Cache`` objects stay empty.
     """
-    n = sum(len(block) for _, blocks in _warm_ranges(workload, config)
-            for block in blocks)
-    lines = np.empty(n, dtype=np.int64)
-    cores = np.empty(n, dtype=np.int16)
-    critical = np.zeros(n, dtype=bool)
-    at = 0
-    for core, block, draws in _warm_blocks(
-        llc, workload, config, results1, seed=seed
-    ):
-        end = at + len(block)
-        lines[at:end] = block
-        cores[at:end] = core
-        if draws is not None:
-            critical[at:end] = draws
-        at = end
-    return warm_state(llc, lines, cores, critical)
+    return warm_state(
+        llc, lambda: _warm_blocks(llc, workload, config, results1, seed=seed)
+    )
 
 
 @dataclass

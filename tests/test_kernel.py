@@ -13,9 +13,16 @@ differential test over drawn TLB, predictor, NoC and L3 settings; the
 static and Naive replays get a differential test over drawn NoC and L3
 settings.  Both differential tests stream the records in small odd
 chunks.
+
+Two oracles keep the whole-stream forms the kernel replaced: the warm-up
+that concatenates the warm stream (:func:`_warm_state_oracle`) and the
+TLB pass that builds stream-long event arrays
+(:func:`_replay_tlbs_oracle`).  The streamed warm-up and the chunked TLB
+pass are checked against them on drawn inputs.
 """
 
 import dataclasses
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -23,21 +30,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.lru import lru_survivors
 from repro.common.errors import ReproError, SimulationError
-from repro.config import CacheConfig, FaultConfig, baseline_config, scaled_config
+from repro.config import CacheConfig, FaultConfig, TlbConfig, baseline_config, scaled_config
 from repro.core.renuca import ReNucaPolicy
+from repro.core.tlb import EnhancedTlb, mbv_ints
 from repro.faults.injector import FaultInjector
 from repro.mem.model import MainMemory
 from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, kernel, make_policy
 from repro.nuca.kernel import (
     FALLBACK_REASONS,
+    ArrayBanks,
     kernel_fallback_reason,
     _ordered_sum,
     kernel_supported,
     warm_state,
 )
 from repro.nuca.naive import NaivePolicy
+from repro.nuca.private import PrivatePolicy
+from repro.nuca.rnuca import RNucaPolicy
+from repro.nuca.snuca import SNucaPolicy
 from repro.obs.spans import SpanRecorder
 from repro.reram.wear import WearTracker
 from repro.sim import runner
@@ -117,7 +130,7 @@ class TestWarmStateScatter:
     @staticmethod
     def _warm(lines):
         llc = _fresh_llc("S-NUCA", TINY)
-        state = warm_state(llc, lines, [0] * len(lines), [False] * len(lines))
+        state = warm_state(llc, lambda: [(0, lines, None)])
         return llc, state
 
     @staticmethod
@@ -284,14 +297,38 @@ class TestArrayWarmState:
             assert len(np.unique(lines)) == len(lines), core
 
 
+def _drawn_runs(runs, seed):
+    """Warm runs ``(core, lines, critical)`` for drawn ``(core, count)`` pairs.
+
+    Each core draws distinct lines from its own four-page region, and a
+    core's later runs continue its draw, so interleaved runs such as
+    ``[0, 1, 0]`` share an address range.
+    """
+    rng = np.random.default_rng(seed)
+    pools = {core: (core << 12) + rng.permutation(256) for core, _ in runs}
+    drawn = dict.fromkeys(pools, 0)
+    out = []
+    for core, count in runs:
+        lines = pools[core][drawn[core]:drawn[core] + count]
+        drawn[core] += count
+        out.append((core, lines, rng.random(count) < 0.5))
+    return out
+
+
+def _l3_config(l3_sets, l3_assoc):
+    return dataclasses.replace(
+        CFG8,
+        l3_bank=CacheConfig(l3_sets * l3_assoc * 64, l3_assoc, 100, name="L3-bank"),
+    )
+
+
 class TestWarmStateDifferential:
     """warm_state against the reference warm-up on drawn geometries and streams.
 
-    Each core draws distinct lines from its own four-page region, and a
-    core's later runs continue its draw: interleaved runs such as
-    ``[0, 1, 0]`` share an address range, so the duplicate check takes
-    its whole-stream path.  Small banks make sets overflow, so LRU
-    decides which installs survive.
+    The runs come from :func:`_drawn_runs`: interleaved runs of one core
+    share an address range, so the duplicate check reads them again and
+    sorts them together.  Small banks make sets overflow, so LRU decides
+    which installs survive.
     """
 
     @given(
@@ -306,25 +343,13 @@ class TestWarmStateDifferential:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_prefill(self, scheme, l3_sets, l3_assoc, runs, seed):
-        config = dataclasses.replace(
-            CFG8,
-            l3_bank=CacheConfig(l3_sets * l3_assoc * 64, l3_assoc, 100,
-                                name="L3-bank"),
-        )
-        rng = np.random.default_rng(seed)
-        pools = {core: (core << 12) + rng.permutation(256) for core, _ in runs}
-        drawn = dict.fromkeys(pools, 0)
+        config = _l3_config(l3_sets, l3_assoc)
+        runs = _drawn_runs(runs, seed)
         ref = _fresh_llc(scheme, config)
-        stream = []
-        for core, count in runs:
-            lines = pools[core][drawn[core]:drawn[core] + count]
-            drawn[core] += count
-            critical = rng.random(count) < 0.5
+        for core, lines, critical in runs:
             ref.prefill_many(core, lines.tolist(), critical=critical.tolist())
-            stream.append((lines, np.full(count, core), critical))
         fast = _fresh_llc(scheme, config)
-        lines, cores, critical = (np.concatenate(c) for c in zip(*stream))
-        state = warm_state(fast, lines, cores, critical)
+        state = warm_state(fast, lambda: runs)
         assert _array_snapshot(state) == _bank_snapshot(ref)
         assert np.array_equal(fast.wear.bank_writes, ref.wear.bank_writes)
         if isinstance(ref.policy, NaivePolicy):
@@ -335,32 +360,147 @@ class TestWarmStateDifferential:
             ):
                 assert tlb_fast.resident_pages() == tlb_ref.resident_pages()
                 assert tlb_fast._backing == tlb_ref._backing
-                for page in {tlb_ref.page_of(x) for x in lines[cores == core]}:
+                pages = {tlb_ref.page_of(x) for c, lines, _ in runs if c == core
+                         for x in lines.tolist()}
+                for page in pages:
                     assert tlb_fast.mbv_of_page(page) == tlb_ref.mbv_of_page(page)
+
+
+def _warm_state_oracle(llc, lines, cores, critical) -> ArrayBanks:
+    """The whole-stream warm-up that :func:`warm_state` streams.
+
+    Concatenated stream in, one duplicate-check sort and one
+    :func:`~repro.cache.lru.lru_survivors` over every install.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    cores = np.asarray(cores, dtype=np.int16)
+    critical = np.asarray(critical, dtype=bool)
+    n = len(lines)
+    ordered = np.sort(lines)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise SimulationError("warm stream repeats a line")
+    state = ArrayBanks.for_llc(llc)
+    policy = llc.policy
+    num_sets = state.num_sets
+    bounds = np.concatenate(([0], np.flatnonzero(cores[1:] != cores[:-1]) + 1, [n]))
+    runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist())) if n else []
+    gset = np.empty(n, dtype=np.int32)
+    wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
+    for lo, hi in runs:
+        run = lines[lo:hi]
+        bank = kernel._fill_banks(policy, lo, cores[lo:hi], run, critical[lo:hi])
+        wear += np.bincount(bank, minlength=len(wear))
+        gset[lo:hi] = bank * num_sets + ((run >> state.index_shift) & (num_sets - 1))
+    keep = lru_survivors(gset, state.assoc)
+    occ = np.minimum(np.bincount(gset, minlength=len(state.occ)), state.assoc)
+    frames = np.arange(state.assoc) < occ[:, None]
+    kept = lines[keep]
+    state.tags[frames] = kept
+    state.owner[frames] = cores[keep]
+    state.critical[frames] = critical[keep]
+    state.occ[:] = occ
+    state.clock = len(keep)
+    llc.wear.add_writes(wear)
+    ptype = type(policy)
+    if ptype is NaivePolicy:
+        policy._directory.update(zip(kept.tolist(), (gset[keep] // num_sets).tolist()))
+    elif ptype not in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
+        mapped = np.zeros(n, dtype=bool)
+        mapped[keep] = True
+        mapped &= critical
+        for core, tlb in enumerate(policy.tlbs):
+            mine = cores == core
+            tlb.load_warm_state(lines[mine], lines[mine & mapped])
+    return state
+
+
+def _tlb_state(tlb):
+    """A TLB's sets in LRU order with their MBVs, and its backing store."""
+    return (
+        [[(page, entry[0]) for page, entry in ways.items()]
+         for ways in tlb._array.set_views()],
+        dict(tlb._backing),
+    )
+
+
+class TestStreamedWarmStateMatchesOracle:
+    """The streamed warm-up equals the whole-stream oracle, field for field.
+
+    Drawn runs cover interleaved cores (``[0, 1, 0]``), one-line runs and
+    sets left under-filled (large sets for few lines) or overflowing
+    (small banks), under all five schemes.
+    """
+
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        l3_sets=st.sampled_from([1, 2, 8, 32]),
+        l3_assoc=st.sampled_from([1, 2, 4, 8]),
+        runs=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(1, 40)),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_stream_oracle(self, scheme, l3_sets, l3_assoc, runs, seed):
+        config = _l3_config(l3_sets, l3_assoc)
+        runs = _drawn_runs(runs, seed)
+        oracle_llc = _fresh_llc(scheme, config)
+        lines, critical = (np.concatenate(c) for c in zip(*[r[1:] for r in runs]))
+        cores = np.concatenate([np.full(len(r[1]), r[0]) for r in runs])
+        oracle = _warm_state_oracle(oracle_llc, lines, cores, critical)
+        llc = _fresh_llc(scheme, config)
+        state = warm_state(llc, lambda: runs)
+        for name in ("tags", "owner", "critical", "dirty", "occ"):
+            assert np.array_equal(getattr(state, name), getattr(oracle, name)), name
+        assert state.clock == oracle.clock
+        assert np.array_equal(llc.wear.bank_writes, oracle_llc.wear.bank_writes)
+        if isinstance(llc.policy, NaivePolicy):
+            assert list(llc.policy._directory.items()) == list(
+                oracle_llc.policy._directory.items()
+            )
+        if isinstance(llc.policy, ReNucaPolicy):
+            for tlb, tlb_oracle in zip(llc.policy.tlbs, oracle_llc.policy.tlbs):
+                assert _tlb_state(tlb) == _tlb_state(tlb_oracle)
 
 
 class TestWarmStateGuards:
     def test_repeated_line_raises(self):
         llc = _fresh_llc("S-NUCA", CFG8)
         with pytest.raises(SimulationError, match="repeats a line"):
-            warm_state(llc, [5, 9, 5], [0, 0, 1], [False] * 3)
+            warm_state(llc, lambda: [(0, [5, 9], None), (1, [5], None)])
 
     def test_line_repeated_within_a_run_raises(self):
         llc = _fresh_llc("Re-NUCA", CFG8)
         with pytest.raises(SimulationError, match="repeats a line"):
-            warm_state(llc, [3, 5, 8, 9, 8], [0, 0, 1, 1, 1], [False] * 5)
+            warm_state(llc, lambda: [(0, [3, 5], None), (1, [8, 9, 8], None)])
         assert llc.wear.total_writes() == 0
 
     def test_line_repeated_across_overlapping_runs_raises(self):
-        lines = [3, 9, 5, 9]
         llc = _fresh_llc("S-NUCA", CFG8)
         with pytest.raises(SimulationError, match="repeats a line"):
-            warm_state(llc, lines, [0, 0, 1, 1], [False] * 4)
+            warm_state(llc, lambda: [(0, [3, 9], None), (1, [5, 9], None)])
         assert llc.wear.total_writes() == 0
         state = warm_state(
-            _fresh_llc("S-NUCA", CFG8), [3, 9, 5, 7], [0, 0, 1, 1], [False] * 4
+            _fresh_llc("S-NUCA", CFG8), lambda: [(0, [3, 9], None), (1, [5, 7], None)]
         )
         assert int(state.occ.sum()) == 4
+
+    def test_line_repeated_across_two_cores_overlapping_ranges_raises(self):
+        # Core 1's run spans both of core 0's, and its line 30 is also in
+        # core 0's second run: the three runs are checked together.
+        runs = [(0, [10, 40], None), (1, [20, 30, 50], None), (0, [60, 30], None)]
+        llc = _fresh_llc("Re-NUCA", CFG8)
+        with pytest.raises(SimulationError, match="repeats a line"):
+            warm_state(llc, lambda: runs)
+        assert llc.wear.total_writes() == 0
+        assert not any(tlb.resident_pages() for tlb in llc.policy.tlbs)
+        # A chain of overlapping ranges without a shared line passes.
+        state = warm_state(
+            _fresh_llc("Re-NUCA", CFG8),
+            lambda: [(0, [10, 40], None), (1, [20, 30, 50], None), (0, [60, 35], None)],
+        )
+        assert int(state.occ.sum()) == 7
 
     def test_tlb_needs_fresh_state(self):
         tlb = _fresh_llc("Re-NUCA", CFG8).policy.tlbs[0]
@@ -549,6 +689,220 @@ class TestReNucaObjectState:
         assert sum(d["evictions"] for d in ref_deltas) > 0
         if config is SMALL_CPT:
             assert sum(stats.evictions for _, stats in ref_state[1]) > 0
+
+
+def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> None:
+    """The whole-stream TLB pass that :func:`kernel._replay_tlbs` chunks.
+
+    One residency pass keeps a stream-long trail of refills and
+    evictions; their keys and times, and one sort with every Mapping Bit
+    change, give each event's MBV popcount.
+    """
+    ncores = len(tlbs)
+    num_sets = tlbs[0].config.num_sets
+    ways_max = tlbs[0]._array.assoc
+    sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
+    trail = array("q")
+    pages = merged.at("line", slice(0, merged.total)) >> lines.shift
+    sids = merged.at("core", slice(0, merged.total)).astype(np.int64) * num_sets + (
+        pages & (num_sets - 1)
+    )
+    for i, (sid, page) in enumerate(zip(sids.tolist(), pages.tolist())):
+        ways = sets[sid]
+        if ways.pop(page, None) is None:
+            trail.append(i)
+            if len(ways) >= ways_max:
+                victim = next(iter(ways))
+                del ways[victim]
+                trail.append(~victim)
+        ways[page] = True
+    trail = np.frombuffer(trail, dtype=np.int64)
+    evicted = np.flatnonzero(trail < 0)
+    refill_at = trail[trail >= 0]
+    evict_at = trail[evicted - 1]
+    n_ref = len(refill_at)
+    ev_keys = np.concatenate((
+        lines.page_keys(merged.at("line", refill_at), merged.at("core", refill_at)),
+        ~trail[evicted] * ncores + merged.at("core", evict_at),
+    ))
+    ev_times = 2 * np.concatenate((refill_at, evict_at))
+
+    log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
+    ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
+    warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 3)
+    line = np.concatenate((lines.line_of[ids], warm[:, 2]))
+    change_keys = lines.page_keys(
+        line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
+    )
+    count = kernel._counts_before(
+        ev_keys, ev_times, change_keys,
+        np.concatenate((2 * log[:, 0] + 1, 2 * warm[:, 0] + 1)),
+        np.concatenate((
+            np.where(log[:, 1] >= 0, 1, -1), np.full(len(warm), -1, dtype=np.int64)
+        )),
+    )
+    count += np.append(lines.mbv_bits.sum(axis=1), 0)[
+        kernel._rows(lines.mbv_keys, ev_keys)
+    ]
+    nonzero = count > 0
+    ev_core = ev_keys % ncores
+    refill_n, evict_n, restore_n, writeback_n = [
+        np.bincount(ev_core[sel], minlength=ncores).tolist()
+        for sel in (
+            slice(0, n_ref), slice(n_ref, None),
+            np.flatnonzero(nonzero[:n_ref]), n_ref + np.flatnonzero(nonzero[n_ref:]),
+        )
+    ]
+
+    all_keys = np.unique(np.concatenate((lines.mbv_keys, change_keys)))
+    bits = np.zeros((len(all_keys), lines.mbv_bits.shape[1]), dtype=bool)
+    bits[np.searchsorted(all_keys, lines.mbv_keys)] = lines.mbv_bits
+    np.bitwise_xor.at(
+        bits, (np.searchsorted(all_keys, change_keys), line & lines.line_mask), True
+    )
+    final = dict(zip(all_keys.tolist(), mbv_ints(bits)))
+    resident = set()
+    for sid, ways in enumerate(sets):
+        for page in ways:
+            key = page * ncores + sid // num_sets
+            resident.add(key)
+            ways[page] = [final.get(key, 0)]
+    for tlb in tlbs:
+        tlb._backing.clear()
+    for key, mbv in final.items():
+        if mbv and key not in resident:
+            tlbs[key % ncores]._backing[key // ncores] = mbv
+    for core, tlb in enumerate(tlbs):
+        stats = tlb.stats
+        lookups = int(touches[core] + wb_misses[core])
+        stats.lookups += lookups
+        stats.hits += lookups - refill_n[core]
+        stats.refills += refill_n[core]
+        stats.evictions += evict_n[core]
+        stats.mbv_restores += restore_n[core]
+        stats.mbv_writebacks += writeback_n[core]
+
+
+class _Columns:
+    """A merged stream's ``total`` and ``at`` over plain line/core columns."""
+
+    def __init__(self, line, core) -> None:
+        self.columns = {"line": line, "core": core}
+        self.total = len(line)
+
+    def at(self, name, positions):
+        return self.columns[name][positions]
+
+
+class _TlbLines:
+    """What the TLB pass reads of :class:`kernel._LineIds`, built directly."""
+
+    page_keys = kernel._LineIds.page_keys
+
+    def __init__(self, tlbs, line_of, core_of, warm_owner, warm_clears) -> None:
+        self.ncores = len(tlbs)
+        self.shift = tlbs[0]._line_shift
+        self.line_mask = tlbs[0]._line_mask
+        self.line_of, self.core_of = line_of, core_of
+        self.warm_owner, self.warm_clears = warm_owner, warm_clears
+        self.mbv_keys, self.mbv_bits = kernel._tlb_mbvs(tlbs)
+
+
+def _drawn_tlb_pass(seed, ncores, tlb_sets, tlb_assoc, page_bytes, records,
+                    change_rate):
+    """TLBs, a stream and its Mapping Bit logs for one TLB pass.
+
+    Each core's lines sit in eight pages of its own; the TLBs start
+    with pages resident and backed (set through the MBV protocol, which
+    evicts into the backing store).  The referenced lines' Mapping Bits
+    toggle at random records, and warm lines the stream never
+    references, set at the start, are cleared at most once each.
+    Returns a builder of fresh TLBs and the pass's other arguments.
+    """
+    rng = np.random.default_rng(seed)
+    config = TlbConfig(entries=tlb_sets * tlb_assoc, assoc=tlb_assoc,
+                       page_bytes=page_bytes)
+    per_page = page_bytes // 64
+    shift = per_page.bit_length() - 1
+
+    def line_at(core, page, index):
+        return ((core * 8 + page) << shift) + index
+
+    warm_set = [
+        line_at(int(c), int(p), int(i))
+        for c, p, i in zip(rng.integers(0, ncores, 24), rng.integers(0, 8, 24),
+                           rng.integers(0, per_page, 24))
+    ]
+
+    def build():
+        tlbs = [EnhancedTlb(config) for _ in range(ncores)]
+        for line in warm_set:
+            tlbs[(line >> shift) // 8].set_mapping_bit(line, True)
+        return tlbs
+
+    core = rng.integers(0, ncores, records)
+    line = np.array([
+        line_at(int(c), int(p), int(i))
+        for c, p, i in zip(core, rng.integers(0, 8, records),
+                           rng.integers(0, per_page, records))
+    ], dtype=np.int64)
+    line_of, ids = np.unique(line, return_inverse=True)
+    core_of = ((line_of >> shift) // 8).astype(np.int16)
+    bit = np.isin(line_of, warm_set)
+    mbv_log = array("q")
+    for i in range(records):
+        for _ in range(rng.binomial(2, change_rate)):
+            lid = int(ids[rng.integers(0, records)])
+            bit[lid] = not bit[lid]
+            mbv_log.extend((i, lid if bit[lid] else ~lid))
+    warm = sorted(set(warm_set) - set(line_of.tolist()))
+    cleared = [w for w in warm if rng.random() < 0.6]
+    at = np.sort(rng.integers(0, records, len(cleared)))
+    order = rng.permutation(len(cleared))
+    warm_clears = array("q")
+    for i, pos in zip(at.tolist(), order.tolist()):
+        warm_clears.extend((i, pos, cleared[pos]))
+    warm_owner = ((np.array(cleared, dtype=np.int64) >> shift) // 8).astype(np.int16)
+    touches = np.bincount(core, minlength=ncores)
+    wb_misses = rng.integers(0, 3, ncores)
+    stream = _Columns(line, core.astype(np.int16))
+    return build, (stream, line_of, core_of, warm_owner, warm_clears, mbv_log,
+                   touches, wb_misses)
+
+
+class TestChunkedTlbPass:
+    """The chunked TLB pass equals the whole-stream oracle at any chunk size.
+
+    Tiny TLBs make pages refill, evict and round-trip their MBVs through
+    the backing store; Mapping Bit changes and warm clears land inside
+    chunks, on their edges and across them.
+    """
+
+    @pytest.mark.parametrize("chunk", [1, 7, 97])
+    @given(
+        seed=st.integers(0, 2**16),
+        ncores=st.integers(1, 3),
+        tlb_sets=st.sampled_from([1, 2]),
+        tlb_assoc=st.sampled_from([1, 2, 4]),
+        page_bytes=st.sampled_from([256, 1024]),
+        records=st.integers(1, 150),
+        change_rate=st.sampled_from([0.0, 0.2, 0.6]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_whole_stream_oracle(self, chunk, seed, ncores, tlb_sets,
+                                         tlb_assoc, page_bytes, records, change_rate):
+        build, (stream, line_of, core_of, warm_owner, warm_clears, mbv_log,
+                touches, wb_misses) = _drawn_tlb_pass(
+            seed, ncores, tlb_sets, tlb_assoc, page_bytes, records, change_rate
+        )
+        runs = []
+        for replay in (_replay_tlbs_oracle, kernel._replay_tlbs):
+            tlbs = build()
+            lines = _TlbLines(tlbs, line_of, core_of, warm_owner, warm_clears)
+            with mock.patch.object(kernel, "_CHUNK", chunk):
+                replay(tlbs, stream, lines, mbv_log, touches, wb_misses)
+            runs.append([(tlb.stats, _tlb_state(tlb)) for tlb in tlbs])
+        assert runs[1] == runs[0]
 
 
 class TestOrderedSum:

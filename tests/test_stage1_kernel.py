@@ -17,6 +17,7 @@ against full reference probe runs, and which path calibration takes.
 
 import dataclasses
 import functools
+import gc
 
 import numpy as np
 import pytest
@@ -210,6 +211,30 @@ class TestClosedFormWarmupGuards:
         sim.l2.allocate(7)
         with pytest.raises(SimulationError, match="empty cache"):
             warm_caches(sim, 0)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        sim = AppSimulator("milc", baseline_config(), seed=3)
+        seen = []
+        real = dict.update
+
+        class Spy(dict):
+            def update(self, *args):
+                seen.append(gc.isenabled())
+                real(self, *args)
+
+        views = sim.l2._array.set_views()
+        views[:] = [Spy() for _ in views]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            kernel._install_lru(sim.l2, np.arange(64, dtype=np.int64))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+        # Paused while the payloads are installed.
+        assert seen and not any(seen)
 
 
 PROBE = 4_000
