@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.lru import lru_survivors
@@ -442,6 +442,10 @@ class TestStreamedWarmStateMatchesOracle:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
+    @example(scheme="Re-NUCA", l3_sets=32, l3_assoc=8,
+             runs=[(0, 1), (1, 30), (0, 12)], seed=1)
+    @example(scheme="Naive", l3_sets=1, l3_assoc=1,
+             runs=[(0, 40), (1, 1), (0, 40)], seed=2)
     def test_matches_whole_stream_oracle(self, scheme, l3_sets, l3_assoc, runs, seed):
         config = _l3_config(l3_sets, l3_assoc)
         runs = _drawn_runs(runs, seed)
@@ -903,6 +907,18 @@ class TestChunkedTlbPass:
                 replay(tlbs, stream, lines, mbv_log, touches, wb_misses)
             runs.append([(tlb.stats, _tlb_state(tlb)) for tlb in tlbs])
         assert runs[1] == runs[0]
+
+    def test_draws_round_trip_mbvs(self):
+        # The draws reach what the property is about: Mapping Bit
+        # changes and warm clears, MBVs written back and restored.
+        build, (stream, line_of, core_of, warm_owner, warm_clears, mbv_log,
+                touches, wb_misses) = _drawn_tlb_pass(0, 2, 2, 1, 256, 120, 0.2)
+        tlbs = build()
+        lines = _TlbLines(tlbs, line_of, core_of, warm_owner, warm_clears)
+        _replay_tlbs_oracle(tlbs, stream, lines, mbv_log, touches, wb_misses)
+        assert len(mbv_log) and len(warm_clears)
+        assert sum(tlb.stats.mbv_restores for tlb in tlbs) > 0
+        assert sum(tlb.stats.mbv_writebacks for tlb in tlbs) > 0
 
 
 class TestOrderedSum:
