@@ -17,8 +17,9 @@ figures:
   bound per warm frame and per record (``tracemalloc`` peak);
 * the stream merge plus the kernel replay of that cell under Re-NUCA
   and R-NUCA, which must stay within a working-memory bound per merged
-  record (``tracemalloc`` peak); under Re-NUCA that figure must not
-  grow from half the budget to the full budget.
+  record (``tracemalloc`` peak), and within a bound on the bytes each
+  merged record adds to that peak from half the budget to the full
+  budget.
 
 Set ``REPRO_BENCH_RECORD=<path>`` to append each bench's best time to a
 trajectory file via :mod:`repro.obs.bench` (CI uploads it as an
@@ -83,16 +84,26 @@ _RENUCA_BYTES_PER_RECORD = 64
 #: Bound on the stream merge plus the kernel replay's ``tracemalloc``
 #: peak per merged record, on the WL3 cell of seed 9 under Re-NUCA and
 #: R-NUCA.  The cell's frames are fixed, so the figure moves with what
-#: the merge and the replay hold per record: each core's first copy, a
-#: 5 B index entry per merged record and one chunk of lists (238-263
-#: B/record measured, per-frame state included).  Building every copy
-#: and the whole-stream lists of the static replay cost 324-445 B/record.
-_REPLAY_BYTES_PER_RECORD = 280
+#: the merge and the replay hold: per-frame state, per-first-copy state
+#: and one window and chunk of records (138-154 B/record measured).  A
+#: 5 B index entry per merged record, a concatenated copy of the first
+#: copies' columns and 8-byte recency stamps cost 238-263 B/record;
+#: building every copy and the whole-stream lists of the static replay
+#: 324-445 B/record.
+_REPLAY_BYTES_PER_RECORD = 175
 #: Most Re-NUCA's merge + replay peak per merged record may grow from
 #: half of ``_KERNEL_INSTRUCTIONS`` to all of it.  The per-frame state is
 #: fixed and the per-record state grows with the stream, so the figure
 #: falls with the budget unless some pass builds stream-long transients.
 _BUDGET_GROWTH = 1.1
+#: Bound on the bytes each merged record adds to the merge + replay peak
+#: from half of ``_KERNEL_INSTRUCTIONS`` to all of it, under Re-NUCA and
+#: R-NUCA: ``(peak - half peak) / (records - half records)``.  The
+#: per-frame state cancels out, so the figure is what the merge and the
+#: replay hold per record.  Windowed, only per-first-copy state grows
+#: with the stream (41-42 B per merged record measured); a whole-stream
+#: index and its sort cost 68-83.
+_MARGINAL_BYTES_PER_RECORD = 55
 
 
 def _record(name: str, *, count: int, seconds: float, unit: str,
@@ -384,10 +395,11 @@ def test_bench_replay_memory(wl3_stage1, scheme):
     The cell is the WL3 mix of seed 9 that ``test_bench_renuca_replay``
     replays.  Stage 1 and the warm-up run outside; the merge of the
     cores' streams and the kernel replay of the merged stream run under
-    ``tracemalloc`` (so the recorded time includes its overhead).
-    Re-NUCA also replays the cell at half the budget: its peak per
-    record must not grow with the budget, as it would if some pass held
-    stream-long transients on top of the per-record state.
+    ``tracemalloc`` (so the recorded time includes its overhead).  The
+    cell is also replayed at half the budget: the bytes each extra
+    merged record adds to the peak are bounded, as is (under Re-NUCA)
+    the growth of the peak per record.  Both would give way if some
+    pass held stream-long state on top of the per-first-copy state.
     """
     workload, stage1 = wl3_stage1
     merged, peak, seconds = _merge_and_replay_peak(
@@ -395,26 +407,35 @@ def test_bench_replay_memory(wl3_stage1, scheme):
     )
     records = merged.total
     per_record = peak / records
+    half, half_peak, _ = _merge_and_replay_peak(
+        workload, stage1, scheme, _KERNEL_INSTRUCTIONS // 2
+    )
+    half_per_record = half_peak / half.total
+    marginal = (peak - half_peak) / (records - half.total)
     print(f"\n{scheme} merge + replay: {records} merged records "
           f"({merged.measured} measured), peak {peak / 1e6:.1f} MB "
-          f"({per_record:.0f} B/record, bound {_REPLAY_BYTES_PER_RECORD})")
+          f"({per_record:.0f} B/record, bound {_REPLAY_BYTES_PER_RECORD}); "
+          f"at half the budget {half.total} merged records, peak "
+          f"{half_peak / 1e6:.1f} MB ({half_per_record:.0f} B/record); "
+          f"{marginal:.1f} B per extra merged record, bound "
+          f"{_MARGINAL_BYTES_PER_RECORD}")
     _record(f"replay_memory_{scheme.replace('-', '').lower()}", count=records,
             seconds=seconds, unit="records",
             details={"peak_mb": round(peak / 1e6, 2),
                      "bytes_per_record": round(per_record, 1),
+                     "marginal_bytes_per_record": round(marginal, 1),
                      "traced": True})
     assert per_record <= _REPLAY_BYTES_PER_RECORD, (
         f"{scheme} merge + replay peaked at {per_record:.0f} B per merged "
         f"record, over its {_REPLAY_BYTES_PER_RECORD} B bound"
     )
+    assert marginal <= _MARGINAL_BYTES_PER_RECORD, (
+        f"{scheme} merge + replay peak grew by {marginal:.1f} B per merged "
+        f"record from {_KERNEL_INSTRUCTIONS // 2} to {_KERNEL_INSTRUCTIONS} "
+        f"instructions/core, over its {_MARGINAL_BYTES_PER_RECORD} B bound"
+    )
     if scheme != "Re-NUCA":
         return
-    half, half_peak, _ = _merge_and_replay_peak(
-        workload, stage1, scheme, _KERNEL_INSTRUCTIONS // 2
-    )
-    half_per_record = half_peak / half.total
-    print(f"at half the budget: {half.total} merged records, peak "
-          f"{half_peak / 1e6:.1f} MB ({half_per_record:.0f} B/record)")
     assert per_record <= _BUDGET_GROWTH * half_per_record, (
         f"Re-NUCA merge + replay peaked at {per_record:.0f} B per merged "
         f"record at {_KERNEL_INSTRUCTIONS} instructions/core, over "

@@ -26,6 +26,10 @@ class SetAssocArray:
     The payload is opaque to the array (the :class:`~repro.cache.cache.Cache`
     stores a mutable per-line state list there).  All methods take the set
     index explicitly; address-to-set mapping is the caller's concern.
+
+    The per-set dicts are built on first use, so an array nothing reads
+    costs no set dicts: the LLC banks on the stage-2 kernel path, whose
+    content lives in :class:`~repro.nuca.kernel.ArrayBanks`.
     """
 
     __slots__ = ("num_sets", "assoc", "_sets")
@@ -37,7 +41,13 @@ class SetAssocArray:
             raise ConfigError(f"associativity must be positive, got {assoc}")
         self.num_sets = num_sets
         self.assoc = assoc
-        self._sets: list[dict[int, Any]] = [dict() for _ in range(num_sets)]
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while a slot is unset: ``_sets`` on first use.
+        if name != "_sets":
+            raise AttributeError(name)
+        self._sets: list[dict[int, Any]] = [dict() for _ in range(self.num_sets)]
+        return self._sets
 
     def lookup(self, set_idx: int, tag: int, *, touch: bool = True) -> Any | None:
         """Return the payload stored under ``tag`` or None on miss.

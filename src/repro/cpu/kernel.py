@@ -732,8 +732,42 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
         else:
             disp_clock += count * base_cpi
         disp_idx = new_index
-        while pending and pending[0][1] <= disp_clock - pipeline_depth:
-            commit_upto(pending[0][0])
+        # Eager retire, one load per pass (commit_upto of the head load),
+        # inlined: the loop's most frequent commit.
+        horizon = disp_clock - pipeline_depth
+        while pending and pending[0][1] <= horizon:
+            idx, complete, token, dispatched = pending_popleft()
+            head_arrival = commit_clock + (idx - commit_idx) * base_cpi
+            alt = dispatched + pipeline_depth
+            if alt > head_arrival:
+                head_arrival = alt
+            stall = complete - head_arrival
+            if stall > 0:
+                total_stall += stall
+                commit_clock = complete
+            else:
+                stall = 0.0
+                commit_clock = head_arrival
+            commit_idx = idx + 1
+            loads_committed += 1
+            if stall >= 1.0:
+                loads_blocked += 1
+            blocked = stall >= block_cycles
+            lpc = load_pc[token]
+            entry = cpt_get(lpc)
+            if entry is None:
+                if len(cpt_table) >= cpt_cap:
+                    del cpt_table[next(iter(cpt_table))]
+                    cpt_evictions += 1
+                cpt_table[lpc] = [1, 1 if blocked else 0]
+                cpt_inserts += 1
+            elif blocked:
+                entry[1] += 1
+            commit_ratios_append(load_ratio[token])
+            commit_blocked_append(blocked)
+            rec = load_rec[token]
+            if rec >= 0:
+                stall_col[rec] = stall
         now = disp_clock
 
         # --- issue-side CPT query (loads only) ----------------------------

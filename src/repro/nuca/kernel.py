@@ -24,14 +24,15 @@ index dict) and batches all side-channel accounting:
   separate pass replays it and rebuilds their exact state from the
   loop's log of Mapping Bit changes.
 
-Every replay reads the runner's merged stream, an index over each
-core's first copy, one chunk of ``_CHUNK`` records at a time, and
-returns the latencies of the measured (first-copy) records only.
+Every replay reads the runner's merged stream, which gathers its
+records window by window from the cores' stage-1 streams, one chunk of
+``_CHUNK`` records at a time, and returns the latencies of the measured
+(first-copy) records only.
 
 The scalar loops read the bank state through flat ``array``/``bytearray``
 views (:func:`_frame_views`), which cost a fraction of the memory of
 Python lists: the state's own tag, dirty and occupancy buffers, which
-the replay consumes.
+the replay consumes, and 4-byte recency stamps.
 
 The warm state the kernel replays from is built directly as arrays by
 :func:`warm_state` (the closed form of the reference warm-up), so the
@@ -74,8 +75,9 @@ class ArrayBanks:
     Sets of every bank are stacked into one global set space
     (``global_set = bank * num_sets + set``); each row holds one set's
     ``assoc`` ways.  No recency is stored: warm-up fills each set's ways
-    in LRU -> MRU order, and the replay loops keep their own stamps from
-    ``clock`` on (see :func:`_frame_views`).
+    in LRU -> MRU order, and each replay keeps its own 4-byte stamps
+    (see :func:`_frame_views`).  ``clock`` counts the warm installs and
+    the records replayed since.
 
     ``tags``, ``dirty`` and ``occ`` are numpy views of private flat
     ``array('q')``/``bytearray`` buffers, which the scalar replay loops
@@ -126,7 +128,7 @@ FALLBACK_REASONS = ("telemetry", "faults", "policy", "cache-mode", "env", "pinne
 
 #: Records per chunk of every replay: bounds the columns and Python
 #: lists the scalar loops read, whatever the stream length.
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 
 
 def kernel_fallback_reason(llc) -> str | None:
@@ -354,8 +356,8 @@ def replay(
     ``_MergedStream``, read one chunk of ``_CHUNK`` records at a time.
     ``cpts``/``threshold``/``block_cycles`` feed the Re-NUCA criticality
     loop and are ignored by the blind policies.  The result holds the
-    latency of each measured (first-copy) record, in ``merged.first``
-    order.
+    latency of each measured (first-copy) record, first copies
+    concatenated core by core (``merged.measured_slices``).
     """
     policy = llc.policy
     ptype = type(policy)
@@ -416,9 +418,8 @@ def _replay_static(llc, merged, state) -> np.ndarray:
     # Flat views of the array state: per-record loads/stores on them
     # cost a fraction of numpy scalar indexing, and nothing here needs
     # elementwise numpy until the batched reductions below.
-    tags_f, age_f, dirty_f, occ_l = _frame_views(state)
+    tags_f, age_f, dirty_f, occ_l = _frame_views(state, merged.total)
     assoc = state.assoc
-    stamp0 = state.clock
     out = np.empty(merged.measured, dtype=np.float32)
     total_lat = llc.stats.total_fetch_latency
     queue_acc = 0.0
@@ -427,7 +428,7 @@ def _replay_static(llc, merged, state) -> np.ndarray:
     fetches = fetch_hits = wbs = wb_hits = n_miss = messages = hops = 0
     wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
 
-    for rec in merged.chunks():
+    for rec in merged.chunks(("core", "line", "is_wb")):
         core = rec.core.astype(np.int64)
         line = rec.line
         bank = _static_banks(policy, core, line)
@@ -451,7 +452,7 @@ def _replay_static(llc, merged, state) -> np.ndarray:
         to_mc_l = to_mc.tolist()
         ret_l = (d_mcc * hop).tolist()
         m = len(line_l)
-        stamp = stamp0 + rec.lo
+        stamp = 1 + rec.lo
         hits = bytearray(m)
         lat_l = [0.0] * m
 
@@ -543,7 +544,7 @@ def _replay_static(llc, merged, state) -> np.ndarray:
         )
         rec.scatter_measured(out, lat_l)
 
-    state.clock = stamp0 + merged.total
+    state.clock += merged.total
     stats = llc.stats
     stats.fetches += fetches
     stats.fetch_hits += fetch_hits
@@ -597,12 +598,11 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     dir_get = directory.get
     index = state.index
     index_get = index.get
-    tags_f, age_f, dirty_f, occ_l = _frame_views(state)
+    tags_f, age_f, dirty_f, occ_l = _frame_views(state, merged.total)
     num_sets = state.num_sets
     set_mask = num_sets - 1
     index_shift = state.index_shift
     assoc = state.assoc
-    stamp0 = state.clock
     bw = llc.wear.bank_writes.tolist()
     out = np.empty(merged.measured, dtype=np.float32)
     total_lat = llc.stats.total_fetch_latency
@@ -612,12 +612,12 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     messages = 0
     hops = 0
 
-    for rec in merged.chunks():
+    for rec in merged.chunks(("core", "line", "is_wb")):
         core_l = rec.core.tolist()
         line_l = rec.line.tolist()
         wb_l = rec.is_wb.tolist()
         ts_l = rec.ts.tolist()
-        stamp = stamp0 + rec.lo
+        stamp = 1 + rec.lo
         lat_l = [0.0] * len(ts_l)
         for i, (core, line_i, is_wb) in enumerate(zip(core_l, line_l, wb_l)):
             bank = dir_get(line_i)
@@ -739,7 +739,7 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
         total_lat = _ordered_sum(total_lat, lat_l)
         rec.scatter_measured(out, lat_l)
 
-    state.clock = stamp0 + merged.total
+    state.clock += merged.total
     stats = llc.stats
     stats.fetches += fetches
     stats.fetch_hits += fetch_hits
@@ -754,6 +754,10 @@ def _replay_naive(llc, merged, state) -> np.ndarray:
     _write_back_memory(llc.memory, mem_reads + mem_writes, row_hits, queue_acc,
                        pipe_free, open_rows)
     return out
+
+
+#: The merged-stream columns the Re-NUCA replay reads.
+_RENUCA_COLUMNS = ("core", "line", "is_wb", "is_load", "stall", "slack", "mlp", "nominal")
 
 
 def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndarray:
@@ -787,9 +791,9 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
       (probe mapping, hit, critical placement); wear, hops, messages,
       counters and hit latencies are reduced from it with numpy.
 
-    Records stream through in chunks of ``_CHUNK``, gathered from the
-    merged stream's index, so the columns and Python lists the loop
-    reads stay bounded whatever the replay length.
+    Records stream through in chunks of ``_CHUNK``, gathered window by
+    window from the cores' streams, so the columns and Python lists the
+    loop reads stay bounded whatever the replay length.
     """
     policy = llc.policy
     mesh = llc.mesh
@@ -821,7 +825,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
 
     lines = _LineIds(state, merged, policy)
     cpt = _CptCounters(cpts, merged)
-    tags_f, age_f, dirty_f, occ = _frame_views(state)
+    tags_f, age_f, dirty_f, occ = _frame_views(state, merged.total)
     mbit = lines.mbit
     memo = lines.memo
     copies = lines.copies
@@ -837,7 +841,6 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         _mem_params(llc.memory)
     )
     open_get = open_rows.get
-    stamp0 = state.clock
     out = np.empty(merged.measured, dtype=np.float32)
     total_lat = llc.stats.total_fetch_latency
     queue_acc = 0.0
@@ -848,7 +851,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     fetches = mem_reads = wbs = crit_allocs = 0
     messages = hops = 0
 
-    for rec in merged.chunks():
+    for rec in merged.chunks(_RENUCA_COLUMNS):
         lo = rec.lo
         m = len(rec.src)
         core = rec.core.astype(np.int64)
@@ -897,7 +900,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         mlp_a = _flat(rec.mlp)
         codes = bytearray(m)
         miss_lat = array("d", bytes(8 * m))
-        stamp = stamp0 + lo
+        stamp = 1 + lo
 
         for j, lid, kd, br, bs in zip(range(m), lid_l, kind_l, br_l, bs_l):
             # Mapping Bit -> probe set; code bit 0 records the choice.
@@ -1053,7 +1056,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         total_lat = _ordered_sum(total_lat, lat[fetch])
         rec.scatter_measured(out, lat)
 
-    state.clock = stamp0 + merged.total
+    state.clock += merged.total
     _replay_tlbs(tlbs, merged, lines, mbv_log, touches, wb_misses)
     cpt.write_back(cpts)
     wb_miss_total = int(wb_misses.sum())
@@ -1101,16 +1104,18 @@ class _LineIds:
         self.ncores = len(tlbs)
         self.shift = tlbs[0]._line_shift
         self.line_mask = tlbs[0]._line_mask
-        first = merged.first
-        line, ids = np.unique(first["line"], return_inverse=True)
+        line, ids = np.unique(merged.measured_column("line"), return_inverse=True)
+        ids = ids.astype(np.int32)
         n = len(line)
         core = np.zeros(n, dtype=np.int16)
-        core[ids] = first["core"]
-        if (core[ids] != first["core"]).any():
+        record_core = merged.measured_column("core")
+        core[ids] = record_core
+        if (core[ids] != record_core).any():
             raise SimulationError(
                 "Re-NUCA replay needs disjoint per-core line address spaces"
             )
-        self.ids = ids.astype(np.int32)
+        del record_core
+        self.ids = ids
         self.line_of, self.core_of = line, core
         set_idx = (line >> state.index_shift) & (state.num_sets - 1)
         bank_r = _static_banks(policy._rnuca, core, line)
@@ -1256,19 +1261,26 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     np.bitwise_xor.at(
         bits, (np.searchsorted(all_keys, change_keys), line & lines.line_mask), True
     )
-    final = dict(zip(all_keys.tolist(), mbv_ints(bits)))
-    resident = set()
-    for sid, ways in enumerate(sets):
-        core = sid // num_sets
+    # Only the resident pages' MBVs and the backed non-zero ones become
+    # Python ints.
+    resident = np.fromiter(
+        (page * ncores + sid // num_sets for sid, ways in enumerate(sets) for page in ways),
+        dtype=np.int64,
+    )
+    row = _rows(all_keys, resident)
+    mbvs = iter([
+        mbv if r >= 0 else 0
+        for r, mbv in zip(row.tolist(), mbv_ints(bits[np.maximum(row, 0)]))
+    ])
+    for ways in sets:
         for page in ways:
-            key = page * ncores + core
-            resident.add(key)
-            ways[page] = [final.get(key, 0)]
+            ways[page] = [next(mbvs)]
+    backed = bits.any(axis=1)
+    backed[row[row >= 0]] = False
     for tlb in tlbs:
         tlb._backing.clear()
-    for key, mbv in final.items():
-        if mbv and key not in resident:
-            tlbs[key % ncores]._backing[key // ncores] = mbv
+    for key, mbv in zip(all_keys[backed].tolist(), mbv_ints(bits[backed])):
+        tlbs[key % ncores]._backing[key // ncores] = mbv
 
     for core, tlb in enumerate(tlbs):
         stats = tlb.stats
@@ -1306,11 +1318,11 @@ def _tlb_counts(sets, merged, lines: _LineIds, num_sets: int, ways_max: int,
     # never changes) reads the trailing 0.
     running = np.zeros(len(changed) + 1, dtype=np.int64)
     counts = np.zeros((4, ncores), dtype=np.int64)
-    n = merged.total
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        line = merged.at("line", slice(lo, hi))
-        core = merged.at("core", slice(lo, hi)).astype(np.int64)
+    for rec in merged.chunks(("core", "line")):
+        lo = rec.lo
+        hi = lo + len(rec.line)
+        line = rec.line
+        core = rec.core.astype(np.int64)
         pages = line >> shift
         sid_l = (core * num_sets + (pages & (num_sets - 1))).tolist()
         # Each refill's chunk position, then ``~page`` of the page it
@@ -1392,8 +1404,7 @@ class _CptCounters:
     def __init__(self, cpts, merged) -> None:
         ncores = len(cpts)
         self.ncores = ncores
-        first = merged.first
-        load = first["is_load"] & ~first["is_wb"]
+        load = merged.measured_column("is_load") & ~merged.measured_column("is_wb")
         table_keys = [
             pc * ncores + core
             for core, cpt in enumerate(cpts) for pc in cpt._table
@@ -1402,7 +1413,8 @@ class _CptCounters:
         self.keys, inv = np.unique(
             np.concatenate((
                 np.asarray(table_keys, dtype=np.int64),
-                first["pc"][load].astype(np.int64) * ncores + first["core"][load],
+                merged.measured_column("pc")[load].astype(np.int64) * ncores
+                + merged.measured_column("core")[load],
             )),
             return_inverse=True,
         )
@@ -1494,22 +1506,29 @@ class _CptCounters:
             stats.evictions += self.evictions[core]
 
 
-def _frame_views(state: ArrayBanks):
+def _frame_views(state: ArrayBanks, records: int):
     """Flat loop views of ``state``: tags, recency stamps, dirty, occupancy.
 
     The tag, dirty and occupancy views are the state's own
     ``array('q')``/``bytearray`` buffers (the replay consumes the
     state), cheap to index from the scalar replay loops and a fraction
-    of the memory of Python lists.  Recency is not stored: warm stamps
-    start at all-zero, as within a set the warm ways are already in
-    LRU -> MRU order, and ``seg.index(min(seg))`` resolves ties to the
-    lowest way — exactly the warm LRU.  Every touch stamps
-    ``state.clock + i`` (> 0), so touched lines outrank untouched warm
-    ones and each other in record order, matching the reference's clock.
+    of the memory of Python lists.  Recency is not stored: the stamps
+    are a fresh ``array('i')`` for a replay of ``records`` records,
+    4 bytes per frame.  Warm stamps start at all-zero, as within a set
+    the warm ways are already in LRU -> MRU order, and
+    ``seg.index(min(seg))`` resolves ties to the lowest way — exactly
+    the warm LRU.  Record ``i`` of the replay stamps ``1 + i`` (> 0), so
+    touched lines outrank untouched warm ones and each other in record
+    order, matching the reference's clock.  The last stamp must fit the
+    32-bit item: a longer replay raises :class:`SimulationError`.
     """
+    if records >= 2**31 - 1:
+        raise SimulationError(
+            f"a replay of {records} records overflows the 32-bit recency stamps"
+        )
     return (
         state._tag_frames,
-        array("q", [0]) * len(state._tag_frames),
+        array("i", bytes(4 * len(state._tag_frames))),
         state._dirty_frames,
         state._occ_sets,
     )

@@ -16,6 +16,8 @@ instructions per core reproduce the shapes at laptop scale.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import time
 from collections import OrderedDict
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, SimulationError
 from repro.config import FaultConfig, SystemConfig, baseline_config
 from repro.core.criticality import CriticalityPredictor, bind_cpt_telemetry
 from repro.cpu.core import AppSimulator, Stage1Result
@@ -172,9 +174,10 @@ class Stage1Cache:
         self._cache.clear()
 
 
-#: The per-record columns of a merged stream besides ``ts``: the
+#: The columns a merged record can carry besides ``src``, ``rep`` and
+#: ``ts``: its core, its line and the other
 #: :class:`~repro.cpu.core.L3Stream` columns stage 2 reads (``nominal``
-#: is ``nominal_lat``), plus the record's core.
+#: is ``nominal_lat``).
 _COLUMNS = ("core", "line", "pc", "is_wb", "is_load", "stall", "slack", "mlp",
             "nominal")
 
@@ -183,79 +186,249 @@ _COLUMNS = ("core", "line", "pc", "is_wb", "is_load", "stall", "slack", "mlp",
 class _Records:
     """Merged records ``lo`` to ``lo + len(src)``, column by column.
 
-    ``src`` is each record's first-copy record (a position in
-    :attr:`_MergedStream.first`), ``rep`` its copy number (0: the
-    measured copy).  ``line`` is in the core's address space
-    (:func:`_core_base`) and ``ts`` is shifted by the copy's whole run
-    lengths.
+    ``src`` is each record's first-copy record (its position among the
+    cores' first copies, concatenated core by core), ``rep`` its copy
+    number (0: the measured copy).  ``line`` is in the core's address
+    space (:func:`_core_base`) and ``ts`` is shifted by the copy's whole
+    run lengths.  The columns a reader did not ask for are None.
     """
 
     lo: int
     src: np.ndarray
     rep: np.ndarray
     ts: np.ndarray
-    core: np.ndarray
-    line: np.ndarray
-    pc: np.ndarray
-    is_wb: np.ndarray
-    is_load: np.ndarray
-    stall: np.ndarray
-    slack: np.ndarray
-    mlp: np.ndarray
-    nominal: np.ndarray
+    core: np.ndarray | None = None
+    line: np.ndarray | None = None
+    pc: np.ndarray | None = None
+    is_wb: np.ndarray | None = None
+    is_load: np.ndarray | None = None
+    stall: np.ndarray | None = None
+    slack: np.ndarray | None = None
+    mlp: np.ndarray | None = None
+    nominal: np.ndarray | None = None
 
     def scatter_measured(self, out: np.ndarray, values) -> None:
         """Store the measured (first-copy) records' ``values`` at ``out[src]``."""
         first = self.rep == 0
         out[self.src[first]] = np.asarray(values, dtype=out.dtype)[first]
 
+    def cut(self, lo: int, a: int, b: int) -> _Records:
+        """Records ``a`` to ``b`` of these, as views, starting at ``lo``."""
+        return _Records(lo, *(
+            None if col is None else col[a:b] for col in self._arrays()
+        ))
+
+    def join(self, more: _Records) -> _Records:
+        """These records followed by ``more``."""
+        return _Records(self.lo, *(
+            None if col is None else np.concatenate((col, tail))
+            for col, tail in zip(self._arrays(), more._arrays())
+        ))
+
+    def _arrays(self) -> tuple:
+        return tuple(getattr(self, name) for name in _ARRAYS)
+
+
+#: The array fields of :class:`_Records`, in order.
+_ARRAYS = ("src", "rep", "ts") + _COLUMNS
+
 
 class _MergedStream:
-    """All cores' L3 references in global timestamp order, as an index.
+    """All cores' L3 references in global timestamp order, streamed.
 
-    Each core's stream is held once: ``first`` has the columns of the
-    first (measured) copies, concatenated core by core, and
-    ``measured_slices`` each core's ``(lo, hi)`` slice of them, aligned
-    with its :class:`~repro.cpu.core.L3Stream` record order.  Per merged
-    record, ``src`` is its first-copy record and ``rep`` its copy
-    number; :meth:`chunks` gathers the columns one chunk at a time and
-    rebuilds a copy's timestamps as ``ts + rep * span`` of its core.
+    Nothing is held per merged record.  Each core's copy ``rep`` is a
+    *run*: a prefix of its stage-1 stream, whose ``ts`` (the dispatch
+    clock) never decreases, shifted by ``rep`` run lengths.  ``runs``
+    lists the non-empty runs as ``(core, rep, length)`` in run order
+    (core, then copy), the order in which a stable argsort of every
+    copy's timestamps would take them.
+
+    :meth:`chunks` cuts merged time into windows of ``_CHUNK`` records
+    on average and visits only the runs that overlap
+    each window (one or two per core).  A window's records are the run
+    slices below its edge, concatenated in run order; one stable
+    argsort of their shifted timestamps orders them as the global
+    stable argsort would, ties included, since equal timestamps never
+    straddle an edge.  The columns are gathered from slices of the
+    cores' :class:`~repro.cpu.core.L3Stream` columns.
+    ``measured_slices`` holds each core's ``(lo, hi)`` slice of the
+    first copies, concatenated core by core and aligned with its
+    stream's records.
     """
 
-    def __init__(self, first: dict, span: np.ndarray, src: np.ndarray,
-                 rep: np.ndarray, measured_slices) -> None:
-        self.first = first
+    def __init__(self, streams, span: np.ndarray, runs) -> None:
+        self.streams = streams
         self.span = span
-        self.src = src
-        self.rep = rep
-        self.measured_slices = tuple(measured_slices)
-        self.total = len(src)
-        #: Number of measured records: ``len`` of every ``first`` column.
-        self.measured = len(first["ts"])
-
-    def chunk(self, lo: int, hi: int) -> _Records:
-        """Records ``lo`` to ``hi`` of the merged order."""
-        src = self.src[lo:hi]
-        rep = self.rep[lo:hi]
-        cols = {name: self.first[name][src] for name in _COLUMNS}
-        return _Records(lo, src, rep, _copy_ts(self.first, self.span, src, rep), **cols)
-
-    def chunks(self):
-        """Every record, in chunks of the replay kernel's ``_CHUNK``."""
-        step = nuca_kernel._CHUNK
-        for lo in range(0, self.total, step):
-            yield self.chunk(lo, min(lo + step, self.total))
-
-    def at(self, name: str, positions: np.ndarray) -> np.ndarray:
-        """Column ``name`` (not ``ts``) of the records at ``positions``."""
-        return self.first[name][self.src[positions]]
+        self.runs = runs
+        starts = np.cumsum([0] + [len(s) for s in streams]).tolist()
+        self._starts = starts
+        self.measured_slices = tuple(zip(starts[:-1], starts[1:]))
+        #: Number of measured (first-copy) records.
+        self.measured = starts[-1]
+        self.total = sum(length for _, _, length in runs)
+        # Each run's first and last timestamp.
+        self._begins = [float(self._shifted(run, 0, 1)[0]) for run in runs]
+        self._ends = [float(self._shifted(run, run[2] - 1, run[2])[0]) for run in runs]
+        self._rep_type = np.min_scalar_type(max((rep for _, rep, _ in runs), default=0))
+        # Per column, each core's stream column.
+        self._columns = {
+            name: [getattr(s, "nominal_lat" if name == "nominal" else name)
+                   for s in streams]
+            for name in _COLUMNS if name != "core"
+        }
 
     @property
     def last_ts(self) -> float:
         """Timestamp of the last record (0.0 for an empty stream)."""
+        return max(self._ends, default=0.0)
+
+    def _shifted(self, run, a: int, b: int) -> np.ndarray:
+        """Timestamps of records ``a`` to ``b`` of ``run``.
+
+        ``ts + rep * span``: the float64 operations of shifting the
+        whole stream by ``rep`` run lengths, so the values are
+        bit-identical.
+        """
+        core, rep, _ = run
+        return self.streams[core].ts[a:b] + rep * self.span[core]
+
+    def measured_column(self, name: str) -> np.ndarray:
+        """Column ``name`` of the first copies, concatenated core by core.
+
+        A new array per call, for callers that need it only briefly.
+        """
+        if name == "core":
+            return np.repeat(np.arange(len(self.streams), dtype=np.int16),
+                             np.diff(self._starts))
+        if name == "line":
+            return np.concatenate([
+                line + _core_base(core)
+                for core, line in enumerate(self._columns["line"])
+            ])
+        return np.concatenate(self._columns[name])
+
+    def chunks(self, names=_COLUMNS):
+        """Every record in merged order, in chunks of exactly ``_CHUNK``.
+
+        Each chunk carries ``src``, ``rep``, ``ts`` and the columns in
+        ``names``.  The last chunk holds the rest; ``lo`` is a chunk's
+        position in the merged order.  Each call streams the windows
+        afresh.
+        """
+        step = nuca_kernel._CHUNK
+        lo = 0
+        # The records of earlier windows not yielded yet (fewer than a chunk).
+        held = None
+        for window in self._windows(names):
+            n = len(window.src)
+            a = 0
+            if held is not None:
+                a = min(step - len(held.src), n)
+                held = held.join(window.cut(lo, 0, a))
+                if len(held.src) < step:
+                    continue
+                yield held
+                lo += step
+            while a + step <= n:
+                yield window.cut(lo, a, a + step)
+                lo += step
+                a += step
+            held = window.cut(lo, a, n) if a < n else None
+        if held is not None:
+            yield held
+
+    def _edges(self):
+        """The windows' upper edges (exclusive), ending with infinity.
+
+        Evenly spaced in time, ``_CHUNK`` records apart on average.
+        """
+        begin, end = min(self._begins), max(self._ends)
+        width = (end - begin) * nuca_kernel._CHUNK / self.total
+        k = 1
+        while width > 0 and begin + k * width < end:
+            yield begin + k * width
+            k += 1
+        yield math.inf
+
+    def _windows(self, names):
+        """Each window's records in merged order."""
         if not self.total:
-            return 0.0
-        return float(self.chunk(self.total - 1, self.total).ts[0])
+            return
+        runs = self.runs
+        begins = self._begins
+        # Runs not started yet, the earliest last; the active runs in run
+        # order, with the number of records taken from each.
+        waiting = sorted(range(len(runs)), key=begins.__getitem__, reverse=True)
+        active: list[int] = []
+        taken: dict[int, int] = {}
+        for edge in self._edges():
+            while waiting and begins[waiting[-1]] < edge:
+                r = waiting.pop()
+                bisect.insort(active, r)
+                taken[r] = 0
+            parts = []
+            for r in active:
+                stop = self._below(runs[r], edge)
+                if stop > taken[r]:
+                    parts.append((r, taken[r], stop))
+                    taken[r] = stop
+            if parts:
+                yield self._gather(parts, names)
+            for r, _, stop in parts:
+                if stop == runs[r][2]:
+                    active.remove(r)
+                    del taken[r]
+
+    def _below(self, run, edge: float) -> int:
+        """How many records of ``run`` have timestamps below ``edge``."""
+        core, rep, length = run
+        if edge == math.inf:
+            return length
+        ts = self.streams[core].ts
+        shift = rep * self.span[core]
+        # A guess from the unshifted timestamps, then exact: the shifted
+        # timestamps never decrease, so a group of equal timestamps
+        # crosses the edge together.
+        k = min(int(ts.searchsorted(edge - shift)), length)
+        while k and ts[k - 1] + shift >= edge:
+            k = int(ts.searchsorted(ts[k - 1]))
+        while k < length and ts[k] + shift < edge:
+            k = min(int(ts.searchsorted(ts[k], "right")), length)
+        return k
+
+    def _gather(self, parts, names) -> _Records:
+        """The records of run slices ``parts`` ``(run, a, b)``, merged."""
+        runs = self.runs
+        slices = [(runs[r][0], a, b) for r, a, b in parts]
+        sizes = [b - a for _, a, b in parts]
+        stamps = np.concatenate([self._shifted(runs[r], a, b) for r, a, b in parts])
+        order = np.argsort(stamps, kind="stable")
+        # Per merged record, the slice it comes from.
+        part = np.repeat(np.arange(len(parts)), sizes)[order]
+        core = np.array([core for core, _, _ in slices], dtype=np.int16)
+        cols = {}
+        for name in names:
+            if name == "core":
+                cols[name] = core[part]
+                continue
+            column = self._columns[name]
+            cols[name] = np.concatenate([
+                column[c][a:b] for c, a, b in slices
+            ])[order]
+            if name == "line":
+                cols[name] += np.array([_core_base(c) for c, _, _ in slices])[part]
+        # A record's first-copy position, from its position in the window.
+        shift = np.array([self._starts[c] + a for c, a, _ in slices]) - np.cumsum(
+            [0] + sizes[:-1]
+        )
+        return _Records(
+            0,
+            src=order + shift[part],
+            rep=np.array([runs[r][1] for r, _, _ in parts],
+                         dtype=self._rep_type)[part],
+            ts=stamps[order],
+            **cols,
+        )
 
 
 def _merge_streams(results: list[Stage1Result]) -> _MergedStream:
@@ -271,73 +444,31 @@ def _merge_streams(results: list[Stage1Result]) -> _MergedStream:
     accounting (it is the measured instruction window); replays exist to
     produce realistic interference and wear rates.
 
-    The copies are never built: one stable argsort of every copy's
-    timestamps (core by core, copy by copy, in record order) orders the
-    records, and the result keeps only each record's first-copy record
-    and copy number.
+    The copies are never built: a copy's records at or before the
+    horizon are a prefix of its core's stream, as a stream's timestamps
+    never decrease (checked here; :class:`SimulationError` otherwise),
+    so each copy is a run of known length and :class:`_MergedStream`
+    merges the runs window by window.
     """
     horizon = max(float(r.cycles) for r in results)
-    sizes = [len(r.stream) for r in results]
-    starts = np.cumsum([0] + sizes)
-
-    def column(name):
-        return np.concatenate([getattr(r.stream, name) for r in results])
-
-    first = {
-        "ts": column("ts"),
-        "core": np.repeat(np.arange(len(results), dtype=np.int16), sizes),
-        "line": np.concatenate([
-            r.stream.line + _core_base(core) for core, r in enumerate(results)
-        ]),
-        "pc": column("pc"),
-        "is_wb": column("is_wb"),
-        "is_load": column("is_load"),
-        "stall": column("stall"),
-        "slack": column("slack"),
-        "mlp": column("mlp"),
-        "nominal": column("nominal_lat"),
-    }
     span = np.array([max(float(r.cycles), 1.0) for r in results])
-    # Each copy's records in first-copy positions: the whole stream for
-    # copy 0, the records at or before the horizon for later copies.
-    parts: list[tuple[int, np.ndarray]] = []
+    runs = []
     for core, result in enumerate(results):
-        s = result.stream
-        reps = max(1, int(np.ceil(horizon / span[core])))
-        for rep in range(reps):
-            if rep:
-                keep = np.flatnonzero(s.ts + rep * span[core] <= horizon)
-                if not len(keep):
-                    break
-            else:
-                keep = np.arange(len(s))
-            parts.append((rep, (keep + starts[core]).astype(np.int32)))
-    copy = np.repeat(
-        np.array([rep for rep, _ in parts],
-                 dtype=np.min_scalar_type(max(rep for rep, _ in parts))),
-        [len(keep) for _, keep in parts],
-    )
-    src = np.concatenate([keep for _, keep in parts])
-    del parts
-    ts = np.empty(len(src))
-    step = nuca_kernel._CHUNK
-    for lo in range(0, len(src), step):
-        ts[lo:lo + step] = _copy_ts(first, span, src[lo:lo + step], copy[lo:lo + step])
-    order = np.argsort(ts, kind="stable")
-    del ts
-    return _MergedStream(
-        first, span, src[order], copy[order],
-        zip(starts[:-1].tolist(), starts[1:].tolist()),
-    )
-
-
-def _copy_ts(first: dict, span: np.ndarray, src: np.ndarray, rep: np.ndarray):
-    """Timestamps of copy ``rep`` of first-copy records ``src``.
-
-    ``ts + rep * span`` element by element: the same float64 operations,
-    in the same order, as shifting a whole stream by ``rep`` run lengths.
-    """
-    return first["ts"][src] + rep * span[first["core"][src]]
+        ts = result.stream.ts
+        if (ts[1:] < ts[:-1]).any():
+            raise SimulationError(
+                f"core {core}'s L3 stream goes back in time; stage 2 needs "
+                "non-decreasing timestamps"
+            )
+        if len(ts):
+            runs.append((core, 0, len(ts)))
+        for rep in range(1, max(1, int(np.ceil(horizon / span[core])))):
+            shift = rep * span[core]
+            length = bisect.bisect_right(ts, horizon, key=lambda t: t + shift)
+            if not length:
+                break
+            runs.append((core, rep, length))
+    return _MergedStream([r.stream for r in results], span, runs)
 
 
 def _warm_blocks(
@@ -841,7 +972,8 @@ def _replay_reference(
     and the only path able to carry telemetry/fault instrumentation.
     Records stream through in the kernel's chunks; only the chunk at
     hand becomes Python lists.  Returns the measured (first-copy)
-    records' latencies, in ``merged.first`` order.
+    records' latencies, first copies concatenated core by core
+    (``merged.measured_slices``).
     """
     scheme_lat = np.zeros(merged.measured, dtype=np.float32)
     fetch = llc.fetch

@@ -23,6 +23,7 @@ pass are checked against them on drawn inputs.
 
 import dataclasses
 from array import array
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -707,10 +708,11 @@ def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> Non
     ways_max = tlbs[0]._array.assoc
     sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
     trail = array("q")
-    pages = merged.at("line", slice(0, merged.total)) >> lines.shift
-    sids = merged.at("core", slice(0, merged.total)).astype(np.int64) * num_sets + (
-        pages & (num_sets - 1)
-    )
+    chunks = list(merged.chunks())
+    stream_line = np.concatenate([rec.line for rec in chunks])
+    stream_core = np.concatenate([rec.core for rec in chunks])
+    pages = stream_line >> lines.shift
+    sids = stream_core.astype(np.int64) * num_sets + (pages & (num_sets - 1))
     for i, (sid, page) in enumerate(zip(sids.tolist(), pages.tolist())):
         ways = sets[sid]
         if ways.pop(page, None) is None:
@@ -726,8 +728,8 @@ def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> Non
     evict_at = trail[evicted - 1]
     n_ref = len(refill_at)
     ev_keys = np.concatenate((
-        lines.page_keys(merged.at("line", refill_at), merged.at("core", refill_at)),
-        ~trail[evicted] * ncores + merged.at("core", evict_at),
+        lines.page_keys(stream_line[refill_at], stream_core[refill_at]),
+        ~trail[evicted] * ncores + stream_core[evict_at],
     ))
     ev_times = 2 * np.concatenate((refill_at, evict_at))
 
@@ -788,14 +790,16 @@ def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> Non
 
 
 class _Columns:
-    """A merged stream's ``total`` and ``at`` over plain line/core columns."""
+    """A merged stream's ``chunks`` of plain line/core columns."""
 
     def __init__(self, line, core) -> None:
-        self.columns = {"line": line, "core": core}
-        self.total = len(line)
+        self.line, self.core = line, core
 
-    def at(self, name, positions):
-        return self.columns[name][positions]
+    def chunks(self, names=("core", "line")):
+        step = kernel._CHUNK
+        for lo in range(0, len(self.line), step):
+            yield SimpleNamespace(lo=lo, line=self.line[lo:lo + step],
+                                  core=self.core[lo:lo + step])
 
 
 class _TlbLines:
@@ -919,6 +923,20 @@ class TestChunkedTlbPass:
         assert len(mbv_log) and len(warm_clears)
         assert sum(tlb.stats.mbv_restores for tlb in tlbs) > 0
         assert sum(tlb.stats.mbv_writebacks for tlb in tlbs) > 0
+
+
+class TestFrameViews:
+    def test_stamps_start_at_zero_in_32_bits(self):
+        state = ArrayBanks(2, 4, 2, 0)
+        tags, stamps, dirty, occ = kernel._frame_views(state, 2**31 - 2)
+        assert tags is state._tag_frames and dirty is state._dirty_frames
+        assert occ is state._occ_sets
+        assert stamps.typecode == "i" and list(stamps) == [0] * 16
+
+    def test_replay_overflowing_the_stamps_raises(self):
+        # The last record stamps its own count, which must fit an int32.
+        with pytest.raises(SimulationError, match="32-bit"):
+            kernel._frame_views(ArrayBanks(2, 4, 2, 0), 2**31 - 1)
 
 
 class TestOrderedSum:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, SimulationError
 from repro.config import baseline_config
 from repro.cpu.core import L3Stream
 from repro.nuca import kernel as nuca_kernel
@@ -120,7 +120,8 @@ class TestMergeStreams:
         for core, result in enumerate(results):
             lo, hi = merged.measured_slices[core]
             assert hi - lo == len(result.stream)
-            assert np.array_equal(merged.first["ts"][lo:hi], result.stream.ts)
+            assert np.array_equal(merged.measured_column("pc")[lo:hi],
+                                  result.stream.pc)
 
     def test_address_spaces_disjoint(self, stage1):
         cfg = baseline_config()
@@ -179,50 +180,61 @@ def _merge_copies(results):
     return merged, order, measured_slices
 
 
+def _stream(ts, rng):
+    """An L3 stream at timestamps ``ts`` with random other columns."""
+    n = len(ts)
+    return L3Stream(
+        ts=np.asarray(ts, dtype=np.float64),
+        line=rng.integers(0, 1 << 20, n),
+        pc=rng.integers(0, 1 << 32, n, dtype=np.uint32),
+        is_wb=rng.random(n) < 0.3,
+        is_load=rng.random(n) < 0.6,
+        predicted=rng.random(n) < 0.5,
+        true_critical=rng.random(n) < 0.5,
+        nominal_lat=rng.random(n, dtype=np.float32) * 300,
+        stall=rng.random(n, dtype=np.float32) * 40 - 10,
+        slack=rng.random(n, dtype=np.float32) * 50,
+        mlp=rng.integers(1, 8, n, dtype=np.int16),
+    )
+
+
 @st.composite
 def _stage1_results(draw):
     """A few cores' stage-1 results: streams and run lengths only.
 
-    Timestamps are quarter cycles from a small range, so cores tie;
-    run lengths below 1 cycle, and ones that are not exact in binary,
-    make the copies' shifted timestamps round as a whole-stream shift
-    would.
+    Timestamps never decrease, as stage 1's dispatch clock does not.
+    They are quarter cycles from a small range, so cores tie with each
+    other and with the windows' power-of-two edges; run lengths below 1
+    cycle, and ones that are not exact in binary, make the copies'
+    shifted timestamps round as a whole-stream shift would.  Whole run
+    lengths end copies exactly at the horizon, and a 300-cycle horizon
+    replays a short core more than 255 times.
     """
     results = []
     for core in range(draw(st.integers(1, 4))):
         n = draw(st.integers(0, 12))
-        ticks = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
-        if draw(st.booleans()):
-            ticks.sort()
+        ticks = sorted(draw(st.lists(st.integers(0, 60), min_size=n, max_size=n)))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        stream = L3Stream(
-            ts=np.asarray(ticks, dtype=np.float64) / 4,
-            line=rng.integers(0, 1 << 20, n),
-            pc=rng.integers(0, 1 << 32, n, dtype=np.uint32),
-            is_wb=rng.random(n) < 0.3,
-            is_load=rng.random(n) < 0.6,
-            predicted=rng.random(n) < 0.5,
-            true_critical=rng.random(n) < 0.5,
-            nominal_lat=rng.random(n, dtype=np.float32) * 300,
-            stall=rng.random(n, dtype=np.float32) * 40 - 10,
-            slack=rng.random(n, dtype=np.float32) * 50,
-            mlp=rng.integers(1, 8, n, dtype=np.int16),
-        )
-        cycles = draw(st.sampled_from([0.0, 0.4, 1.0, 2.7, 3.3, 7.7, 15.0]))
+        stream = _stream(np.asarray(ticks) / 4, rng)
+        cycles = draw(st.sampled_from(
+            [0.0, 0.4, 1.0, 2.0, 2.7, 3.3, 7.7, 15.0, 300.0]
+        ))
         results.append(SimpleNamespace(cycles=cycles, stream=stream))
     return results
 
 
 class TestMergedIndex:
-    """The index merge reassembles, chunk by chunk, the merge of copies."""
+    """The windowed merge reassembles, chunk by chunk, the merge of copies."""
 
-    @given(results=_stage1_results(), chunk=st.sampled_from([1, 3, 7, 13, 1 << 14]))
-    @settings(max_examples=150, deadline=None)
+    @given(results=_stage1_results(),
+           chunk=st.sampled_from([1, 3, 7, 13, 4096, 1 << 14]))
+    @settings(max_examples=200, deadline=None)
     def test_chunks_equal_the_copies(self, results, chunk):
         want, order, slices = _merge_copies(results)
         with mock.patch.object(nuca_kernel, "_CHUNK", chunk):
             merged = _merge_streams(results)
             chunks = list(merged.chunks())
+            again = list(merged.chunks())
         assert merged.total == len(order)
         assert [rec.lo for rec in chunks] == list(range(0, merged.total, chunk))
         for name, column in want.items():
@@ -230,6 +242,10 @@ class TestMergedIndex:
             got = np.concatenate(parts) if parts else column[:0]
             assert got.dtype == column.dtype, name
             assert got.tobytes() == column.tobytes(), name
+        # The merged stream can be streamed again, to the same chunks.
+        assert [(rec.lo, rec.src.tobytes(), rec.ts.tobytes()) for rec in again] == [
+            (rec.lo, rec.src.tobytes(), rec.ts.tobytes()) for rec in chunks
+        ]
         assert merged.last_ts == (float(want["ts"][-1]) if len(order) else 0.0)
         # Each measured record lands where the copies' unsort puts it:
         # the oracle's slices cover the first copies among all copies.
@@ -245,6 +261,38 @@ class TestMergedIndex:
             where, np.concatenate([position[lo:hi] for lo, hi in slices])
         )
 
+    def test_draws_reach_what_the_property_is_about(self):
+        # Ties on a window edge, a copy ending exactly at the horizon, an
+        # empty core and over 255 copies of one core, in one merge.
+        rng = np.random.default_rng(0)
+        results = [
+            SimpleNamespace(cycles=2.0, stream=_stream([0.0, 1.0, 1.5, 2.0], rng)),
+            SimpleNamespace(cycles=300.0, stream=_stream([0.5, 1.0, 1.0, 299.5], rng)),
+            SimpleNamespace(cycles=5.0, stream=_stream([], rng)),
+            SimpleNamespace(cycles=0.4, stream=_stream([0.0, 0.5], rng)),
+        ]
+        want, order, _ = _merge_copies(results)
+        values, counts = np.unique(want["ts"], return_counts=True)
+        ties = set(values[counts > 1].tolist())
+        # The first chunk size whose window edges fall on a tie.
+        for chunk in range(1, 100):
+            with mock.patch.object(nuca_kernel, "_CHUNK", chunk):
+                merged = _merge_streams(results)
+                if ties & set(merged._edges()):
+                    chunks = list(merged.chunks())
+                    break
+        else:
+            pytest.fail("no window edge falls on a tie")
+        assert merged.total == len(order)
+        for name, column in want.items():
+            got = np.concatenate([getattr(rec, name) for rec in chunks])
+            assert got.tobytes() == column.tobytes(), name
+        assert max(rep for _, rep, _ in merged.runs) > 255
+        assert any(np.any(rec.rep > 255) for rec in chunks)
+        core0 = [(rep, length) for core, rep, length in merged.runs if core == 0]
+        assert core0[-1] == (149, 4)  # 2.0 + 149 * 2.0 == 300.0
+        assert not any(core == 2 for core, _, _ in merged.runs)
+
     def test_empty_streams_merge_to_nothing(self):
         results = [
             SimpleNamespace(cycles=cycles, stream=L3Stream(
@@ -259,6 +307,16 @@ class TestMergedIndex:
         assert merged.total == merged.measured == 0
         assert list(merged.chunks()) == []
         assert merged.last_ts == 0.0
+
+    @pytest.mark.parametrize("ts", [[0.0, 2.0, 1.0], [3.0, 3.0, 2.5, 4.0]])
+    def test_stream_going_back_in_time_raises(self, ts):
+        rng = np.random.default_rng(1)
+        results = [
+            SimpleNamespace(cycles=4.0, stream=_stream([0.0, 1.0], rng)),
+            SimpleNamespace(cycles=4.0, stream=_stream(ts, rng)),
+        ]
+        with pytest.raises(SimulationError, match="core 1"):
+            _merge_streams(results)
 
 
 class TestRunWorkload:
