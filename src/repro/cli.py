@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from repro.common.errors import ReproError, SweepCancelled
 from repro.config import baseline_config
@@ -148,24 +149,41 @@ def _add_monitor(parser: argparse.ArgumentParser) -> None:
                              "--from-spans')")
 
 
-def _start_monitor(args, total: int, *, label=None, registry=None):
-    """``(state, server)`` when ``--serve`` is set, else ``(None, None)``.
+@contextmanager
+def _monitoring(args, total: int, *, label=None, registry=None):
+    """The observer hook for ``--progress`` and ``--serve``, else None.
 
-    The bound URL goes to stderr (the CI smoke job greps it from the
-    redirected log to discover an ephemeral port).
+    Builds one :class:`~repro.obs.progress.MonitorState` (a
+    :class:`~repro.obs.progress.SweepProgress` under ``--progress``)
+    and, under ``--serve``, a monitor server over it whose bound URL
+    goes to stderr (the CI smoke job greps it from the redirected log
+    to discover an ephemeral port).  A clean exit marks the sweep
+    finished, stops the server and closes the progress line.
     """
-    if getattr(args, "serve", None) is None:
-        return None, None
-    from repro.obs.server import MonitorServer, MonitorState
+    if not args.progress and args.serve is None:
+        yield None
+        return
+    from repro.obs.progress import MonitorState, SweepProgress
 
-    state = MonitorState(
-        total, workers=max(1, getattr(args, "jobs", 1)),
-        label=label, registry=registry,
-    )
-    server = MonitorServer(state, registry=registry, port=args.serve)
-    port = server.start()
-    print(f"monitor serving http://127.0.0.1:{port}", file=sys.stderr)
-    return state, server
+    model = SweepProgress if args.progress else MonitorState
+    state = model(total, workers=args.jobs, label=label)
+    server = None
+    if args.serve is not None:
+        from repro.obs.server import MonitorServer
+
+        server = MonitorServer(state, registry=registry, port=args.serve)
+        port = server.start()
+        print(f"monitor serving http://127.0.0.1:{port}", file=sys.stderr)
+        if args.progress:
+            state.serving = port
+    try:
+        yield state if args.progress else state.observe
+        state.finish()
+    finally:
+        if server is not None:
+            server.stop()
+    if args.progress:
+        state.close()
 
 
 def _make_telemetry(args) -> Telemetry | None:
@@ -211,15 +229,6 @@ def _print_profile(args, spans) -> None:
     ))
 
 
-def _make_progress(args, total: int):
-    """A live :class:`~repro.obs.progress.SweepProgress`, or None."""
-    if not getattr(args, "progress", False):
-        return None
-    from repro.obs.progress import SweepProgress
-
-    return SweepProgress(total=total, workers=max(1, args.jobs))
-
-
 def _cmd_config(_args) -> int:
     print(baseline_config().describe())
     return 0
@@ -245,78 +254,60 @@ def _cmd_compare(args) -> int:
     stage1 = Stage1Cache(store=args.stage1_cache)
     telemetry = _make_telemetry(args)
     spans = _span_target(args)
-    observer = _make_progress(args, total=len(args.schemes))
     rows = []
     traced = 0
     # Span recording and the monitor endpoint live in the sweep engine,
     # so either flag routes through it even single-worker.
-    if args.jobs > 1 or args.spans is not None or args.serve is not None:
-        from repro.jobs.scheduler import matrix_jobs, run_jobs
-        from repro.obs.progress import tee_observers
+    engine = args.jobs > 1 or args.spans is not None or args.serve is not None
+    with _monitoring(
+        args, len(args.schemes), label=workload.name,
+        registry=telemetry.registry if telemetry is not None else None,
+    ) as observer:
+        if engine:
+            from repro.jobs.scheduler import matrix_jobs, run_jobs
 
-        jobs = matrix_jobs(
-            [workload], tuple(args.schemes), config,
-            seed=args.seed, n_instructions=args.instructions,
-        )
-        monitor, server = _start_monitor(
-            args, len(jobs), label=workload.name,
-            registry=telemetry.registry if telemetry is not None else None,
-        )
-        if observer is not None and server is not None:
-            observer.serving = server.port
-        try:
+            jobs = matrix_jobs(
+                [workload], tuple(args.schemes), config,
+                seed=args.seed, n_instructions=args.instructions,
+            )
             results, _report = run_jobs(
                 jobs, max_workers=args.jobs, telemetry=telemetry,
-                stage1_store=args.stage1_cache,
-                observer=tee_observers(
-                    observer,
-                    monitor.observe if monitor is not None else None,
-                ),
+                stage1_store=args.stage1_cache, observer=observer,
                 ledger=args.ledger,
                 retries=args.retries, job_timeout_s=args.job_timeout,
                 spans=spans,
             )
-            if monitor is not None:
-                monitor.finish()
-        finally:
-            if server is not None:
-                server.stop()
-        if observer is not None:
-            observer.close()
-        if telemetry is not None and telemetry.trace is not None:
-            # Merged worker events arrive stamped with their scheme, so
-            # one export replaces the serial per-scheme flush.
-            traced = telemetry.trace.export_jsonl(args.trace_out)
-    else:
-        import time as _time
+        else:
+            import time as _time
 
-        from repro.obs.progress import JobEvent
+            from repro.obs.progress import JobEvent
 
-        results = []
-        for number, scheme in enumerate(args.schemes):
-            if observer is not None:
-                observer(JobEvent(
-                    "dispatch", f"{workload.name}/{scheme}", number,
+            results = []
+            for number, scheme in enumerate(args.schemes):
+                label = f"{workload.name}/{scheme}"
+                if observer is not None:
+                    observer(JobEvent("dispatch", label, number))
+                started = _time.perf_counter()
+                results.append(run_workload(
+                    workload, scheme, config, seed=args.seed,
+                    n_instructions=args.instructions, stage1=stage1,
+                    telemetry=telemetry, ledger=args.ledger, spans=spans,
                 ))
-            started = _time.perf_counter()
-            results.append(run_workload(
-                workload, scheme, config, seed=args.seed,
-                n_instructions=args.instructions, stage1=stage1,
-                telemetry=telemetry, ledger=args.ledger, spans=spans,
-            ))
-            if observer is not None:
-                observer(JobEvent(
-                    "done", f"{workload.name}/{scheme}", number,
-                    wall_time_s=_time.perf_counter() - started,
-                ))
-            if telemetry is not None and telemetry.trace is not None:
-                traced += telemetry.trace.export_jsonl(
-                    args.trace_out, append=number > 0,
-                    extra={"scheme": scheme},
-                )
-                telemetry.trace.clear()
-        if observer is not None:
-            observer.close()
+                if observer is not None:
+                    observer(JobEvent(
+                        "done", label, number,
+                        wall_time_s=_time.perf_counter() - started,
+                    ))
+                if telemetry is not None and telemetry.trace is not None:
+                    traced += telemetry.trace.export_jsonl(
+                        args.trace_out, append=number > 0,
+                        extra={"scheme": scheme},
+                    )
+                    telemetry.trace.clear()
+    if engine and telemetry is not None and telemetry.trace is not None:
+        # Merged worker events arrive stamped with their scheme, so one
+        # export replaces the serial per-scheme flush.
+        traced = telemetry.trace.export_jsonl(args.trace_out)
     for result in results:
         rows.append((
             result.scheme, result.ipc, result.min_lifetime,
@@ -409,18 +400,12 @@ def _cmd_sweep(args) -> int:
     def _narrate(job) -> None:
         print(f"  {job.spec.workload} / {job.spec.scheme} ...", file=sys.stderr)
 
-    from repro.obs.progress import tee_observers
-
     jobs = matrix_jobs(workloads, schemes, config,
                        seed=args.seed, n_instructions=args.instructions)
     spans = _span_target(args)
-    observer = _make_progress(args, total=len(jobs))
-    monitor, server = _start_monitor(
+    with _monitoring(
         args, len(jobs), label=args.label, registry=telemetry.registry,
-    )
-    if observer is not None and server is not None:
-        observer.serving = server.port
-    try:
+    ) as observer:
         results, report = run_jobs(
             jobs,
             max_workers=args.jobs,
@@ -431,10 +416,8 @@ def _cmd_sweep(args) -> int:
             stage1_store=args.stage1_cache,
             telemetry=telemetry,
             # The live status line owns stderr; per-cell narration yields.
-            progress=None if observer is not None else _narrate,
-            observer=tee_observers(
-                observer, monitor.observe if monitor is not None else None,
-            ),
+            progress=None if args.progress else _narrate,
+            observer=observer,
             ledger=args.ledger,
             job_timeout_s=args.job_timeout,
             keep_going=args.keep_going,
@@ -442,13 +425,6 @@ def _cmd_sweep(args) -> int:
             chaos=args.chaos,
             spans=spans,
         )
-        if monitor is not None:
-            monitor.finish()
-    finally:
-        if server is not None:
-            server.stop()
-    if observer is not None:
-        observer.close()
     matrix = MatrixResult(
         label=args.label,
         schemes=schemes,
@@ -533,7 +509,6 @@ def _cmd_search(args) -> int:
     from pathlib import Path
 
     from repro.common.store import atomic_write_text
-    from repro.obs.progress import tee_observers
     from repro.search import load_space, preset_space, run_search
 
     # ``--space`` is a JSON file when it looks like one, else a preset.
@@ -555,13 +530,9 @@ def _cmd_search(args) -> int:
     estimate += len(workload_numbers)  # the Re-NUCA reference point
 
     spans = _span_target(args)
-    observer = _make_progress(args, total=estimate)
-    monitor, server = _start_monitor(
+    with _monitoring(
         args, estimate, label=args.label, registry=telemetry.registry,
-    )
-    if observer is not None and server is not None:
-        observer.serving = server.port
-    try:
+    ) as observer:
         outcome = run_search(
             space,
             driver=args.driver,
@@ -579,20 +550,11 @@ def _cmd_search(args) -> int:
             retries=args.retries,
             stage1_store=args.stage1_cache,
             telemetry=telemetry,
-            observer=tee_observers(
-                observer, monitor.observe if monitor is not None else None,
-            ),
+            observer=observer,
             ledger=args.ledger,
             job_timeout_s=args.job_timeout,
             spans=spans,
         )
-        if monitor is not None:
-            monitor.finish()
-    finally:
-        if server is not None:
-            server.stop()
-    if observer is not None:
-        observer.close()
 
     final = outcome.final_evaluations()
     front_ids = {e.point_id for e in outcome.frontier}
@@ -654,28 +616,22 @@ def _cmd_endoflife(args) -> int:
         telemetry.trace.clear()
 
     def _progress(scheme: str, age: float) -> None:
-        if observer is None:
+        if not args.progress:
             print(f"  running {scheme} at age {age:.2f} ...", file=sys.stderr)
         if args.jobs == 1 and telemetry is not None and telemetry.trace is not None:
             if state["cell"] is not None:
                 _flush()
             state["cell"] = (scheme, age)
 
-    from repro.obs.progress import tee_observers
-
     ages = tuple(sorted(set(args.ages)))
     swept_ages = (0.0, *[a for a in ages if a > 0])
     schemes = tuple(args.schemes or DEFAULT_SCHEMES)
     total = len(schemes) * len(swept_ages)
     spans = _span_target(args)
-    observer = _make_progress(args, total=total)
-    monitor, server = _start_monitor(
+    with _monitoring(
         args, total, label=f"endoflife WL{args.workload}",
         registry=telemetry.registry if telemetry is not None else None,
-    )
-    if observer is not None and server is not None:
-        observer.serving = server.port
-    try:
+    ) as observer:
         curves = run_endoflife(
             workload_number=args.workload,
             ages=swept_ages,
@@ -688,21 +644,12 @@ def _cmd_endoflife(args) -> int:
             progress=_progress,
             telemetry=telemetry,
             max_workers=args.jobs,
-            observer=tee_observers(
-                observer, monitor.observe if monitor is not None else None,
-            ),
+            observer=observer,
             ledger=args.ledger,
             retries=args.retries,
             job_timeout_s=args.job_timeout,
             spans=spans,
         )
-        if monitor is not None:
-            monitor.finish()
-    finally:
-        if server is not None:
-            server.stop()
-    if observer is not None:
-        observer.close()
     if state["cell"] is not None:
         _flush()
     elif args.jobs > 1 and telemetry is not None and telemetry.trace is not None:

@@ -470,7 +470,7 @@ def run_jobs(
         observer: optional ``(event: JobEvent) -> None`` hook receiving
             the live event stream (see
             :data:`repro.obs.progress.EVENT_KINDS`) — what
-            :class:`~repro.obs.progress.SweepProgress` renders.
+            :class:`~repro.obs.progress.MonitorState` folds.
         ledger: a :class:`~repro.obs.ledger.RunLedger` (or its path);
             one provenance record per resolved job is appended in job
             order, stamped with how each cell was obtained.  On an

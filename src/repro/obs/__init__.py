@@ -10,17 +10,21 @@ notices when it changes:
   ``repro diff`` regression gate built on them;
 * :mod:`repro.obs.html_report` — the self-contained single-file HTML
   report behind ``repro report --html``;
-* :mod:`repro.obs.progress` — the single-line live progress renderer
-  behind ``repro sweep --progress``;
+* :mod:`repro.obs.progress` — the live model of a sweep
+  (:class:`MonitorState`, the one fold of the scheduler's job events
+  behind ``/status`` and ``repro top``) and the single-line progress
+  renderer behind ``repro sweep --progress``;
 * :mod:`repro.obs.bench` — machine-readable ``BENCH_*.json`` timing/IPC
   trajectories (``repro bench-record``);
 * :mod:`repro.obs.spans` — cross-process span tracing (``spans.jsonl``)
   for sweeps and ``run_workload`` phases;
 * :mod:`repro.obs.server` — the zero-dependency HTTP monitor behind
   ``repro sweep --serve`` (``/status`` JSON, ``/metrics`` Prometheus);
+  HTTP and Prometheus only;
 * :mod:`repro.obs.chrome_trace` — the Chrome ``trace_event`` /
   Perfetto exporter behind ``repro trace export``;
-* :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard;
+* :mod:`repro.obs.top` — the ``repro top`` terminal dashboard, live
+  over ``/status`` or offline by replaying span files and journals;
 * :mod:`repro.obs.history` — the cross-run :class:`RunIndex` joining
   ledgers, bench trajectories and search outcomes by provenance
   (``repro history``);
@@ -51,8 +55,9 @@ _EXPORTS = {
         "html_report": ("render_history_report", "render_html_report"),
         "ledger": ("LEDGER_FORMAT_VERSION", "RunLedger", "RunRecord",
                    "current_git_sha", "new_run_id"),
-        "progress": ("SweepProgress", "tee_observers"),
-        "server": ("MonitorServer", "MonitorState", "render_prometheus"),
+        "progress": ("MonitorState", "STATUS_VERSION", "SweepProgress",
+                     "format_duration", "tee_observers"),
+        "server": ("MonitorServer", "render_prometheus"),
         "spans": ("DISABLED_SPANS", "SPAN_SCHEMA_VERSION", "Span",
                   "SpanRecorder", "SpanWriter", "canonical_span_set",
                   "load_spans", "phase_wall_table"),

@@ -3,20 +3,22 @@
 ``repro sweep --serve [PORT]`` starts a :class:`MonitorServer` (plain
 ``http.server``, stdlib only) next to the running sweep.  It serves:
 
-* ``GET /status`` — one JSON document (:data:`STATUS_VERSION`): per-cell
-  states (pending / running / done / cached / resumed / failed), worker
-  liveness, the running-mean ETA, retry/timeout/requeue/pool-rebuild
-  counters and elapsed wall time.  ``repro top`` renders this.
+* ``GET /status`` — the sweep's
+  :class:`~repro.obs.progress.MonitorState` snapshot
+  (:data:`~repro.obs.progress.STATUS_VERSION`): per-cell states
+  (pending / running / done / cached / resumed / failed), worker
+  liveness, the running-mean ETA, retry/timeout/requeue counters and
+  elapsed wall time, plus the pool-rebuild count read from the sweep's
+  registry.  ``repro top`` renders this.
 * ``GET /metrics`` — Prometheus text exposition rendered live from the
   sweep's :class:`~repro.telemetry.registry.StatsRegistry` (see
   :func:`render_prometheus` for the dotted-name mangling rules).
 * ``GET /healthz`` — ``ok`` while the server thread is up.
 
-The model behind ``/status`` is :class:`MonitorState` — a thread-safe
-fold of the scheduler's :class:`~repro.obs.progress.JobEvent` stream,
-chained onto the ``observer`` hook next to the progress renderer.  The
-server thread only ever *reads* it under its lock, so serving never
-perturbs the sweep.
+This module holds only HTTP and Prometheus: the model lives in
+:mod:`repro.obs.progress`, so offline views never import
+``http.server``.  The server thread only ever *reads* the model under
+its lock, so serving never perturbs the sweep.
 """
 
 from __future__ import annotations
@@ -24,160 +26,15 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.common.errors import ReproError
 
-#: ``/status`` document layout version.
-STATUS_VERSION = 1
-
-#: Cell states reported by ``/status``.
-CELL_STATES = ("pending", "running", "done", "cached", "resumed", "failed")
-
-
-class MonitorState:
-    """Thread-safe live model of one sweep, fed by the observer hook.
-
-    Chain :meth:`observe` into ``run_jobs(..., observer=...)`` (see
-    :func:`~repro.obs.progress.tee_observers`); call :meth:`snapshot`
-    from any thread for the current ``/status`` document.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        *,
-        workers: int = 1,
-        label: str | None = None,
-        registry=None,
-    ) -> None:
-        self.total = total
-        self.workers = max(1, workers)
-        self.label = label
-        self.registry = registry
-        self._lock = threading.Lock()
-        self._cells: dict[int, dict] = {}
-        self._durations: list[float] = []
-        self._retries = 0
-        self._timeouts = 0
-        self._requeued = 0
-        self._started = time.monotonic()
-        self._last_event = self._started
-        self._finished = False
-
-    # -- event folding -------------------------------------------------------
-
-    def observe(self, event) -> None:
-        """The scheduler's ``observer`` hook (chainable)."""
-        with self._lock:
-            self._last_event = time.monotonic()
-            cell = self._cells.setdefault(
-                event.index, {"label": event.label, "state": "pending",
-                              "wall_time_s": 0.0},
-            )
-            kind = event.kind
-            if kind == "dispatch":
-                cell["state"] = "running"
-            elif kind == "done":
-                cell["state"] = "done"
-                cell["wall_time_s"] = event.wall_time_s
-                self._durations.append(event.wall_time_s)
-            elif kind == "cache":
-                cell["state"] = "cached"
-            elif kind == "resumed":
-                cell["state"] = "resumed"
-            elif kind == "failed":
-                cell["state"] = "failed"
-            elif kind == "retry":
-                self._retries += 1
-            elif kind == "timeout":
-                self._timeouts += 1
-            elif kind == "requeue":
-                self._requeued += 1
-
-    def finish(self) -> None:
-        """Mark the sweep over (the CLI calls this after ``run_jobs``)."""
-        with self._lock:
-            self._finished = True
-
-    # -- reading -------------------------------------------------------------
-
-    def _counts(self) -> dict[str, int]:
-        counts = {state: 0 for state in CELL_STATES}
-        for cell in self._cells.values():
-            counts[cell["state"]] += 1
-        counts["pending"] += self.total - len(self._cells)
-        return counts
-
-    def eta_seconds(self) -> float | None:
-        """Running-mean ETA (same contract as ``SweepProgress``).
-
-        Failed/quarantined cells are resolved placeholders, never
-        future work, so they are excluded from the remaining count.
-        """
-        with self._lock:
-            counts = self._counts()
-            remaining = counts["pending"] + counts["running"]
-            if remaining <= 0:
-                return 0.0
-            if not self._durations:
-                return None
-            mean = sum(self._durations) / len(self._durations)
-            return remaining * mean / self.workers
-
-    def snapshot(self) -> dict:
-        """The current ``/status`` document (plain JSON-able data)."""
-        with self._lock:
-            counts = self._counts()
-            now = time.monotonic()
-            cells = [
-                {"index": index, **self._cells[index]}
-                for index in sorted(self._cells)
-            ]
-            durations = list(self._durations)
-            remaining = counts["pending"] + counts["running"]
-            if remaining <= 0:
-                eta = 0.0
-            elif durations:
-                eta = remaining * (sum(durations) / len(durations)) / self.workers
-            else:
-                eta = None
-            completed = (
-                counts["done"] + counts["cached"] + counts["resumed"]
-                + counts["failed"]
-            )
-            status = {
-                "v": STATUS_VERSION,
-                "label": self.label,
-                "total": self.total,
-                "completed": completed,
-                "counts": counts,
-                "cells": cells,
-                "workers": {
-                    "configured": self.workers,
-                    "busy": counts["running"],
-                    "last_event_age_s": round(now - self._last_event, 3),
-                },
-                "counters": {
-                    "retries": self._retries,
-                    "timeouts": self._timeouts,
-                    "requeued": self._requeued,
-                    "pool_rebuilds": 0,
-                },
-                "eta_s": eta,
-                "elapsed_s": round(now - self._started, 3),
-                "finished": self._finished or completed >= self.total,
-            }
-        # Engine counters the event stream does not carry (pool
-        # rebuilds, quarantines) come from the live registry.
-        if self.registry is not None:
-            value = _registry_value(self.registry, "jobs.recovery.pool_rebuilds")
-            if value is not None:
-                status["counters"]["pool_rebuilds"] = int(value)
-        return status
+if TYPE_CHECKING:
+    from repro.obs.progress import MonitorState
 
 
 def _registry_value(registry, name: str) -> float | None:
@@ -334,7 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
         monitor: "MonitorServer" = self.server.monitor  # type: ignore[attr-defined]
         path = self.path.split("?", 1)[0]
         if path == "/status":
-            body = json.dumps(monitor.state.snapshot()).encode()
+            body = json.dumps(monitor.status()).encode()
             self._reply(200, "application/json", body)
         elif path == "/metrics":
             if monitor.registry is None:
@@ -385,6 +242,16 @@ class MonitorServer:
         self.requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
+
+    def status(self) -> dict:
+        """The ``/status`` document: the state's snapshot, with the pool
+        rebuilds the event stream does not carry read from the registry."""
+        status = self.state.snapshot()
+        if self.registry is not None:
+            value = _registry_value(self.registry, "jobs.recovery.pool_rebuilds")
+            if value is not None:
+                status["counters"]["pool_rebuilds"] = int(value)
+        return status
 
     @property
     def port(self) -> int:

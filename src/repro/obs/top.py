@@ -27,10 +27,18 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from itertools import count
 from pathlib import Path
 
 from repro.common.errors import ReproError
-from repro.obs.server import STATUS_VERSION
+from repro.obs.progress import (
+    EVENT_KINDS,
+    STATUS_VERSION,
+    JobEvent,
+    MonitorState,
+    format_duration,
+)
 
 #: One character per cell state in the grid.
 STATE_GLYPHS = {
@@ -74,93 +82,73 @@ def status_from_files(
     *,
     total: int | None = None,
 ) -> dict:
-    """Reconstruct a ``/status``-shaped document from on-disk state.
+    """Reconstruct a ``/status`` document from on-disk state.
 
-    The journal contributes completed cells; the span file contributes
-    labels, per-cell wall times, failures and the sweep's cell count
-    (from the root span's ``total`` attribute).  Works on live files —
-    both readers tolerate a torn final line — though a running sweep is
-    better watched through its ``--serve`` endpoint.
+    Replays the span file (job spans as ``done``/``failed`` events with
+    their durations, instants as their own event kinds), then the
+    journal (each completed record as a ``done`` event labelled
+    ``workload/scheme``), into one :class:`MonitorState`.  Cells the
+    span file resolved win: a journal record whose label they already
+    cover is skipped, so nothing counts twice.  The cell count is
+    ``total``, else the root span's ``total`` attribute, else the
+    number of cells seen.  Fields an offline view cannot know are
+    fixed: ``elapsed_s``, ``workers.last_event_age_s`` and
+    ``workers.configured`` read 0, and ``eta_s`` is 0 once every cell
+    resolved, else unknown (None).  Works on live files — both readers
+    tolerate a torn final line — though a running sweep is better
+    watched through its ``--serve`` endpoint.
     """
-    cells: dict[int, dict] = {}
-    counters = {"retries": 0, "timeouts": 0, "requeued": 0,
-                "pool_rebuilds": 0}
+    events: list[JobEvent] = []
     label = None
-    journaled = 0
-    if journal_path is not None:
-        from repro.jobs.journal import SweepJournal
-
-        journaled = len(SweepJournal(journal_path).load())
     if spans_path is not None:
         from repro.obs.spans import load_spans
 
         for span in load_spans(spans_path):
             if span.category == "sweep":
                 if total is None:
-                    total = int(span.attrs.get("total", 0)) or total
+                    total = int(span.attrs.get("total", 0)) or None
                 label = span.attrs.get("label", label)
+            elif "index" not in span.attrs:
+                continue
             elif span.category == "job":
-                index = int(span.attrs.get("index", len(cells)))
-                state = (
-                    "failed" if span.attrs.get("status") == "failed"
-                    else "done"
-                )
-                cells[index] = {
-                    "label": span.attrs.get("label", span.name),
-                    "state": state,
-                    "wall_time_s": span.duration_s,
-                }
-            elif span.category == "event":
-                if span.name in ("cache", "resumed"):
-                    index = int(span.attrs.get("index", len(cells)))
-                    cells[index] = {
-                        "label": span.attrs.get("label", ""),
-                        "state": span.name if span.name != "cache" else "cached",
-                        "wall_time_s": 0.0,
-                    }
-                elif span.name == "retry":
-                    counters["retries"] += 1
-                elif span.name == "timeout":
-                    counters["timeouts"] += 1
-                elif span.name == "requeue":
-                    counters["requeued"] += 1
+                failed = span.attrs.get("status") == "failed"
+                events.append(JobEvent(
+                    "failed" if failed else "done",
+                    span.attrs.get("label", span.name),
+                    int(span.attrs["index"]), wall_time_s=span.duration_s,
+                ))
+            elif span.category == "event" and span.name in EVENT_KINDS:
+                events.append(JobEvent(
+                    span.name, span.attrs.get("label", ""),
+                    int(span.attrs["index"]),
+                ))
+    state = MonitorState(total or 0, label=label)
+    for event in events:
+        state.observe(event)
+    if journal_path is not None:
+        from repro.jobs.journal import SweepJournal
+
+        cells = state.snapshot()["cells"]
+        # Span labels of fault cells carry an ``@age`` suffix.
+        covered = Counter(
+            cell["label"].split("@", 1)[0] for cell in cells
+            if cell["state"] in ("done", "cached", "resumed")
+        )
+        used = {cell["index"] for cell in cells}
+        free = (index for index in count() if index not in used)
+        for result in SweepJournal(journal_path).load().values():
+            name = f"{result.workload}/{result.scheme}"
+            if covered[name]:
+                covered[name] -= 1
+            else:
+                state.observe(JobEvent("done", name, next(free)))
     if total is None:
-        total = max(len(cells), journaled)
-    counts = {state: 0 for state in STATE_GLYPHS}
-    for cell in cells.values():
-        counts[cell["state"]] += 1
-    counts["pending"] += max(0, total - len(cells))
-    completed = (
-        counts["done"] + counts["cached"] + counts["resumed"]
-        + counts["failed"]
-    )
-    return {
-        "v": STATUS_VERSION,
-        "label": label,
-        "total": total,
-        "completed": completed,
-        "counts": counts,
-        "cells": [
-            {"index": index, **cells[index]} for index in sorted(cells)
-        ],
-        "workers": {"configured": 0, "busy": counts["running"],
-                    "last_event_age_s": 0.0},
-        "counters": counters,
-        "eta_s": 0.0 if completed >= total else None,
-        "elapsed_s": 0.0,
-        "finished": completed >= total and total > 0,
-    }
-
-
-def _fmt_eta(eta_s) -> str:
-    if eta_s is None:
-        return "--"
-    if eta_s <= 0:
-        return "done"
-    if eta_s < 60:
-        return f"{eta_s:.0f}s"
-    minutes, secs = divmod(int(round(eta_s)), 60)
-    return f"{minutes}m{secs:02d}s"
+        state.total = len(state.snapshot()["cells"])
+    status = state.snapshot()
+    status["workers"].update(configured=0, last_event_age_s=0.0)
+    status["elapsed_s"] = 0.0
+    status["eta_s"] = 0.0 if status["completed"] >= state.total else None
+    return status
 
 
 def render_dashboard(status: dict, *, width: int = 72) -> str:
@@ -184,12 +172,12 @@ def render_dashboard(status: dict, *, width: int = 72) -> str:
         f" | requeued {counters['requeued']}"
         f" | pool rebuilds {counters['pool_rebuilds']}"
     )
-    workers = status["workers"]
+    workers, eta = status["workers"], status["eta_s"]
     lines.append(
         f"workers {workers['busy']}/{workers['configured']} busy"
         f" | last event {workers['last_event_age_s']:.1f}s ago"
         f" | elapsed {status['elapsed_s']:.0f}s"
-        f" | ETA {_fmt_eta(status['eta_s'])}"
+        f" | ETA {'done' if eta == 0 else format_duration(eta)}"
         + (" | FINISHED" if status.get("finished") else "")
     )
 

@@ -24,7 +24,7 @@ SIGKILLed search re-simulates only the remainder.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.common.errors import ConfigError, ReproError
@@ -320,6 +320,18 @@ def _rung_journal_path(journal: SearchJournal | None, rung: int):
     return path.with_name(f"{path.stem}.rung{rung}{path.suffix or '.jsonl'}")
 
 
+def _shifted(observer, offset: int):
+    """``observer`` with job indices moved past earlier rungs' jobs.
+
+    Each rung is its own ``run_jobs`` batch numbered from 0; shifting
+    keeps one search's cells distinct in a live
+    :class:`~repro.obs.progress.MonitorState`.
+    """
+    if observer is None or not offset:
+        return observer
+    return lambda event: observer(replace(event, index=event.index + offset))
+
+
 def run_search(
     space: SearchSpace,
     *,
@@ -478,7 +490,7 @@ def run_search(
                 stage1_store=stage1_store,
                 telemetry=telemetry,
                 progress=progress,
-                observer=observer,
+                observer=_shifted(observer, counters["jobs_total"]),
                 ledger=ledger,
                 job_timeout_s=job_timeout_s,
                 spans=spans,

@@ -19,13 +19,13 @@ from repro.obs.chrome_trace import (
     span_event_count,
     validate_chrome_trace,
 )
-from repro.obs.progress import JobEvent, SweepProgress, tee_observers
-from repro.obs.server import (
-    MonitorServer,
+from repro.obs.progress import (
+    JobEvent,
     MonitorState,
-    prometheus_name,
-    render_prometheus,
+    SweepProgress,
+    tee_observers,
 )
+from repro.obs.server import MonitorServer, prometheus_name, render_prometheus
 from repro.obs.spans import (
     DISABLED_SPANS,
     SPAN_SCHEMA_VERSION,
@@ -685,7 +685,7 @@ class TestSchedulerSpans:
 
     def test_metrics_match_final_registry_snapshot(self, flat_cpi):
         telemetry = Telemetry()
-        state = MonitorState(4, workers=2, registry=telemetry.registry)
+        state = MonitorState(4, workers=2)
         with MonitorServer(state, registry=telemetry.registry) as server:
             run_jobs(grid_jobs(), max_workers=2, telemetry=telemetry,
                      observer=state.observe)

@@ -367,6 +367,19 @@ class TestRunSearch:
         assert resumed.report["jobs_resumed"] == 2
         assert _outcome_key(first) == _outcome_key(resumed)
 
+    def test_observer_sees_each_job_of_every_rung_once(self):
+        """Rungs number their jobs from 0; the observer sees them apart."""
+        events = []
+        outcome = run_search(
+            preset_space("schemes"), driver="halving", sampler="halton",
+            n_points=3, budget_schedule=SMALL_BUDGETS,
+            objectives=("ipc", "lifetime"), workload_numbers=(1,), seed=1,
+            base=CONFIG4, stage1=Stage1Cache(), observer=events.append,
+        )
+        resolved = [e.index for e in events if e.kind == "done"]
+        assert sorted(resolved) == list(range(outcome.report["jobs_total"]))
+        assert outcome.report["jobs_total"] > 3  # more than one rung ran
+
     def test_grid_driver_covers_the_space(self):
         space = SearchSpace((ChoiceDimension("scheme", ("S-NUCA", "Naive")),))
         outcome = run_search(
