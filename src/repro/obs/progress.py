@@ -21,8 +21,9 @@ single ``\\r``-rewritten status line::
 
     [#########...........]  5/12 cells | 2 cached, 1 resumed | 4 running: WL1/Re-NUCA … | ETA 18s
 
-It redraws at most once per ``min_redraw_s`` except when the last cell
-resolves, and takes a snapshot only when it redraws, so a thousand-cell
+The first event draws it at once; later redraws are spaced by at least
+``min_redraw_s`` from the previous one, except when the last cell
+resolves.  It takes a snapshot only when it redraws, so a thousand-cell
 sweep does not melt a slow console.  ``close()`` ends the line with a
 newline and the elapsed time so the last state stays in the scrollback.
 """
@@ -227,7 +228,9 @@ class SweepProgress(MonitorState):
 
     Use the instance itself as the ``observer`` hook: each event is
     folded by :meth:`MonitorState.observe`, then the line is redrawn
-    if the throttle allows.
+    if the throttle allows: the first event always draws, and a later
+    one only ``min_redraw_s`` after the previous frame (or when the
+    last cell resolves, and in :meth:`close`).
     """
 
     def __init__(
@@ -247,7 +250,9 @@ class SweepProgress(MonitorState):
         #: Monitor-server port, shown as a ``serving :PORT`` suffix so a
         #: watcher knows where ``repro top`` can attach.
         self.serving: int | None = None
-        self._last_draw = 0.0
+        #: Monotonic time of the previous frame; None until the first,
+        #: since the clock's reference point is undefined (boot on Linux).
+        self._last_draw: float | None = None
         self._last_width = 0
 
     def __call__(self, event: JobEvent) -> None:
@@ -293,7 +298,8 @@ class SweepProgress(MonitorState):
 
     def _draw(self, *, force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last_draw < self.min_redraw_s:
+        if (not force and self._last_draw is not None
+                and now - self._last_draw < self.min_redraw_s):
             return
         self._last_draw = now
         line = self.status_line()

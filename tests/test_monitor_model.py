@@ -4,7 +4,9 @@ import io
 import subprocess
 import sys
 import threading
+import types
 
+import repro.obs.progress as progress_module
 from repro.jobs.journal import SweepJournal
 from repro.obs.progress import (
     JobEvent,
@@ -53,6 +55,19 @@ class TestRedrawThrottle:
         assert len(taken) == 1  # the first draw; the rest are throttled
         progress.close()
         assert len(taken) == 2
+
+    def test_first_event_draws_whatever_the_clock_reads(self, monkeypatch):
+        # time.monotonic()'s epoch is undefined (boot time on Linux), so a
+        # host up for 5 s reads 5.0: the first frame must still be drawn.
+        monkeypatch.setattr(progress_module, "time",
+                            types.SimpleNamespace(monotonic=lambda: 5.0))
+        stream = io.StringIO()
+        progress = SweepProgress(total=2, stream=stream, min_redraw_s=3600.0)
+        progress(JobEvent("dispatch", "c0", 0))
+        first = stream.getvalue()
+        assert first.startswith("\r[") and "0/2 cells" in first
+        progress(JobEvent("dispatch", "c1", 1))
+        assert stream.getvalue() == first  # throttled from the first frame
 
 
 # -- offline: the journal replays as completed cells --------------------------
