@@ -44,18 +44,44 @@ class ReNucaPolicy(MappingPolicy):
         self.config = config
         self._snuca = SNucaPolicy(config.num_banks)
         self._rnuca = RNucaPolicy(mesh, config.rnuca_cluster_size)
-        self.tlbs = [
+        self._tlbs = [
             EnhancedTlb(config.tlb, line_bytes=config.l3_bank.line_bytes)
             for _ in range(config.num_cores)
         ]
+        self._pending_tlbs = None
         self.critical_allocations = 0
         self.noncritical_allocations = 0
+
+    @property
+    def tlbs(self) -> list[EnhancedTlb]:
+        """Each core's enhanced TLB.
+
+        A replay kernel may leave the TLBs' rebuild pending (see
+        :meth:`defer_tlb_rebuild`); the first read runs it.  The
+        per-record methods below read the list directly.
+        """
+        rebuild = self._pending_tlbs
+        if rebuild is not None:
+            self._pending_tlbs = None
+            rebuild()
+        return self._tlbs
+
+    def defer_tlb_rebuild(self, rebuild) -> None:
+        """Leave the TLBs stale until :attr:`tlbs` is read.
+
+        ``rebuild()`` brings them to their exact state: sets, backing
+        stores and statistics.  The replay kernel hands one over because
+        it keeps the Mapping Bits itself and no result reads the TLB
+        objects.  The per-record methods must not run while it is
+        pending.
+        """
+        self._pending_tlbs = rebuild
 
     # -- MappingPolicy interface ------------------------------------------------
 
     def locate(self, core: int, line: int) -> int:
         """Read the core's Mapping Bit to pick the mapping function."""
-        if self.tlbs[core].mapping_bit(line):
+        if self._tlbs[core].mapping_bit(line):
             return self._rnuca.bank_of(core, line)
         return self._snuca.locate(core, line)
 
@@ -71,7 +97,7 @@ class ReNucaPolicy(MappingPolicy):
 
     def on_allocate(self, core: int, line: int, bank: int, critical: bool) -> None:
         """Record the mapping choice in the owner's enhanced TLB."""
-        self.tlbs[core].set_mapping_bit(line, critical)
+        self._tlbs[core].set_mapping_bit(line, critical)
         if critical:
             self.critical_allocations += 1
         else:
@@ -86,7 +112,7 @@ class ReNucaPolicy(MappingPolicy):
         if not isinstance(aux, tuple) or len(aux) != 2:
             raise SimulationError(f"Re-NUCA eviction without owner aux for {line:#x}")
         owner, _critical = aux
-        self.tlbs[owner].clear_mapping_bit(line)
+        self._tlbs[owner].clear_mapping_bit(line)
 
     def reset_counters(self) -> None:
         """Zero the allocation-mix counters (after warm-up prefill)."""
@@ -94,11 +120,12 @@ class ReNucaPolicy(MappingPolicy):
         self.noncritical_allocations = 0
 
     def reset(self) -> None:
-        """Fresh TLBs and counters (between workloads)."""
-        self.tlbs = [
+        """Fresh TLBs and counters (between workloads); drops a pending rebuild."""
+        self._tlbs = [
             EnhancedTlb(self.config.tlb, line_bytes=self.config.l3_bank.line_bytes)
             for _ in range(self.config.num_cores)
         ]
+        self._pending_tlbs = None
         self.critical_allocations = 0
         self.noncritical_allocations = 0
 
@@ -152,5 +179,5 @@ class ReNucaPolicy(MappingPolicy):
         it for L1I+L1D (1 KB/core, 16 KB for the machine).  We model the
         data-side instance and report the paper's full figure.
         """
-        per_tlb = self.config.tlb.entries * self.tlbs[0].lines_per_page // 8
+        per_tlb = self.config.tlb.entries * self._tlbs[0].lines_per_page // 8
         return 2 * per_tlb * self.config.num_cores

@@ -974,14 +974,19 @@ def _pool_context():
 
 
 def _worker_init() -> None:
-    """Pool initializer: restore default signal dispositions.
+    """Pool initializer: restore default signal dispositions, empty the memo.
 
     Forked workers inherit the parent's :class:`GracefulCancel`
     handler; without this reset, the executor's broken-pool cleanup
     (which SIGTERMs surviving workers) would trip the drain notice
     inside a worker — and the worker would swallow the signal instead
-    of dying.
+    of dying.  They also inherit the parent's stage-1 memo, filled if
+    the parent ever ran a payload in-process; a worker starts with an
+    empty one, so its ``jobs.stage1.*`` accounting counts only its own
+    sweep's runs.
     """
+    global _WORKER_STAGE1
+    _WORKER_STAGE1 = None
     for signum in (signal_module.SIGINT, signal_module.SIGTERM):
         try:
             signal_module.signal(signum, signal_module.SIG_DFL)

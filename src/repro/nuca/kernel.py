@@ -21,8 +21,10 @@ index dict) and batches all side-channel accounting:
   dense line ids carry the Mapping Bit and the probe memo, and the CPT
   is a pair of counters per (core, pc).  The enhanced TLBs leave the
   loop: their residency depends only on each core's page sequence, so a
-  separate pass replays it and rebuilds their exact state from the
-  loop's log of Mapping Bit changes.
+  separate pass can replay it and rebuild their exact state from the
+  loop's log of Mapping Bit changes.  No result depends on that state,
+  so the pass is left pending on the policy and runs only if something
+  reads :attr:`~repro.core.renuca.ReNucaPolicy.tlbs`.
 
 Every replay reads the runner's merged stream, which gathers its
 records window by window from the cores' stage-1 streams, one chunk of
@@ -47,7 +49,11 @@ is compensated since Python 3.12).  The kernel transfers *statistics*
 back into the live objects (LLC stats, mesh traffic, wear counters,
 memory pipe/row state, policy counters, and Re-NUCA's TLB and CPT
 state); the per-bank ``Cache`` objects stay empty — nothing on the
-un-instrumented path reads them.
+un-instrumented path reads them.  Re-NUCA's TLB state is transferred
+lazily: the replay hands the policy a one-shot rebuild, and the first
+read of ``policy.tlbs`` runs it, which leaves exactly the reference's
+sets, backing stores and ``TlbStats``.  The un-instrumented path never
+reads them, so on a sweep the rebuild never runs.
 
 The kernel never engages when telemetry or fault injection is attached
 (those need the object graph's event hooks); :func:`kernel_fallback_reason`
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
@@ -225,6 +232,7 @@ def warm_state(llc, runs) -> ArrayBanks:
     state = ArrayBanks.for_llc(llc)
     policy = llc.policy
     renuca = type(policy) not in (NaivePolicy, SNucaPolicy, PrivatePolicy, RNucaPolicy)
+    tlbs = policy.tlbs if renuca else None
     total_sets = len(state.occ)
     counts = np.zeros(total_sets, dtype=np.int64)
     wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
@@ -240,7 +248,7 @@ def warm_state(llc, runs) -> ArrayBanks:
         np.add.at(counts, gset, 1)
         np.add.at(wear, bank, 1)
         if renuca:
-            pages = lines >> policy.tlbs[core]._line_shift
+            pages = lines >> tlbs[core]._line_shift
             last = np.append(pages[1:] != pages[:-1], True)
             touched.setdefault(core, []).append(pages[last])
     _check_overlapping_runs(runs, spans)
@@ -277,7 +285,7 @@ def warm_state(llc, runs) -> ArrayBanks:
     elif renuca:
         # Only survivors set a frame's critical flag.
         mapped = np.flatnonzero(crit)
-        for core, tlb in enumerate(policy.tlbs):
+        for core, tlb in enumerate(tlbs):
             pages = np.concatenate(touched.get(core, [np.empty(0, dtype=np.int64)]))
             tlb.load_warm_state(
                 pages << tlb._line_shift, tags[mapped[owner[mapped] == core]]
@@ -780,9 +788,12 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     * **The TLB pass.**  TLB residency depends only on each core's page
       sequence (every record touches its page once; write-back re-reads
       and allocation-time bit sets hit the MRU page; eviction-time bit
-      clears never touch), so :func:`_replay_tlbs` replays it after the
-      loop and takes the MBV write-back/restore counts from the log of
-      Mapping Bit changes the loop keeps.
+      clears never touch), so :func:`_replay_tlbs` can replay it after
+      the loop and take the MBV write-back/restore counts from the log
+      of Mapping Bit changes the loop keeps.  No result reads the TLBs,
+      so the loop only hands the policy that pass as a pending rebuild
+      (:meth:`~repro.core.renuca.ReNucaPolicy.defer_tlb_rebuild`),
+      which the first read of ``policy.tlbs`` runs.
     * **CPT counters.**  Each predictor entry is a pair of per-(core,
       pc) counters; whether a load would block on a hit is precomputed
       for both candidate banks.  When a table could overflow, the
@@ -799,6 +810,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
+    # Through the property: the starting MBVs must not be stale.
     tlbs = policy.tlbs
     ncores = len(tlbs)
     nb = llc.wear.num_banks
@@ -830,7 +842,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     memo = lines.memo
     copies = lines.copies
     line_of = lines.line_of
-    clear_warm = lines.clear_warm
+    warm_evicted = lines.warm_evictions.extend
     # Mapping Bit change log: the record index, then the line id
     # (``~id`` for a clear).  Read by the TLB pass.
     mbv_log = array("q")
@@ -1004,7 +1016,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                         log(lo + j)
                         log(~vid)
                 else:
-                    clear_warm(lo + j, pos)
+                    warm_evicted((lo + j, pos, vid))
                 if dirty_f[pos]:
                     ts = ts_a[j]
                     start = ts if ts > pipe_free else pipe_free
@@ -1057,7 +1069,13 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         rec.scatter_measured(out, lat)
 
     state.clock += merged.total
-    _replay_tlbs(tlbs, merged, lines, mbv_log, touches, wb_misses)
+    # The pending rebuild keeps the lines' identities, owners and
+    # starting MBVs; the loop's per-line state goes with the replay.
+    del lines.ids, lines.bank_r, lines.bank_s, lines.set_r, lines.set_s
+    del lines.mbit, lines.memo, lines.copies, lines.tags
+    policy.defer_tlb_rebuild(
+        partial(_replay_tlbs, tlbs, merged, lines, mbv_log, touches, wb_misses)
+    )
     cpt.write_back(cpts)
     wb_miss_total = int(wb_misses.sum())
     stats = llc.stats
@@ -1162,22 +1180,10 @@ class _LineIds:
         mbit[known] = self.mbv_bits[row[known], line[known] & self.line_mask]
         self.mbit = bytearray(mbit.tobytes())
         # Warm lines the stream never references keep their starting
-        # Mapping Bits until evicted; their clears are logged apart, as
-        # (record, frame, line) triples.
-        self.start_mbvs = dict(zip(self.mbv_keys.tolist(), mbv_ints(self.mbv_bits)))
+        # Mapping Bits until evicted; the loop logs their evictions
+        # apart, as (record, frame, ~line) triples (see _warm_clears).
         self.warm_owner = owner
-        self.warm_clears = array("q")
-        self._cleared: set[int] = set()
-
-    def clear_warm(self, i: int, pos: int) -> None:
-        """Eviction-time clear_mapping_bit of the unreferenced warm line at ``pos``."""
-        line = int(~self.tags[pos])
-        key = (line >> self.shift) * self.ncores + int(self.warm_owner[pos])
-        if (self.start_mbvs.get(key, 0) >> (line & self.line_mask)) & 1 and (
-            line not in self._cleared
-        ):
-            self._cleared.add(line)
-            self.warm_clears.extend((i, pos, line))
+        self.warm_evictions = array("q")
 
     def page_keys(self, lines: np.ndarray, cores: np.ndarray) -> np.ndarray:
         """One int64 key per (core, page) of ``lines``."""
@@ -1206,6 +1212,23 @@ def _tlb_mbvs(tlbs) -> tuple[np.ndarray, np.ndarray]:
     return keys_a[order], mbv_bits(mbvs, tlbs[0].lines_per_page)[order]
 
 
+def _warm_clears(lines: _LineIds) -> np.ndarray:
+    """The Mapping Bit clears of the logged warm-line evictions.
+
+    Rows of (record, frame, line), in record order, decoded from
+    ``lines.warm_evictions``: evicting an unreferenced warm line clears
+    a bit only if its starting Mapping Bit is set, and only its first
+    such eviction does (the bit stays clear after).
+    """
+    ev = np.frombuffer(lines.warm_evictions, dtype=np.int64).reshape(-1, 3)
+    line = ~ev[:, 2]
+    row = _rows(lines.mbv_keys, lines.page_keys(line, lines.warm_owner[ev[:, 1]]))
+    known = np.flatnonzero(row >= 0)
+    at = known[lines.mbv_bits[row[known], line[known] & lines.line_mask]]
+    at = np.sort(at[np.unique(line[at], return_index=True)[1]])
+    return np.column_stack((ev[at, 0], ev[at, 1], line[at]))
+
+
 def _rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Position of each ``query`` in sorted ``keys`` (-1: absent)."""
     if not len(keys):
@@ -1227,6 +1250,9 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     chunk by chunk, so nothing stream-long is built.  The final set
     dicts hold the resident pages in LRU order with their final MBVs,
     and the backing store every other non-zero MBV.
+
+    The replay does not call it: it is the rebuild the replay leaves
+    pending on the policy, run by the first read of ``policy.tlbs``.
     """
     ncores = len(tlbs)
     num_sets = tlbs[0].config.num_sets
@@ -1235,7 +1261,7 @@ def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> 
     sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
     log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
     ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
-    warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 3)
+    warm = _warm_clears(lines)
     line = np.concatenate((lines.line_of[ids], warm[:, 2]))
     change_keys = lines.page_keys(
         line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))

@@ -17,8 +17,10 @@ chunks.
 Two oracles keep the whole-stream forms the kernel replaced: the warm-up
 that concatenates the warm stream (:func:`_warm_state_oracle`) and the
 TLB pass that builds stream-long event arrays
-(:func:`_replay_tlbs_oracle`).  The streamed warm-up and the chunked TLB
-pass are checked against them on drawn inputs.
+(:func:`_replay_tlbs_oracle`, which filters the warm-line evictions one
+by one).  The streamed warm-up and the chunked TLB pass are checked
+against them on drawn inputs.  The kernel leaves the TLB pass pending on
+the policy; :class:`TestDeferredTlbRebuild` checks when it runs.
 """
 
 import dataclasses
@@ -696,6 +698,56 @@ class TestReNucaObjectState:
             assert sum(stats.evictions for _, stats in ref_state[1]) > 0
 
 
+class TestDeferredTlbRebuild:
+    """The kernel leaves Re-NUCA's TLB pass pending on the policy.
+
+    No result reads the TLB objects, so a kernel run never rebuilds
+    them; the first read of ``policy.tlbs`` does, once.
+    """
+
+    @pytest.fixture()
+    def rebuilds(self, monkeypatch):
+        calls = []
+        real = kernel._replay_tlbs
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_replay_tlbs", spy)
+        return calls
+
+    def _replayed(self, stage1):
+        prep = prepare_replay(MIX8, "Re-NUCA", CFG8, seed=3, n_instructions=INSTR,
+                              stage1=stage1, use_kernel=True)
+        runner.kernel_replay(prep.llc, prep.merged, state=prep.state,
+                             cpts=prep.cpts, threshold=prep.threshold,
+                             block_cycles=prep.block_cycles)
+        return prep.policy
+
+    def test_kernel_run_never_rebuilds(self, stage1, rebuilds):
+        run_info = {}
+        run_workload(MIX8, "Re-NUCA", CFG8, seed=3, n_instructions=INSTR,
+                     stage1=stage1, run_info=run_info)
+        assert run_info["replay_path"] == "kernel"
+        assert rebuilds == []
+
+    def test_first_read_rebuilds_once(self, stage1, rebuilds):
+        policy = self._replayed(stage1)
+        assert rebuilds == []
+        tlbs = policy.tlbs
+        assert rebuilds == [1]
+        assert policy.tlbs is tlbs
+        assert rebuilds == [1]
+        assert sum(t.stats.lookups for t in tlbs) > 0
+
+    def test_reset_discards_a_pending_rebuild(self, stage1, rebuilds):
+        policy = self._replayed(stage1)
+        policy.reset()
+        assert not any(t.resident_pages() or t.stats.lookups for t in policy.tlbs)
+        assert rebuilds == []
+
+
 def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> None:
     """The whole-stream TLB pass that :func:`kernel._replay_tlbs` chunks.
 
@@ -735,7 +787,7 @@ def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> Non
 
     log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
     ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
-    warm = np.frombuffer(lines.warm_clears, dtype=np.int64).reshape(-1, 3)
+    warm = _warm_clears_oracle(lines)
     line = np.concatenate((lines.line_of[ids], warm[:, 2]))
     change_keys = lines.page_keys(
         line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
@@ -789,6 +841,27 @@ def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> Non
         stats.mbv_writebacks += writeback_n[core]
 
 
+def _warm_clears_oracle(lines) -> np.ndarray:
+    """The per-eviction filter that :func:`kernel._warm_clears` replaced.
+
+    Walks the log of warm-line evictions in order: an eviction clears a
+    bit when the line's starting Mapping Bit is set and no earlier
+    eviction of the line cleared it.
+    """
+    start_mbvs = dict(zip(lines.mbv_keys.tolist(), mbv_ints(lines.mbv_bits)))
+    cleared, rows = set(), []
+    evictions = np.frombuffer(lines.warm_evictions, dtype=np.int64).reshape(-1, 3)
+    for i, pos, tag in evictions.tolist():
+        line = ~tag
+        key = (line >> lines.shift) * lines.ncores + int(lines.warm_owner[pos])
+        if (start_mbvs.get(key, 0) >> (line & lines.line_mask)) & 1 and (
+            line not in cleared
+        ):
+            cleared.add(line)
+            rows.append((i, pos, line))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
 class _Columns:
     """A merged stream's ``chunks`` of plain line/core columns."""
 
@@ -812,7 +885,7 @@ class _TlbLines:
         self.shift = tlbs[0]._line_shift
         self.line_mask = tlbs[0]._line_mask
         self.line_of, self.core_of = line_of, core_of
-        self.warm_owner, self.warm_clears = warm_owner, warm_clears
+        self.warm_owner, self.warm_evictions = warm_owner, warm_clears
         self.mbv_keys, self.mbv_bits = kernel._tlb_mbvs(tlbs)
 
 
@@ -823,9 +896,12 @@ def _drawn_tlb_pass(seed, ncores, tlb_sets, tlb_assoc, page_bytes, records,
     Each core's lines sit in eight pages of its own; the TLBs start
     with pages resident and backed (set through the MBV protocol, which
     evicts into the backing store).  The referenced lines' Mapping Bits
-    toggle at random records, and warm lines the stream never
-    references, set at the start, are cleared at most once each.
-    Returns a builder of fresh TLBs and the pass's other arguments.
+    toggle at random records.  Warm lines the stream never references
+    are evicted at random records, each from a frame of its own (the
+    replay loop's raw log of ``(record, frame, ~line)``): lines whose
+    starting bit is set, lines whose starting bit is 0, and some of
+    them twice, whose second eviction clears nothing.  Returns a
+    builder of fresh TLBs and the pass's other arguments.
     """
     rng = np.random.default_rng(seed)
     config = TlbConfig(entries=tlb_sets * tlb_assoc, assoc=tlb_assoc,
@@ -863,14 +939,25 @@ def _drawn_tlb_pass(seed, ncores, tlb_sets, tlb_assoc, page_bytes, records,
             lid = int(ids[rng.integers(0, records)])
             bit[lid] = not bit[lid]
             mbv_log.extend((i, lid if bit[lid] else ~lid))
-    warm = sorted(set(warm_set) - set(line_of.tolist()))
-    cleared = [w for w in warm if rng.random() < 0.6]
-    at = np.sort(rng.integers(0, records, len(cleared)))
-    order = rng.permutation(len(cleared))
+    referenced = set(line_of.tolist())
+    warm = sorted(set(warm_set) - referenced)
+    evicted = [w for w in warm if rng.random() < 0.6]
+    # Lines whose starting bit is 0 and second evictions draw from a
+    # stream of their own, so the warm lines cleared stay as before.
+    extra = np.random.default_rng([seed, 1])
+    unset = sorted({
+        line_at(int(c), int(p), int(i))
+        for c, p, i in zip(extra.integers(0, ncores, 16), extra.integers(0, 8, 16),
+                           extra.integers(0, per_page, 16))
+    } - set(warm_set) - referenced)
+    evicted += [w for w in unset if extra.random() < 0.6]
+    evicted += [w for w in evicted if extra.random() < 0.3]
+    at = np.sort(rng.integers(0, records, len(evicted)))
+    order = rng.permutation(len(evicted))
     warm_clears = array("q")
     for i, pos in zip(at.tolist(), order.tolist()):
-        warm_clears.extend((i, pos, cleared[pos]))
-    warm_owner = ((np.array(cleared, dtype=np.int64) >> shift) // 8).astype(np.int16)
+        warm_clears.extend((i, pos, ~evicted[pos]))
+    warm_owner = ((np.array(evicted, dtype=np.int64) >> shift) // 8).astype(np.int16)
     touches = np.bincount(core, minlength=ncores)
     wb_misses = rng.integers(0, 3, ncores)
     stream = _Columns(line, core.astype(np.int16))
@@ -883,7 +970,9 @@ class TestChunkedTlbPass:
 
     Tiny TLBs make pages refill, evict and round-trip their MBVs through
     the backing store; Mapping Bit changes and warm clears land inside
-    chunks, on their edges and across them.
+    chunks, on their edges and across them.  The pass decodes the warm
+    evictions with numpy (:func:`kernel._warm_clears`), the oracle with
+    the per-eviction filter the replay loop once ran.
     """
 
     @pytest.mark.parametrize("chunk", [1, 7, 97])
@@ -923,6 +1012,18 @@ class TestChunkedTlbPass:
         assert len(mbv_log) and len(warm_clears)
         assert sum(tlb.stats.mbv_restores for tlb in tlbs) > 0
         assert sum(tlb.stats.mbv_writebacks for tlb in tlbs) > 0
+
+    def test_draws_evict_warm_lines_twice_and_with_unset_bits(self):
+        # The warm-eviction log holds what the decode filters out: a
+        # second eviction of a line, and lines whose starting bit is 0.
+        build, (_, line_of, core_of, warm_owner, warm_evictions, *_) = (
+            _drawn_tlb_pass(0, 2, 2, 1, 1024, 120, 0.2)
+        )
+        lines = _TlbLines(build(), line_of, core_of, warm_owner, warm_evictions)
+        evicted = ~np.frombuffer(warm_evictions, dtype=np.int64)[2::3]
+        cleared = kernel._warm_clears(lines)[:, 2]
+        assert len(np.unique(evicted)) < len(evicted)
+        assert 0 < len(np.unique(cleared)) == len(cleared) < len(np.unique(evicted))
 
 
 class TestFrameViews:

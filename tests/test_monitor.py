@@ -730,6 +730,17 @@ class TestMonitoredSweepE2E:
         out = tmp_path / "matrix.json"
         stderr = io.StringIO()
         monkeypatch.setattr(sys, "stderr", stderr)
+        # The sweep keeps its monitor up until the test has read /status:
+        # the 3-cell sweep could otherwise finish and stop its server
+        # between two polls, before any poll saw a resolved cell.
+        status_read = threading.Event()
+        stop = MonitorServer.stop
+
+        def stop_once_read(server):
+            status_read.wait(timeout=120)
+            stop(server)
+
+        monkeypatch.setattr(MonitorServer, "stop", stop_once_read)
         codes = []
         thread = threading.Thread(target=lambda: codes.append(main([
             "sweep", "--workloads", "1", "--schemes",
@@ -767,6 +778,7 @@ class TestMonitoredSweepE2E:
                         break
                 time.sleep(0.05)
         finally:
+            status_read.set()
             thread.join(timeout=300)
         assert not thread.is_alive()
         assert codes == [0]
