@@ -12,7 +12,8 @@ ordinary dicts, which the stage-1 kernel can drive directly
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from itertools import repeat
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -29,10 +30,13 @@ class SetAssocArray:
 
     The per-set dicts are built on first use, so an array nothing reads
     costs no set dicts: the LLC banks on the stage-2 kernel path, whose
-    content lives in :class:`~repro.nuca.kernel.ArrayBanks`.
+    content lives in :class:`~repro.nuca.kernel.ArrayBanks`.  An empty
+    array can also be handed its whole content at once and build each
+    set's dict only when that set is first read (:meth:`defer_fill`): the
+    stage-1 kernel's nominal L3, of whose sets a short walk reads a few.
     """
 
-    __slots__ = ("num_sets", "assoc", "_sets")
+    __slots__ = ("num_sets", "assoc", "_sets", "_pending")
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         if not is_power_of_two(num_sets):
@@ -41,13 +45,70 @@ class SetAssocArray:
             raise ConfigError(f"associativity must be positive, got {assoc}")
         self.num_sets = num_sets
         self.assoc = assoc
+        self._pending: tuple | None = None
 
     def __getattr__(self, name: str) -> Any:
-        # Reached only while a slot is unset: ``_sets`` on first use.
+        # Reached only while a slot is unset: ``_sets`` on first use, which
+        # also builds every set still pending from :meth:`defer_fill`.
         if name != "_sets":
             raise AttributeError(name)
-        self._sets: list[dict[int, Any]] = [dict() for _ in range(self.num_sets)]
-        return self._sets
+        if self._pending is None:
+            sets: list[dict[int, Any]] = [dict() for _ in range(self.num_sets)]
+        else:
+            sets = self._pending[0]
+            for set_idx, ways in enumerate(sets):
+                if ways is None:
+                    self._build(set_idx)
+            self._pending = None
+        self._sets = sets
+        return sets
+
+    def is_empty(self) -> bool:
+        """True when no set holds a line; builds no set."""
+        if self._pending is not None:
+            views, _starts, tags, _payload = self._pending
+            return not tags and not any(views)
+        try:
+            sets = object.__getattribute__(self, "_sets")
+        except AttributeError:
+            return True
+        return not any(sets)
+
+    def defer_fill(self, set_idx: np.ndarray, tags: np.ndarray, payload: tuple) -> None:
+        """Make ``tags`` the content of this empty array, one set at a time.
+
+        ``tags`` lie grouped by ascending ``set_idx`` (their sets), in
+        LRU -> MRU order within a set and at most ``assoc`` to a set: the
+        order :func:`lru_survivors` returns.  Set ``s``'s dict is built
+        the first time anything reads it, through :meth:`lazy_views` or
+        any other method, each tag with a fresh ``list(payload)``.  The
+        caller guarantees the array is empty (:meth:`is_empty`).
+        """
+        starts = np.zeros(self.num_sets + 1, dtype=np.int64)
+        np.cumsum(np.bincount(set_idx, minlength=self.num_sets), out=starts[1:])
+        try:
+            del self._sets  # built, but empty: rebuilt with the content
+        except AttributeError:
+            pass
+        self._pending = ([None] * self.num_sets, starts.tolist(), tags.tolist(), payload)
+
+    def lazy_views(self) -> tuple[list[dict[int, Any] | None], Callable[[int], dict[int, Any]]]:
+        """``(views, build)``: :meth:`set_views` without building any set.
+
+        ``views[s]`` is set ``s``'s live dict, or None while the set is
+        still pending from :meth:`defer_fill`; ``build(s)`` builds it
+        into ``views`` and returns it.  The stage-1 kernel's walk reads
+        its nominal L3 through these and builds only the sets it touches.
+        """
+        if self._pending is None:
+            return self._sets, self._build
+        return self._pending[0], self._build
+
+    def _build(self, set_idx: int) -> dict[int, Any]:
+        views, starts, tags, payload = self._pending
+        ways = dict(zip(tags[starts[set_idx]:starts[set_idx + 1]], map(list, repeat(payload))))
+        views[set_idx] = ways
+        return ways
 
     def lookup(self, set_idx: int, tag: int, *, touch: bool = True) -> Any | None:
         """Return the payload stored under ``tag`` or None on miss.

@@ -90,6 +90,23 @@ def _package_version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that looks the version up only when it is given.
+
+    :func:`_package_version` scans every installed distribution (about
+    10 ms), which every other command would pay in :func:`build_parser`.
+    """
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 default=argparse.SUPPRESS, help="show program's version number and exit"):
+        super().__init__(option_strings=option_strings, dest=dest,
+                         default=default, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_package_version()}")
+        parser.exit()
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instructions", type=int, default=60_000,
                         help="instruction budget per core (default 60000)")
@@ -923,8 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Re-NUCA (IPDPS 2016) reproduction toolkit",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_package_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     # Not `required`: a bare ``repro`` prints the full help (exit 2, see
     # :func:`main`) instead of argparse's two-line usage error.
     sub = parser.add_subparsers(dest="command")

@@ -18,9 +18,13 @@ The **cache walk** (:func:`walk`) depends only on line order, never on
   evicts ``next(iter(ways))``; the ``Cache`` objects' arrays *are* the
   kernel's L1/L2/L3 state, so the final content needs no translation;
 * the warm-up is installed in closed form (:func:`warm_caches`): each
-  set's steady-state survivors are computed with numpy and written into
-  those same dicts, one ``dict.update`` per set instead of one
-  ``Cache.allocate`` per line;
+  set's steady-state survivors are computed with numpy instead of one
+  ``Cache.allocate`` per line.  The L1 and L2, which every bundle reads,
+  get them at once, one ``dict.update`` per set; the nominal L3 holds
+  them as pending content and builds a set's dict the first time the
+  walk reaches that set (a 10k-instruction walk reaches at most a few
+  hundred of the baseline's 2 048), while every other reader of the array sees the
+  whole content (:meth:`~repro.cache.lru.SetAssocArray.defer_fill`);
 * the stream-prefetch detector and the DRAM open-row state are inlined;
 * each bundle leaves one outcome code (L1 hit ... L3 miss on a closed
   row, prefetch-covered or not) plus the lines of its L2 write-backs, and
@@ -39,7 +43,15 @@ exact floating-point operation order.  It comes in two forms:
   inline);
 * :func:`retime` computes only ``(cycles, instructions)``, which is all
   base-CPI calibration reads, so one walk serves every calibration probe
-  (:mod:`repro.sim.calibrate`).
+  (:mod:`repro.sim.calibrate`).  It reads per-bundle columns the walk
+  prepares with numpy (dispatch count, ROB index, a timing kind), keeps
+  the in-flight loads on a flat queue with a head index, and takes a
+  short path for the L1/L2 hits that make up about 98 % of bundles.
+
+The cyclic garbage collector is paused across :func:`characterize` and
+a calibration's walk and re-timings (:func:`gc_paused`): they build
+tens of thousands of small acyclic containers, which a collection
+would only walk.
 
 Equivalence contract: the closed-form warm-up leaves the same per-set
 content as the reference ``AppSimulator._warm_caches`` (its oracle),
@@ -61,7 +73,10 @@ The kernel only drives caches in their native-LRU, un-degraded mode;
 from __future__ import annotations
 
 import gc
+import sys
+from array import array
 from collections import OrderedDict, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +131,9 @@ def warm_caches(sim, base_line: int) -> None:
         l2_dirty[len(l2_clean)::stride] = True
     _install_lru(sim.l1d, _range_lines(sets["l1"]) + base_line)
     _install_lru(sim.l2, np.concatenate((l2_clean, window)) + base_line, l2_dirty)
-    _install_lru(sim.l3, _range_lines(*sets["l3"]) + base_line)
+    l3_lines = _range_lines(*sets["l3"]) + base_line
+    keep, kept_sets = _lru_keep(sim.l3, l3_lines)
+    sim.l3._array.defer_fill(kept_sets, l3_lines[keep], (False, None))
 
 
 def _range_lines(*blocks: range) -> np.ndarray:
@@ -126,18 +143,35 @@ def _range_lines(*blocks: range) -> np.ndarray:
     )
 
 
-def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> None:
-    """Leave ``cache`` as LRU-filling an empty cache with ``lines`` would.
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector; restore the caller's state after.
 
-    The cyclic garbage collector is paused while the payload lists are
-    built and installed: they are tens of thousands of small containers
-    that cannot form cycles, and each collection would only walk them.
-    A caller that had it disabled finds it disabled.
+    Also a decorator.  The stage-1 kernel builds tens of thousands of small
+    containers (payload lists, per-bundle columns) that cannot form
+    cycles, and each collection would only walk them.  A caller that had
+    the collector disabled finds it disabled, also when the body raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _lru_keep(cache, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the lines LRU-filling empty ``cache`` with ``lines`` keeps.
+
+    Grouped by ascending set, LRU -> MRU within a set
+    (:func:`~repro.cache.lru.lru_survivors`), with their sets.  Checks that
+    the cache is empty and the stream miss-only, and resets the
+    statistics, as the reference warm-up leaves them.
     """
     from repro.cache.cache import CacheStats
 
-    views = cache._array.set_views()
-    if any(views):
+    if not cache._array.is_empty():
         raise SimulationError(f"{cache.name}: closed-form warm-up needs an empty cache")
     ordered = np.sort(lines)
     if (ordered[1:] == ordered[:-1]).any():
@@ -148,22 +182,29 @@ def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> N
     cache.stats = CacheStats()
     set_idx = lines & (cache.num_sets - 1)
     keep = lru_survivors(set_idx, cache.config.assoc)
-    kept_sets = set_idx[keep]
+    return keep, set_idx[keep]
+
+
+def _install_lru(cache, lines: np.ndarray, dirty: np.ndarray | None = None) -> None:
+    """Leave ``cache`` as LRU-filling an empty cache with ``lines`` would.
+
+    Every set's dict is filled now (the L1 and L2, which the walk reads on
+    every bundle); the nominal L3 instead holds its survivors as pending
+    content and builds a set on first touch
+    (:meth:`~repro.cache.lru.SetAssocArray.defer_fill`).
+    """
+    keep, kept_sets = _lru_keep(cache, lines)
+    views = cache._array.set_views()
     sets_l, firsts = np.unique(kept_sets, return_index=True)
     bounds = np.r_[firsts, len(keep)].tolist()
     line_l = lines[keep].tolist()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         if dirty is None:
             payloads = [[False, None] for _ in line_l]
         else:
             payloads = [[d, None] for d in dirty[keep].tolist()]
         for s, lo, hi in zip(sets_l.tolist(), bounds, bounds[1:]):
             views[s].update(zip(line_l[lo:hi], payloads[lo:hi]))
-    finally:
-        if enabled:
-            gc.enable()
 
 
 #: Outcome of one bundle's cache walk (:class:`CacheWalk` ``code``).  An
@@ -176,28 +217,43 @@ L1_HIT, L2_HIT, L3_HIT, L3_ROW_HIT, L3_ROW_MISS = range(5)
 COVERED = 3
 WB = 8
 
+#: What :func:`retime` does with a bundle (:class:`CacheWalk` ``kind``): a
+#: read that hit the L1 or the L2 and waits on no earlier load (queued at
+#: a fixed latency), a write that hit either (it only dispatches), or
+#: anything else: an L3 reference or a dependent read.
+L1_READ, L2_READ, HIT_WRITE, OTHER = range(4)
+
 
 @dataclass
 class CacheWalk:
     """The ``base_cpi``-independent half of one stage-1 run (:func:`walk`).
 
-    Per bundle: the trace columns and the outcome ``code``; in walk order,
-    the lines of the L2 write-backs.  ``sim`` is the walked simulator: its
-    caches, prefetcher and DRAM open rows hold their final state and its
-    cache/prefetch statistics are set; ``mem_row_hits`` awaits the timing
-    pass.  Line order alone decides all of it, so one walk serves every
-    ``base_cpi`` (:func:`retime`).
+    ``trace`` is the walked trace (one :data:`~repro.trace.generator.
+    TRACE_DTYPE` array); per bundle, ``code`` is its outcome; in walk
+    order, ``wb_line`` holds the lines of the L2 write-backs.  ``sim`` is
+    the walked simulator: its caches, prefetcher and DRAM open rows hold
+    their final state and its cache/prefetch statistics are set;
+    ``mem_row_hits`` awaits the timing pass.  Line order alone decides all
+    of it, so one walk serves every ``base_cpi`` (:func:`retime`).
+
+    The rest are :func:`retime`'s columns, computed with numpy: per
+    bundle, the dispatch ``count`` (``gap + 1`` as a float, one shared
+    object per value), the ROB index ``end`` past its last instruction and
+    the timing ``kind``; per load, its ROB index (``load_idx``, then
+    ``sys.maxsize``); per :data:`OTHER` bundle, ``(line, code & (WB - 1),
+    is_write, dep)``.
     """
 
     sim: object
-    gap: list[int]
-    pc: list[int]
-    line: list[int]
-    is_write: list[bool]
-    dep: list[bool]
+    trace: np.ndarray
     code: list[int]
     wb_line: list[int]
     mem_row_hits: int
+    count: list[float]
+    end: list[int]
+    kind: list[int]
+    load_idx: list[int]
+    other: list[tuple[int, int, bool, bool]]
 
 
 def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
@@ -206,8 +262,10 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     Warms ``sim``'s caches in closed form (:func:`warm_caches`), then
     drives every bundle through the live per-set dicts, the stream
     prefetcher's region table and the DRAM open-row state, recording
-    each bundle's outcome.  No timing is involved: the ROB, MSHR file and
-    memory pipe are left to :func:`retime` or :func:`characterize`.
+    each bundle's outcome.  An L3 set's dict is built the first time the
+    walk reaches it (:meth:`~repro.cache.lru.SetAssocArray.lazy_views`).
+    No timing is involved: the ROB, MSHR file and memory pipe are left to
+    :func:`retime` or :func:`characterize`.
     """
     from repro.cache.cache import CacheStats
     from repro.cpu.core import _CHUNK_BUNDLES
@@ -229,7 +287,7 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     l1, l2, l3 = sim.l1d, sim.l2, sim.l3
     l1_sets = l1._array.set_views()
     l2_sets = l2._array.set_views()
-    l3_sets = l3._array.set_views()
+    l3_sets, l3_build = l3._array.lazy_views()
     l1_mask = l1.num_sets - 1
     l2_mask = l2.num_sets - 1
     l3_mask = l3.num_sets - 1
@@ -257,11 +315,7 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     open_rows = mem._open_rows
     open_get = open_rows.get
 
-    gap_col: list[int] = []
-    pc_col: list[int] = []
-    line_col: list[int] = []
-    write_col: list[bool] = []
-    dep_col: list[bool] = []
+    chunks: list[np.ndarray] = []
     code_col: list[int] = []
     wb_col: list[int] = []
     code_append = code_col.append
@@ -272,6 +326,8 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
         nonlocal l3_fills, l3_wb, l3_clean
         wb_append(wline)
         ways3 = l3_sets[wline & l3_mask]
+        if ways3 is None:
+            ways3 = l3_build(wline & l3_mask)
         entry3 = ways3.get(wline)
         if entry3 is not None:
             entry3[0] = True
@@ -300,15 +356,9 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
         mid_cursor += int(np.count_nonzero((trace["kind"] == 1) & primary))
         done_bundles += chunk
 
-        lines = trace["line"].tolist()
-        writes = trace["is_write"].tolist()
-        gap_col += trace["gap"].tolist()
-        pc_col += trace["pc"].tolist()
-        line_col += lines
-        write_col += writes
-        dep_col += trace["dep"].tolist()
+        chunks.append(trace)
 
-        for line, is_write in zip(lines, writes):
+        for line, is_write in zip(trace["line"].tolist(), trace["is_write"].tolist()):
             ways1 = l1_sets[line & l1_mask]
             entry1 = ways1.pop(line, None)
             if entry1 is not None:
@@ -378,6 +428,8 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
                 code += COVERED
 
             ways3 = l3_sets[line & l3_mask]
+            if ways3 is None:
+                ways3 = l3_build(line & l3_mask)
             entry3 = ways3.pop(line, None)
             if entry3 is not None:
                 ways3[line] = entry3
@@ -402,7 +454,8 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     # --- statistics from the outcome codes --------------------------------
     codes = np.asarray(code_col, dtype=np.int64) & (WB - 1)
     fetch = codes >= L3_HIT
-    written = np.asarray(write_col, dtype=bool)
+    trace = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    written = trace["is_write"]
     l1_writes = int(np.count_nonzero(written))
     l1_misses = int(np.count_nonzero(codes))
     l2_writes = int(np.count_nonzero(written[codes != L1_HIT]))
@@ -426,11 +479,23 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     pf.stats = PrefetchStats(
         queries=l2_misses, covered=int(np.count_nonzero(codes >= L3_HIT + COVERED)),
     )
+    # --- retime's columns: L1_READ == L1_HIT and L2_READ == L2_HIT --------
+    gap = trace["gap"].astype(np.int64)
+    end = np.cumsum(gap + 1)
+    counts = np.array([float(c) for c in range(1, int(gap.max(initial=0)) + 2)], dtype=object)
+    kind = np.where(codes <= L2_HIT, np.where(written, HIT_WRITE, codes), OTHER)
+    kind[trace["dep"] & ~written] = OTHER
+    other = kind == OTHER
     return CacheWalk(
-        sim=sim, gap=gap_col, pc=pc_col, line=line_col, is_write=write_col,
-        dep=dep_col, code=code_col, wb_line=wb_col,
+        sim=sim, trace=trace, code=code_col, wb_line=wb_col,
         mem_row_hits=int(np.count_nonzero(
             (codes == L3_ROW_HIT) | (codes == L3_ROW_HIT + COVERED)
+        )),
+        count=counts[gap].tolist(), end=end.tolist(), kind=kind.tolist(),
+        load_idx=[*(end[~written] - 1).tolist(), sys.maxsize],
+        other=list(zip(
+            trace["line"][other].tolist(), codes[other].tolist(),
+            written[other].tolist(), trace["dep"][other].tolist(),
         )),
     )
 
@@ -444,6 +509,16 @@ def retime(cache_walk: CacheWalk, base_cpi: float) -> tuple[float, int]:
     result equals ``AppSimulator(..., base_cpi=base_cpi).run(n)``'s
     ``(cycles, instructions)`` bit for bit.  Nothing is mutated, so a
     walk can be re-timed at any number of base CPIs (calibration does).
+
+    The in-flight loads are a flat queue: the walk's per-load ROB indices,
+    two preallocated ``array('d')`` columns of completion and dispatch
+    times filled as the loads dispatch (no float object kept per load),
+    and a head index, with the head's completion time held in a local.
+    An unfilled slot reads ``inf`` and the index past the last load
+    ``sys.maxsize``, so neither commit loop tests for an empty queue.
+    L1/L2-hit bundles, about 98 % of them, take a short path
+    (:data:`L1_READ`, :data:`L2_READ`, :data:`HIT_WRITE`); the rest go
+    through the MSHR file and the memory pipe as the reference does.
     """
     sim = cache_walk.sim
     pipeline_depth = sim.rob.pipeline_depth
@@ -462,111 +537,138 @@ def retime(cache_walk: CacheWalk, base_cpi: float) -> tuple[float, int]:
     disp_idx = 0
     commit_clock = pipeline_depth
     commit_idx = 0
-    pending: deque[tuple[int, float, float]] = deque()
-    pending_append = pending.append
-    pending_popleft = pending.popleft
+    inf = float("inf")
+    load_idx = cache_walk.load_idx
+    q_complete = array("d", [inf]) * len(load_idx)
+    q_dispatched = array("d", bytes(8 * len(load_idx)))
+    head = tail = 0
+    head_complete = inf
     mshr_d: dict[int, float] = {}
     pipe_free = 0.0
     chase_ready = 0.0
+    rob_last = rob_entries + 1
+    others = iter(cache_walk.other)
 
-    def commit_upto(target: int) -> None:
-        # ReorderBuffer._commit_upto without the stall bookkeeping.
-        nonlocal commit_clock, commit_idx
-        while pending and pending[0][0] <= target:
-            idx, complete, dispatched = pending_popleft()
-            head_arrival = commit_clock + (idx - commit_idx) * base_cpi
-            alt = dispatched + pipeline_depth
-            if alt > head_arrival:
-                head_arrival = alt
-            commit_clock = complete if complete > head_arrival else head_arrival
-            commit_idx = idx + 1
-        if target >= commit_idx:
-            commit_clock += (target - commit_idx + 1) * base_cpi
-            commit_idx = target + 1
-
-    for gap, is_write, dep, line, code in zip(
-        cache_walk.gap, cache_walk.is_write, cache_walk.dep,
-        cache_walk.line, cache_walk.code,
-    ):
-        # --- rob.dispatch(gap + 1) -----------------------------------------
-        count = gap + 1
-        new_index = disp_idx + count
-        need = new_index - 1 - rob_entries
-        limit = disp_idx - 1
-        if limit < need:
-            need = limit
-        if need >= commit_idx:
-            commit_upto(need)
+    for count, end, kind in zip(cache_walk.count, cache_walk.end, cache_walk.kind):
+        # --- rob.dispatch(count) -------------------------------------------
+        need = end - rob_last
+        if need >= commit_idx and disp_idx > commit_idx:
+            # The ROB is full: commit up to min(need, disp_idx - 1).
+            if need >= disp_idx:
+                need = disp_idx - 1
+            while load_idx[head] <= need:
+                idx = load_idx[head]
+                head_arrival = commit_clock + (idx - commit_idx) * base_cpi
+                alt = q_dispatched[head] + pipeline_depth
+                if alt > head_arrival:
+                    head_arrival = alt
+                commit_clock = head_complete if head_complete > head_arrival else head_arrival
+                commit_idx = idx + 1
+                head += 1
+                head_complete = q_complete[head]
+            if need >= commit_idx:
+                commit_clock += (need - commit_idx + 1) * base_cpi
+                commit_idx = need + 1
             disp_clock += count * base_cpi
             if disp_clock < commit_clock:
                 disp_clock = commit_clock
         else:
             disp_clock += count * base_cpi
-        disp_idx = new_index
+        disp_idx = end
         # Eager retire, one load per pass (commit_upto of the head load).
         horizon = disp_clock - pipeline_depth
-        while pending and pending[0][1] <= horizon:
-            idx, complete, dispatched = pending_popleft()
+        while head_complete <= horizon:
+            idx = load_idx[head]
             head_arrival = commit_clock + (idx - commit_idx) * base_cpi
-            alt = dispatched + pipeline_depth
+            alt = q_dispatched[head] + pipeline_depth
             if alt > head_arrival:
                 head_arrival = alt
-            commit_clock = complete if complete > head_arrival else head_arrival
+            commit_clock = head_complete if head_complete > head_arrival else head_arrival
             commit_idx = idx + 1
+            head += 1
+            head_complete = q_complete[head]
 
         # --- latency of the walked outcome --------------------------------
-        issue = disp_clock
-        if dep and not is_write and chase_ready > issue:
-            issue = chase_ready
-        code &= WB - 1
-        if code == L1_HIT:
-            complete = issue + l1_lat
-        elif code == L2_HIT:
-            complete = issue + upper_lat
-        elif code >= L3_HIT + COVERED:
-            # Completes like an L2 hit; a miss still holds the memory pipe.
-            if code != L3_HIT + COVERED:
-                req_t = disp_clock + l3_hit_lat
-                pipe_free = (req_t if req_t > pipe_free else pipe_free) + mem_service
-            complete = issue + upper_lat
+        if kind == L1_READ:
+            complete = disp_clock + l1_lat
+        elif kind == HIT_WRITE:
+            continue
+        elif kind == L2_READ:
+            complete = disp_clock + upper_lat
         else:
-            if code == L3_HIT:
-                l3_lat = l3_hit_lat
+            line, code, is_write, dep = next(others)
+            issue = disp_clock
+            if dep and not is_write and chase_ready > issue:
+                issue = chase_ready
+            if code == L1_HIT:
+                complete = issue + l1_lat
+            elif code == L2_HIT:
+                complete = issue + upper_lat
+            elif code >= L3_HIT + COVERED:
+                # Completes like an L2 hit; a miss still holds the memory pipe.
+                if code != L3_HIT + COVERED:
+                    req_t = disp_clock + l3_hit_lat
+                    pipe_free = (req_t if req_t > pipe_free else pipe_free) + mem_service
+                complete = issue + upper_lat
             else:
-                req_t = disp_clock + l3_hit_lat
-                start = req_t if req_t > pipe_free else pipe_free
-                pipe_free = start + mem_service
-                if code == L3_ROW_HIT:
-                    ready = start + row_hit_latency
+                if code == L3_HIT:
+                    l3_lat = l3_hit_lat
                 else:
-                    ready = start + mem_latency
-                l3_lat = l3_hit_lat + (ready - req_t)
-            latency = upper_lat + l3_lat
-            if latency > upper_lat:
-                if mshr_d:
-                    done = [ml for ml, mt in mshr_d.items() if mt <= issue]
-                    for ml in done:
-                        del mshr_d[ml]
-                if len(mshr_d) >= mshr_cap and line not in mshr_d:
-                    issue = min(mshr_d.values())
-                    done = [ml for ml, mt in mshr_d.items() if mt <= issue]
-                    for ml in done:
-                        del mshr_d[ml]
-                complete = issue + latency
-                if line not in mshr_d:
-                    mshr_d[line] = complete
-            else:
-                complete = issue + latency
-
-        if not is_write:
+                    req_t = disp_clock + l3_hit_lat
+                    start = req_t if req_t > pipe_free else pipe_free
+                    pipe_free = start + mem_service
+                    if code == L3_ROW_HIT:
+                        ready = start + row_hit_latency
+                    else:
+                        ready = start + mem_latency
+                    l3_lat = l3_hit_lat + (ready - req_t)
+                latency = upper_lat + l3_lat
+                if latency > upper_lat:
+                    if mshr_d:
+                        done = [ml for ml, mt in mshr_d.items() if mt <= issue]
+                        for ml in done:
+                            del mshr_d[ml]
+                    if len(mshr_d) >= mshr_cap and line not in mshr_d:
+                        issue = min(mshr_d.values())
+                        done = [ml for ml, mt in mshr_d.items() if mt <= issue]
+                        for ml in done:
+                            del mshr_d[ml]
+                    complete = issue + latency
+                    if line not in mshr_d:
+                        mshr_d[line] = complete
+                else:
+                    complete = issue + latency
+            if is_write:
+                continue
             if dep:
                 chase_ready = complete
-            pending_append((disp_idx - 1, complete, disp_clock))
 
-    commit_upto(disp_idx - 1)  # rob.drain()
+        # --- a read joins the in-flight loads ------------------------------
+        q_complete[tail] = complete
+        q_dispatched[tail] = disp_clock
+        if head == tail:
+            head_complete = complete
+        tail += 1
+
+    # rob.drain(): commit everything dispatched.
+    need = disp_idx - 1
+    while load_idx[head] <= need:
+        idx = load_idx[head]
+        head_arrival = commit_clock + (idx - commit_idx) * base_cpi
+        alt = q_dispatched[head] + pipeline_depth
+        if alt > head_arrival:
+            head_arrival = alt
+        commit_clock = head_complete if head_complete > head_arrival else head_arrival
+        commit_idx = idx + 1
+        head += 1
+        head_complete = q_complete[head]
+    if need >= commit_idx:
+        commit_clock += (need - commit_idx + 1) * base_cpi
+        commit_idx = need + 1
     return (commit_clock if commit_clock >= disp_clock else disp_clock), commit_idx
 
 
+@gc_paused()
 def characterize(sim, n_instructions: int, *, base_line: int = 0):
     """Kernel counterpart of :meth:`~repro.cpu.core.AppSimulator.run`.
 
@@ -580,6 +682,7 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
     from repro.mem.model import MemoryStats
 
     cache_walk = walk(sim, n_instructions, base_line=base_line)
+    trace = cache_walk.trace
     profile = sim.profile
     wb_lines = iter(cache_walk.wb_line)
 
@@ -714,8 +817,8 @@ def characterize(sim, n_instructions: int, *, base_line: int = 0):
 
     chase_ready = 0.0
     for gap, pc, line, is_write, dep, code in zip(
-        cache_walk.gap, cache_walk.pc, cache_walk.line,
-        cache_walk.is_write, cache_walk.dep, cache_walk.code,
+        trace["gap"].tolist(), trace["pc"].tolist(), trace["line"].tolist(),
+        trace["is_write"].tolist(), trace["dep"].tolist(), cache_walk.code,
     ):
         # --- rob.dispatch(gap + 1), commits handled inline ----------------
         count = gap + 1

@@ -2,10 +2,12 @@
 
 A trajectory file (``BENCH_sweep.json`` by convention) is the repo's
 performance memory: one JSON document holding an append-only list of
-**points**, each stamping the commit, the timestamp, a label and the
-headline numbers of one recorded run — per-scheme mean IPC and raw
-minimum lifetime out of a result matrix, plus total simulation wall
-time when a run ledger is supplied.  Plotting the list over commits
+**points**, each stamping the commit, whether the working tree had
+uncommitted changes (``dirty``: the point then measures code the commit
+does not hold), the timestamp, a label and the headline numbers of one
+recorded run — per-scheme mean IPC and raw minimum lifetime out of a
+result matrix, plus total simulation wall time when a run ledger is
+supplied.  Plotting the list over commits
 shows whether the simulator is getting faster or slower and whether the
 paper's comparative claims are drifting.
 
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from repro.common.errors import ReproError
 from repro.common.store import atomic_write_text
-from repro.obs.ledger import current_git_sha
+from repro.obs.ledger import current_git_sha, git_tree_dirty
 from repro.sim.metrics import MatrixResult
 
 #: Trajectory file layout version.
@@ -64,10 +66,12 @@ def validate_bench_point(point) -> str | None:
 
     Every flavour shares the provenance envelope (numeric ``timestamp``,
     ``git_sha`` that is a string or ``None`` for runs outside a git
-    checkout); the flavour-specific payload is checked on top: matrix
-    points need per-scheme numeric ``mean_ipc``/``raw_min_lifetime``,
-    search points need ``frontier_size``/``hypervolume``, throughput
-    points need ``count`` and positive ``seconds``.
+    checkout, and ``dirty``, a bool or ``None``, absent from points
+    recorded before it existed); the flavour-specific payload is checked
+    on top: matrix points need per-scheme numeric
+    ``mean_ipc``/``raw_min_lifetime``, search points need
+    ``frontier_size``/``hypervolume``, throughput points need ``count``
+    and positive ``seconds``.
     """
     if not isinstance(point, dict):
         return "point is not an object"
@@ -76,6 +80,8 @@ def validate_bench_point(point) -> str | None:
     sha = point.get("git_sha")
     if sha is not None and (not isinstance(sha, str) or not sha):
         return "git_sha must be a non-empty string or null"
+    if point.get("dirty") not in (True, False, None):
+        return "dirty must be true, false or null"
     bench = point.get("bench")
     if "schemes" in point:
         schemes = point["schemes"]
@@ -127,6 +133,15 @@ def load_bench(path: str | Path) -> tuple[list[dict], list[str]]:
     return good, skipped
 
 
+def _provenance() -> dict:
+    """The envelope every point starts with: when, and which code."""
+    return {
+        "timestamp": time.time(),
+        "git_sha": current_git_sha(),
+        "dirty": git_tree_dirty(),
+    }
+
+
 def bench_point(
     matrix: MatrixResult,
     *,
@@ -146,8 +161,7 @@ def bench_point(
             "raw_min_lifetime": matrix.raw_min_lifetime(scheme),
         }
     return {
-        "timestamp": time.time(),
-        "git_sha": current_git_sha(),
+        **_provenance(),
         "label": label or matrix.label,
         "workloads": len(matrix.workloads),
         "cells": len(matrix.results),
@@ -177,8 +191,7 @@ def throughput_point(
     if seconds <= 0:
         raise ReproError(f"throughput point {name!r} needs positive seconds")
     return {
-        "timestamp": time.time(),
-        "git_sha": current_git_sha(),
+        **_provenance(),
         "label": label or name,
         "bench": name,
         "unit": unit,
@@ -229,8 +242,7 @@ def search_bench_point(outcome, *, label: str = "") -> dict:
     whether search quality is drifting.
     """
     return {
-        "timestamp": time.time(),
-        "git_sha": current_git_sha(),
+        **_provenance(),
         "label": label or f"search-{outcome.driver}",
         "bench": "search",
         "driver": outcome.driver,

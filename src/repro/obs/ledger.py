@@ -57,6 +57,25 @@ def current_git_sha() -> str | None:
     return sha or None
 
 
+def git_tree_dirty() -> bool | None:
+    """Whether the working tree differs from HEAD (``git status --porcelain``).
+
+    None outside a git checkout.  Not cached: a recorder may run before
+    and after an edit in one process.  A dirty tree's measurement is of
+    code that :func:`current_git_sha` does not name.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if out.returncode != 0:
+        return None
+    return bool(out.stdout.strip())
+
+
 def new_run_id() -> str:
     """A unique, roughly sortable run identifier (``r<epoch>-<hex>``)."""
     return f"r{int(time.time())}-{os.urandom(4).hex()}"

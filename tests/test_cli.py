@@ -23,6 +23,24 @@ class TestParser:
 
         assert __version__ in capsys.readouterr().out
 
+    def test_version_text_is_prog_and_version(self, capsys):
+        from repro.cli import _package_version
+
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out == f"repro {_package_version()}\n"
+
+    def test_parser_does_not_look_the_version_up(self, monkeypatch):
+        import repro.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_package_version", lambda: calls.append(1) or "x")
+        build_parser().parse_args(["config"])
+        assert calls == []
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--version"])
+        assert calls == [1]
+
     def test_stats_defaults(self):
         args = build_parser().parse_args(["stats"])
         assert args.workload == 1

@@ -154,3 +154,50 @@ class TestLruSurvivors:
         keep = lru_survivors(set_idx, 3)
         expected = [tag for s in range(8) for tag, _ in arr.iter_set(s)]
         assert keep.tolist() == expected
+
+
+class TestDeferredFill:
+    @staticmethod
+    def deferred():
+        arr = SetAssocArray(4, 2)
+        # Grouped by ascending set, LRU -> MRU within a set.
+        arr.defer_fill(np.array([0, 0, 2]), np.array([8, 4, 6]), (False, None))
+        return arr
+
+    def test_builds_a_set_on_first_touch(self):
+        arr = self.deferred()
+        views, build = arr.lazy_views()
+        assert views == [None] * 4
+        assert build(2) == {6: [False, None]}
+        assert views[0] is None and views[2] == {6: [False, None]}
+
+    def test_any_other_reader_builds_every_set(self):
+        arr = self.deferred()
+        views, build = arr.lazy_views()
+        build(2)
+        assert list(arr.iter_all()) == [
+            (0, 8, [False, None]), (0, 4, [False, None]), (2, 6, [False, None]),
+        ]
+        assert arr.set_views() is views
+        assert arr.insert(0, 12, "new") == (8, [False, None])  # LRU order kept
+
+    def test_every_line_owns_its_payload(self):
+        payloads = [p for _s, _t, p in self.deferred().iter_all()]
+        assert len({id(p) for p in payloads}) == len(payloads) == 3
+
+    def test_is_empty_builds_nothing(self):
+        assert SetAssocArray(4, 2).is_empty()
+        arr = self.deferred()
+        assert not arr.is_empty()
+        assert arr.lazy_views()[0] == [None] * 4
+        filled = SetAssocArray(4, 2)
+        filled.insert(1, 3, "x")
+        assert not filled.is_empty()
+
+    def test_defer_into_built_empty_sets(self):
+        arr = SetAssocArray(4, 2)
+        arr.set_views()
+        arr.defer_fill(np.array([1]), np.array([5]), (True, None))
+        assert arr.lazy_views()[0] == [None] * 4
+        assert arr.lookup(1, 5) == [True, None]
+        assert arr.total_occupancy() == 1

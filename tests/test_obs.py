@@ -2,6 +2,8 @@
 
 import io
 import json
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from repro.obs.bench import (
     bench_point,
     load_bench,
     load_bench_trajectory,
+    stage1_point,
+    throughput_point,
     validate_bench_point,
 )
 from repro.obs.diff import (
@@ -30,6 +34,7 @@ from repro.obs.ledger import (
     LEDGER_FORMAT_VERSION,
     RunLedger,
     RunRecord,
+    git_tree_dirty,
     new_run_id,
 )
 from repro.obs.progress import JobEvent, SweepProgress
@@ -475,6 +480,60 @@ class TestBenchValidation:
             {"format_version": BENCH_FORMAT_VERSION + 1, "points": []}))
         with pytest.raises(ReproError, match="unsupported trajectory"):
             load_bench(path)
+
+
+class TestBenchProvenance:
+    """Every point says whether the tree held uncommitted changes."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "a.txt").write_text("a")
+        git("add", "a.txt")
+        git("commit", "-qm", "a")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def points():
+        return [
+            bench_point(make_matrix(), label="m"),
+            throughput_point("t", count=1, seconds=1.0),
+            stage1_point(instructions=1, kernel_seconds=1.0, reference_seconds=2.0),
+        ]
+
+    def test_clean_then_dirty_tree(self, repo):
+        assert [p["dirty"] for p in self.points()] == [False] * 3
+        (repo / "a.txt").write_text("b")
+        points = self.points()
+        assert [p["dirty"] for p in points] == [True] * 3
+        assert all(validate_bench_point(p) is None for p in points)
+
+    def test_untracked_file_makes_the_tree_dirty(self, repo):
+        (repo / "new.txt").write_text("n")
+        assert git_tree_dirty() is True
+
+    def test_outside_a_checkout_is_unknown(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        monkeypatch.chdir(tmp_path)
+        assert git_tree_dirty() is None
+
+    def test_validation(self):
+        point = {"timestamp": 1.0, "git_sha": None, "bench": "t",
+                 "count": 1, "seconds": 1.0}
+        assert validate_bench_point(point) is None  # recorded before the flag
+        assert validate_bench_point({**point, "dirty": None}) is None
+        assert "dirty" in validate_bench_point({**point, "dirty": "yes"})
 
 
 class TestScatterEdgeCases:

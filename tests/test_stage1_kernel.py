@@ -13,6 +13,9 @@ The warm-up classes check the kernel's closed-form warm-up
 ``AppSimulator._warm_caches``.  The two-phase calibration classes check
 one cache walk re-timed per probe (:func:`~repro.cpu.kernel.retime`)
 against full reference probe runs, and which path calibration takes.
+The last classes pin how the kernel gets there: the nominal L3 built
+set by set on first touch, and the cyclic collector paused across the
+stage-1 entry points.
 """
 
 import dataclasses
@@ -29,7 +32,8 @@ from repro.common.errors import SimulationError
 from repro.config import baseline_config, sensitivity_l3_1m
 from repro.cpu import core, kernel
 from repro.cpu.core import AppSimulator
-from repro.cpu.kernel import kernel_supported, retime, walk, warm_caches
+from repro.cpu.kernel import characterize, kernel_supported, retime, walk, warm_caches
+from repro.cpu.rob import ReorderBuffer
 from repro.sim import calibrate, runner
 from repro.trace import synthetic
 from repro.trace.generator import bundles_for_instructions
@@ -256,6 +260,132 @@ class TestRetimeProperty:
             PROBE, use_kernel=False
         )
         assert retime(cache_walk, base_cpi) == (ref.cycles, ref.instructions)
+
+
+#: A probe long enough that the in-flight load queue's head crosses
+#: thousands of loads and, on the memory-heavy app, many ROB-full stalls.
+LONG_PROBE = 40_000
+
+
+@pytest.mark.parametrize("base_cpi", [0.4, 1.7])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("app", ["zeusmp", "povray"])
+def test_long_retime_matches_reference_run(monkeypatch, app, config, base_cpi):
+    cfg = CONFIGS[config]()
+    cache_walk = walk(AppSimulator(app, cfg, seed=5), LONG_PROBE)
+    rob_full = []
+    real_dispatch = ReorderBuffer.dispatch
+
+    def counting_dispatch(self, count):
+        need = min(self.dispatch_index + count - 1 - self.entries, self.dispatch_index - 1)
+        if need >= self.commit_index:
+            rob_full.append(1)
+        return real_dispatch(self, count)
+
+    monkeypatch.setattr(ReorderBuffer, "dispatch", counting_dispatch)
+    ref = AppSimulator(app, cfg, seed=5, base_cpi=base_cpi).run(
+        LONG_PROBE, use_kernel=False
+    )
+    assert retime(cache_walk, base_cpi) == (ref.cycles, ref.instructions)
+    assert len(cache_walk.load_idx) > 5_000
+    if app == "zeusmp":
+        assert len(rob_full) > 100
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("app", ["zeusmp", "povray", "libquantum"])
+def test_characterize_leaves_reference_cache_content(app, config):
+    ref = AppSimulator(app, CONFIGS[config](), seed=4)
+    ref.run(INSTR, use_kernel=False)
+    fast = AppSimulator(app, CONFIGS[config](), seed=4)
+    characterize(fast, INSTR)
+    assert _resident(fast) == _resident(ref)
+
+
+class TestLazyNominalL3:
+    def test_walk_builds_only_the_sets_it_touches(self):
+        sim = AppSimulator("gromacs", baseline_config(), seed=3)
+        cache_walk = walk(sim, 20_000)
+        mask = sim.l3.num_sets - 1
+        fetched = np.asarray(cache_walk.code) & (kernel.WB - 1) >= kernel.L3_HIT
+        touched = {line & mask for line in cache_walk.trace["line"][fetched].tolist()}
+        touched |= {line & mask for line in cache_walk.wb_line}
+        views, _build = sim.l3._array.lazy_views()
+        built = {s for s, ways in enumerate(views) if ways is not None}
+        assert built == touched
+        assert 0 < len(built) < sim.l3.num_sets // 4
+
+    def test_every_other_reader_sees_the_whole_warm_content(self):
+        ref = AppSimulator("milc", baseline_config(), seed=3)
+        ref._warm_caches(0)
+        fast = AppSimulator("milc", baseline_config(), seed=3)
+        warm_caches(fast, 0)
+        assert fast.l3.occupancy() == ref.l3.occupancy()
+        assert fast.l3.resident_lines() == ref.l3.resident_lines()
+
+
+class TestCollectorPausedAtEntryPoints:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def _spy_on_trace(monkeypatch):
+        seen = []
+        real = kernel.generate_trace
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "generate_trace", spy)
+        return seen
+
+    def test_characterize(self, monkeypatch, collector):
+        seen = self._spy_on_trace(monkeypatch)
+        characterize(AppSimulator("milc", baseline_config(), seed=3), PROBE)
+        assert seen and not any(seen)
+        assert gc.isenabled() is collector
+
+    def test_characterize_raising(self, collector):
+        with pytest.raises(SimulationError, match="positive"):
+            characterize(AppSimulator("milc", baseline_config(), seed=3), 0)
+        assert gc.isenabled() is collector
+
+    def test_calibration(self, monkeypatch, collector):
+        seen = self._spy_on_trace(monkeypatch)
+        timed = []
+        real = calibrate.retime
+
+        def spy(*args):
+            timed.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(calibrate, "retime", spy)
+        calibrate.clear_cache()
+        try:
+            calibrate.calibrated_base_cpi(
+                "milc", baseline_config(), seed=2, probe_instructions=PROBE
+            )
+        finally:
+            calibrate.clear_cache()
+        assert seen and timed and not any(seen + timed)
+        assert gc.isenabled() is collector
+
+    def test_calibration_raising(self, monkeypatch, collector):
+        def boom(*args):
+            raise SimulationError("retime failed")
+
+        monkeypatch.setattr(calibrate, "retime", boom)
+        calibrate.clear_cache()
+        with pytest.raises(SimulationError, match="retime failed"):
+            calibrate.calibrated_base_cpi(
+                "milc", baseline_config(), seed=2, probe_instructions=PROBE
+            )
+        assert gc.isenabled() is collector
 
 
 def _calibrate_both_ways(monkeypatch, app, cfg, seed, probe=PROBE):
