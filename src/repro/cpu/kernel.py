@@ -454,7 +454,7 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     # --- statistics from the outcome codes --------------------------------
     codes = np.asarray(code_col, dtype=np.int64) & (WB - 1)
     fetch = codes >= L3_HIT
-    trace = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    trace = np.concatenate(chunks)
     written = trace["is_write"]
     l1_writes = int(np.count_nonzero(written))
     l1_misses = int(np.count_nonzero(codes))
@@ -553,7 +553,9 @@ def retime(cache_walk: CacheWalk, base_cpi: float) -> tuple[float, int]:
         # --- rob.dispatch(count) -------------------------------------------
         need = end - rob_last
         if need >= commit_idx and disp_idx > commit_idx:
-            # The ROB is full: commit up to min(need, disp_idx - 1).
+            # The ROB is full: commit up to min(need, disp_idx - 1).  This
+            # commit loop and the two below stay inline: a closure over the
+            # queue's locals would turn them into cells and slow every pass.
             if need >= disp_idx:
                 need = disp_idx - 1
             while load_idx[head] <= need:

@@ -13,7 +13,7 @@ The warm-up classes check the kernel's closed-form warm-up
 ``AppSimulator._warm_caches``.  The two-phase calibration classes check
 one cache walk re-timed per probe (:func:`~repro.cpu.kernel.retime`)
 against full reference probe runs, and which path calibration takes.
-The last classes pin how the kernel gets there: the nominal L3 built
+The last tests pin how the kernel gets there: the nominal L3 built
 set by set on first touch, and the cyclic collector paused across the
 stage-1 entry points.
 """
@@ -302,26 +302,17 @@ def test_characterize_leaves_reference_cache_content(app, config):
     assert _resident(fast) == _resident(ref)
 
 
-class TestLazyNominalL3:
-    def test_walk_builds_only_the_sets_it_touches(self):
-        sim = AppSimulator("gromacs", baseline_config(), seed=3)
-        cache_walk = walk(sim, 20_000)
-        mask = sim.l3.num_sets - 1
-        fetched = np.asarray(cache_walk.code) & (kernel.WB - 1) >= kernel.L3_HIT
-        touched = {line & mask for line in cache_walk.trace["line"][fetched].tolist()}
-        touched |= {line & mask for line in cache_walk.wb_line}
-        views, _build = sim.l3._array.lazy_views()
-        built = {s for s, ways in enumerate(views) if ways is not None}
-        assert built == touched
-        assert 0 < len(built) < sim.l3.num_sets // 4
-
-    def test_every_other_reader_sees_the_whole_warm_content(self):
-        ref = AppSimulator("milc", baseline_config(), seed=3)
-        ref._warm_caches(0)
-        fast = AppSimulator("milc", baseline_config(), seed=3)
-        warm_caches(fast, 0)
-        assert fast.l3.occupancy() == ref.l3.occupancy()
-        assert fast.l3.resident_lines() == ref.l3.resident_lines()
+def test_walk_builds_only_the_l3_sets_it_touches():
+    sim = AppSimulator("gromacs", baseline_config(), seed=3)
+    cache_walk = walk(sim, 20_000)
+    mask = sim.l3.num_sets - 1
+    fetched = np.asarray(cache_walk.code) & (kernel.WB - 1) >= kernel.L3_HIT
+    touched = {line & mask for line in cache_walk.trace["line"][fetched].tolist()}
+    touched |= {line & mask for line in cache_walk.wb_line}
+    views, _build = sim.l3._array.lazy_views()
+    built = {s for s, ways in enumerate(views) if ways is not None}
+    assert built == touched
+    assert 0 < len(built) < sim.l3.num_sets // 4
 
 
 class TestCollectorPausedAtEntryPoints:
