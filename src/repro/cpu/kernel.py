@@ -454,7 +454,8 @@ def walk(sim, n_instructions: int, *, base_line: int = 0) -> CacheWalk:
     # --- statistics from the outcome codes --------------------------------
     codes = np.asarray(code_col, dtype=np.int64) & (WB - 1)
     fetch = codes >= L3_HIT
-    trace = np.concatenate(chunks)
+    # A one-chunk walk (every calibration probe) keeps its chunk: no copy.
+    trace = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     written = trace["is_write"]
     l1_writes = int(np.count_nonzero(written))
     l1_misses = int(np.count_nonzero(codes))
