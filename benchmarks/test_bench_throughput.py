@@ -279,10 +279,8 @@ def test_bench_renuca_replay():
     The cell is the 16-core WL3 mix of seed 9, the kind of cell the
     end-to-end ``sweep-long`` workload runs.  Only the measured loop is
     timed (fresh ``prepare_replay`` per measurement), as ``run_workload``
-    runs it: the kernel leaves the TLB rebuild pending, and the first
-    read of ``policy.tlbs`` after each replay times it apart.  One more
-    kernel replay and its TLB rebuild run under ``tracemalloc`` for
-    their peak working memory.
+    runs it.  One more kernel replay runs under ``tracemalloc`` for its
+    peak working memory.
     """
     config = baseline_config()
     stage1 = Stage1Cache()
@@ -310,20 +308,17 @@ def test_bench_renuca_replay():
         )
 
     def measure(replay_fn, use_kernel):
-        """Best replay seconds and best seconds of the TLB read after it."""
-        best = rebuild = float("inf")
+        """Best replay seconds of three."""
+        best = float("inf")
         for _ in range(3):
             prep = prepare(use_kernel)
             t0 = time.perf_counter()
             replay_fn(prep)
-            t1 = time.perf_counter()
-            prep.policy.tlbs  # runs the pending TLB rebuild
-            best = min(best, t1 - t0)
-            rebuild = min(rebuild, time.perf_counter() - t1)
-        return best, rebuild
+            best = min(best, time.perf_counter() - t0)
+        return best
 
-    kernel_s, rebuild_s = measure(kernel, True)
-    reference_s, _ = measure(reference, False)
+    kernel_s = measure(kernel, True)
+    reference_s = measure(reference, False)
     prep = prepare(True)
     records = prep.merged.total
     frames = prep.state.tags.size
@@ -331,7 +326,6 @@ def test_bench_renuca_replay():
     tracemalloc.start()
     try:
         kernel(prep)
-        prep.policy.tlbs  # runs the pending TLB rebuild
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,14 +335,12 @@ def test_bench_renuca_replay():
     speedup = reference_s / kernel_s
     print(f"\nRe-NUCA replay: {records} records in {kernel_s:.3f}s "
           f"({records / kernel_s / 1e6:.2f} Mrec/s), reference "
-          f"{reference_s:.3f}s, speedup {speedup:.2f}x, TLB rebuild "
-          f"{rebuild_s:.3f}s, peak "
+          f"{reference_s:.3f}s, speedup {speedup:.2f}x, peak "
           f"{peak / 1e6:.1f} MB (bound {bound / 1e6:.1f} MB for "
           f"{frames} frames)")
     _record("renuca_replay", count=records, seconds=kernel_s, unit="records",
             details={"reference_seconds": reference_s,
                      "speedup": round(speedup, 3),
-                     "tlb_rebuild_seconds": round(rebuild_s, 4),
                      "peak_mb": round(peak / 1e6, 2)})
     assert speedup >= _RENUCA_MIN_SPEEDUP, (
         f"Re-NUCA replay kernel is only {speedup:.2f}x the reference loop "
@@ -374,10 +366,8 @@ def wl3_stage1():
 def _merge_and_replay_peak(workload, stage1, scheme, budget):
     """Merge plus kernel replay of one WL3 cell under ``tracemalloc``.
 
-    Stage 1 and the warm-up run outside.  Re-NUCA's pending TLB rebuild
-    runs inside too (a read of ``policy.tlbs``), so the peak covers it.
-    Returns the merged stream, the traced peak and the (traced) wall
-    seconds.
+    Stage 1 and the warm-up run outside.  Returns the merged stream, the
+    traced peak and the (traced) wall seconds.
     """
     prep = prepare_replay(
         workload, scheme, baseline_config(), seed=9,
@@ -393,7 +383,6 @@ def _merge_and_replay_peak(workload, stage1, scheme, budget):
             prep.llc, merged, state=prep.state, cpts=prep.cpts,
             threshold=prep.threshold, block_cycles=prep.block_cycles,
         )
-        getattr(prep.policy, "tlbs", None)  # Re-NUCA: the pending TLB rebuild
         seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:

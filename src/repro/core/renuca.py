@@ -48,7 +48,6 @@ class ReNucaPolicy(MappingPolicy):
             EnhancedTlb(config.tlb, line_bytes=config.l3_bank.line_bytes)
             for _ in range(config.num_cores)
         ]
-        self._pending_tlbs = None
         self.critical_allocations = 0
         self.noncritical_allocations = 0
 
@@ -56,26 +55,18 @@ class ReNucaPolicy(MappingPolicy):
     def tlbs(self) -> list[EnhancedTlb]:
         """Each core's enhanced TLB.
 
-        A replay kernel may leave the TLBs' rebuild pending (see
-        :meth:`defer_tlb_rebuild`); the first read runs it.  The
-        per-record methods below read the list directly.
+        The replay kernel keeps one Mapping Bit per line instead, and
+        drops the TLBs when it warms the LLC (``_tlbs`` None): reading
+        them then raises until :meth:`reset`.  The per-record methods
+        below read the list directly.
         """
-        rebuild = self._pending_tlbs
-        if rebuild is not None:
-            self._pending_tlbs = None
-            rebuild()
+        if self._tlbs is None:
+            raise SimulationError(
+                "enhanced-TLB state exists only on the reference replay path "
+                "(REPRO_KERNEL=0 or telemetry); the replay kernel keeps one "
+                "Mapping Bit per line"
+            )
         return self._tlbs
-
-    def defer_tlb_rebuild(self, rebuild) -> None:
-        """Leave the TLBs stale until :attr:`tlbs` is read.
-
-        ``rebuild()`` brings them to their exact state: sets, backing
-        stores and statistics.  The replay kernel hands one over because
-        it keeps the Mapping Bits itself and no result reads the TLB
-        objects.  The per-record methods must not run while it is
-        pending.
-        """
-        self._pending_tlbs = rebuild
 
     # -- MappingPolicy interface ------------------------------------------------
 
@@ -120,12 +111,11 @@ class ReNucaPolicy(MappingPolicy):
         self.noncritical_allocations = 0
 
     def reset(self) -> None:
-        """Fresh TLBs and counters (between workloads); drops a pending rebuild."""
+        """Fresh TLBs and counters (between workloads)."""
         self._tlbs = [
             EnhancedTlb(self.config.tlb, line_bytes=self.config.l3_bank.line_bytes)
             for _ in range(self.config.num_cores)
         ]
-        self._pending_tlbs = None
         self.critical_allocations = 0
         self.noncritical_allocations = 0
 
@@ -179,5 +169,6 @@ class ReNucaPolicy(MappingPolicy):
         it for L1I+L1D (1 KB/core, 16 KB for the machine).  We model the
         data-side instance and report the paper's full figure.
         """
-        per_tlb = self.config.tlb.entries * self._tlbs[0].lines_per_page // 8
+        lines_per_page = self.config.tlb.page_bytes // self.config.l3_bank.line_bytes
+        per_tlb = self.config.tlb.entries * lines_per_page // 8
         return 2 * per_tlb * self.config.num_cores

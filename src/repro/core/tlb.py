@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.cache.lru import SetAssocArray, lru_survivors
+from repro.cache.lru import SetAssocArray
 from repro.common.errors import SimulationError
 from repro.common.units import log2_exact
 from repro.config import TlbConfig
@@ -47,23 +45,6 @@ class TlbStats:
     def hit_rate(self) -> float:
         """TLB hit rate over lookups."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-
-def mbv_bits(mbvs, lines_per_page: int) -> np.ndarray:
-    """MBVs as a bool matrix: one row per MBV, column ``i`` holding line ``i``'s bit."""
-    nbytes = (lines_per_page + 7) // 8
-    raw = np.frombuffer(
-        b"".join(mbv.to_bytes(nbytes, "little") for mbv in mbvs), dtype=np.uint8
-    )
-    return np.unpackbits(
-        raw.reshape(-1, nbytes), axis=1, count=lines_per_page, bitorder="little"
-    ).astype(bool)
-
-
-def mbv_ints(bits: np.ndarray) -> list[int]:
-    """The rows of an MBV bit matrix (see :func:`mbv_bits`) as MBVs."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in map(bytes, packed)]
 
 
 class EnhancedTlb:
@@ -169,39 +150,6 @@ class EnhancedTlb:
             self._backing[page] &= ~bit
             if not self._backing[page]:
                 del self._backing[page]
-
-    def load_warm_state(self, lines, mapped) -> None:
-        """Install the state an LLC warm-up leaves behind, without replaying it.
-
-        The closed form of the reference warm-up on a fresh TLB: ``lines``
-        is this core's whole duplicate-free warm stream in install order
-        (each install reads, then sets, its line's mapping bit — two
-        touches of one page) and ``mapped`` the lines that end the
-        warm-up LLC-resident with their bit set.  Each TLB set then holds
-        its ``assoc`` most recently touched pages in LRU -> MRU order,
-        every MBV is the OR of its page's mapped bits, and the MBVs of
-        the other pages sit in the backing store.  Statistics are left
-        untouched (only the reference warm-up counts lookups).
-        """
-        if self._array.total_occupancy() or self._backing:
-            raise SimulationError("load_warm_state needs a fresh TLB")
-        shift, mask = self._line_shift, self._line_mask
-        mapped = np.asarray(mapped, dtype=np.int64)
-        pages, row = np.unique(mapped >> shift, return_inverse=True)
-        bits = np.zeros((len(pages), self.lines_per_page), dtype=bool)
-        bits[row, mapped & mask] = True
-        mbv = dict(zip(pages.tolist(), mbv_ints(bits)))
-        # Distinct pages by their last touch, least recent first; each
-        # set keeps its ``assoc`` most recent in LRU -> MRU order.
-        pages = np.asarray(lines, dtype=np.int64) >> shift
-        distinct, last_rev = np.unique(pages[::-1], return_index=True)
-        recency = distinct[np.argsort(-last_rev)]
-        sets = recency & self._set_mask
-        keep = lru_survivors(sets, self._array.assoc)
-        views = self._array.set_views()
-        for page, set_idx in zip(recency[keep].tolist(), sets[keep].tolist()):
-            views[set_idx][page] = [mbv.pop(page, 0)]
-        self._backing = mbv
 
     # -- internals ----------------------------------------------------------------
 

@@ -19,12 +19,11 @@ index dict) and batches all side-channel accounting:
   feeds back through wear, so it stays scalar) on the array engine;
 * Re-NUCA keeps its in-order CPT feedback loop, on flat per-line state:
   dense line ids carry the Mapping Bit and the probe memo, and the CPT
-  is a pair of counters per (core, pc).  The enhanced TLBs leave the
-  loop: their residency depends only on each core's page sequence, so a
-  separate pass can replay it and rebuild their exact state from the
-  loop's log of Mapping Bit changes.  No result depends on that state,
-  so the pass is left pending on the policy and runs only if something
-  reads :attr:`~repro.core.renuca.ReNucaPolicy.tlbs`.
+  is a pair of counters per (core, pc).  The Mapping Bit is kept per
+  line, not in enhanced-TLB objects: no scheme charges latency for a
+  TLB miss, so no result depends on TLB residency, and the kernel path
+  keeps no TLB state at all (:attr:`~repro.core.renuca.ReNucaPolicy.tlbs`
+  raises once the kernel has warmed the LLC).
 
 Every replay reads the runner's merged stream, which gathers its
 records window by window from the cores' stage-1 streams, one chunk of
@@ -47,13 +46,10 @@ all floating-point accumulation replicates the reference's operation
 order, in record order — never builtin ``sum()``, whose float summation
 is compensated since Python 3.12).  The kernel transfers *statistics*
 back into the live objects (LLC stats, mesh traffic, wear counters,
-memory pipe/row state, policy counters, and Re-NUCA's TLB and CPT
-state); the per-bank ``Cache`` objects stay empty — nothing on the
-un-instrumented path reads them.  Re-NUCA's TLB state is transferred
-lazily: the replay hands the policy a one-shot rebuild, and the first
-read of ``policy.tlbs`` runs it, which leaves exactly the reference's
-sets, backing stores and ``TlbStats``.  The un-instrumented path never
-reads them, so on a sweep the rebuild never runs.
+memory pipe/row state, policy counters, and Re-NUCA's CPT state); the
+per-bank ``Cache`` objects stay empty — nothing on the un-instrumented
+path reads them.  Re-NUCA's enhanced TLBs exist only on the reference
+path.
 
 The kernel never engages when telemetry or fault injection is attached
 (those need the object graph's event hooks); :func:`kernel_fallback_reason`
@@ -64,12 +60,10 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from functools import partial
 
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.core.tlb import mbv_bits, mbv_ints
 from repro.nuca.naive import NaivePolicy
 from repro.nuca.private import PrivatePolicy
 from repro.nuca.rnuca import RNucaPolicy
@@ -218,9 +212,11 @@ def warm_state(llc, runs) -> ArrayBanks:
     with no hits each set then ends holding the last ``assoc`` lines
     inserted into it, in insertion order; warm-up wear is a bincount of
     the fill banks (added to ``llc.wear``, for the caller to reset).
-    The policy metadata the replay reads is installed for the
-    survivors: Naive's directory, and Re-NUCA's TLB Mapping Bits (the
-    critical survivors OR-ed per page).  Dirty flags stay all-false.
+    Naive's directory is installed for the survivors.  Re-NUCA's
+    starting Mapping Bits are the survivors' critical flags, which the
+    replay reads from the frames; the policy's enhanced TLBs are
+    dropped, not filled (:attr:`~repro.core.renuca.ReNucaPolicy.tlbs`
+    raises until a reset).  Dirty flags stay all-false.
 
     The first pass counts each set's installs and the warm-up wear,
     checks each run for a repeated line and notes its line range; runs
@@ -231,26 +227,17 @@ def warm_state(llc, runs) -> ArrayBanks:
     """
     state = ArrayBanks.for_llc(llc)
     policy = llc.policy
-    renuca = type(policy) not in (NaivePolicy, SNucaPolicy, PrivatePolicy, RNucaPolicy)
-    tlbs = policy.tlbs if renuca else None
     total_sets = len(state.occ)
     counts = np.zeros(total_sets, dtype=np.int64)
     wear = np.zeros(llc.wear.num_banks, dtype=np.int64)
     spans = []
-    # Re-NUCA: each core's page stream, each page repeated back to back
-    # kept once (its last touch), which keeps the order of last touches.
-    touched: dict[int, list] = {}
-    for i, (core, lines, _, bank, gset) in enumerate(_placed_runs(runs(), state, policy)):
+    for i, (_, lines, _, bank, gset) in enumerate(_placed_runs(runs(), state, policy)):
         if len(lines):
             ordered = np.sort(lines)
             _check_distinct(ordered)
             spans.append((int(ordered[0]), int(ordered[-1]), i))
         np.add.at(counts, gset, 1)
         np.add.at(wear, bank, 1)
-        if renuca:
-            pages = lines >> tlbs[core]._line_shift
-            last = np.append(pages[1:] != pages[:-1], True)
-            touched.setdefault(core, []).append(pages[last])
     _check_overlapping_runs(runs, spans)
 
     assoc = state.assoc
@@ -276,20 +263,16 @@ def warm_state(llc, runs) -> ArrayBanks:
     state.occ[:] = np.minimum(counts, assoc)
     state.clock = int(state.occ.sum())
     llc.wear.add_writes(wear)
-    if type(policy) is NaivePolicy:
+    ptype = type(policy)
+    if ptype is NaivePolicy:
         # Occupied frames in frame order: set-major, LRU -> MRU in a set.
         held = np.flatnonzero(tags >= 0)
         policy._directory.update(
             zip(tags[held].tolist(), (held // (state.num_sets * assoc)).tolist())
         )
-    elif renuca:
-        # Only survivors set a frame's critical flag.
-        mapped = np.flatnonzero(crit)
-        for core, tlb in enumerate(tlbs):
-            pages = np.concatenate(touched.get(core, [np.empty(0, dtype=np.int64)]))
-            tlb.load_warm_state(
-                pages << tlb._line_shift, tags[mapped[owner[mapped] == core]]
-            )
+    elif ptype not in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
+        # Re-NUCA: the replay keeps the Mapping Bits per line, in no TLB.
+        policy._tlbs = None
     return state
 
 
@@ -785,15 +768,10 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
       The Mapping Bit of a line is a per-line fact — the enhanced TLB
       only *caches* it, and its backing store keeps every non-zero MBV
       across TLB evictions — so the loop reads and writes it directly.
-    * **The TLB pass.**  TLB residency depends only on each core's page
-      sequence (every record touches its page once; write-back re-reads
-      and allocation-time bit sets hit the MRU page; eviction-time bit
-      clears never touch), so :func:`_replay_tlbs` can replay it after
-      the loop and take the MBV write-back/restore counts from the log
-      of Mapping Bit changes the loop keeps.  No result reads the TLBs,
-      so the loop only hands the policy that pass as a pending rebuild
-      (:meth:`~repro.core.renuca.ReNucaPolicy.defer_tlb_rebuild`),
-      which the first read of ``policy.tlbs`` runs.
+    * **No TLB.**  A TLB miss costs no latency on any path, so TLB
+      residency feeds no result, and the kernel keeps none: a line's
+      starting Mapping Bit is the critical flag of the warm frame
+      holding it (see :class:`_LineIds`).
     * **CPT counters.**  Each predictor entry is a pair of per-(core,
       pc) counters; whether a load would block on a hit is precomputed
       for both candidate banks.  When a table could overflow, the
@@ -810,9 +788,6 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     mesh = llc.mesh
     config = llc.config
     bank0 = llc.banks[0]
-    # Through the property: the starting MBVs must not be stale.
-    tlbs = policy.tlbs
-    ncores = len(tlbs)
     nb = llc.wear.num_banks
     pen = float(policy.lookup_penalty)
     hop = config.noc.hop_cycles
@@ -842,11 +817,6 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     memo = lines.memo
     copies = lines.copies
     line_of = lines.line_of
-    warm_evicted = lines.warm_evictions.extend
-    # Mapping Bit change log: the record index, then the line id
-    # (``~id`` for a clear).  Read by the TLB pass.
-    mbv_log = array("q")
-    log = mbv_log.append
     iss, blk, cpt_commit = cpt.issued, cpt.blocked, cpt.commit
 
     service, pipe_free, miss_cycles, rowhit_cycles, dram_mask, row_shift, open_rows = (
@@ -858,9 +828,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
     queue_acc = 0.0
     row_hits = mem_writes = 0
     bw = np.zeros(nb, dtype=np.int64)
-    touches = np.zeros(ncores, dtype=np.int64)
-    wb_misses = np.zeros(ncores, dtype=np.int64)
-    fetches = mem_reads = wbs = crit_allocs = 0
+    fetches = mem_reads = wbs = wb_miss_total = crit_allocs = 0
     messages = hops = 0
 
     for rec in merged.chunks(_RENUCA_COLUMNS):
@@ -1010,13 +978,8 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
                     copies[vid] -= 1
                     if memo[vid] == pos:
                         memo[vid] = -1
-                    if mbit[vid]:
-                        # Eviction-time clear_mapping_bit.
-                        mbit[vid] = 0
-                        log(lo + j)
-                        log(~vid)
-                else:
-                    warm_evicted((lo + j, pos, vid))
+                    # Eviction-time clear_mapping_bit.
+                    mbit[vid] = 0
                 if dirty_f[pos]:
                     ts = ts_a[j]
                     start = ts if ts > pipe_free else pipe_free
@@ -1034,11 +997,8 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
             dirty_f[pos] = fill_dirty
             memo[lid] = pos
             copies[lid] += 1
-            if mbit[lid] != critical:
-                # Allocation-time set_mapping_bit.
-                mbit[lid] = critical
-                log(lo + j)
-                log(lid if critical else ~lid)
+            # Allocation-time set_mapping_bit.
+            mbit[lid] = critical
 
         # Batched accounting of the chunk from its code bytes.
         code = np.frombuffer(codes, dtype=np.uint8)
@@ -1056,8 +1016,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         fetches += m - n_wb
         mem_reads += n_fmiss
         crit_allocs += int(place_r.sum())
-        touches += np.bincount(core, minlength=ncores)
-        wb_misses += np.bincount(core[wbmiss], minlength=ncores)
+        wb_miss_total += int(wbmiss.sum())
         bw += np.bincount(bank[wb], minlength=nb)
         bw += np.bincount(np.where(place_r, b_r, b_s)[fmiss], minlength=nb)
         messages += 2 * m + n_fmiss
@@ -1069,15 +1028,7 @@ def _replay_renuca(llc, merged, state, cpts, threshold, block_cycles) -> np.ndar
         rec.scatter_measured(out, lat)
 
     state.clock += merged.total
-    # The pending rebuild keeps the lines' identities, owners and
-    # starting MBVs; the loop's per-line state goes with the replay.
-    del lines.ids, lines.bank_r, lines.bank_s, lines.set_r, lines.set_s
-    del lines.mbit, lines.memo, lines.copies, lines.tags
-    policy.defer_tlb_rebuild(
-        partial(_replay_tlbs, tlbs, merged, lines, mbv_log, touches, wb_misses)
-    )
     cpt.write_back(cpts)
-    wb_miss_total = int(wb_misses.sum())
     stats = llc.stats
     stats.fetches += fetches
     stats.fetch_hits += fetches - mem_reads
@@ -1101,12 +1052,13 @@ class _LineIds:
 
     One ``np.unique`` over the first copies numbers the stream's
     distinct lines (later copies repeat them): ``ids`` is each
-    first-copy record's id, ``line_of``/``core_of`` each id's line and
-    core.  Per id: both candidate banks and global sets
-    (``bank_r``/``set_r`` for R-NUCA, ``bank_s``/``set_s`` for S-NUCA),
-    the Mapping Bit ``mbit`` (read from the owning core's TLB MBV or
-    backing store), the probe memo ``memo`` — a frame holding the line,
-    with :attr:`ArrayBanks.index` semantics (-1: none known) — and
+    first-copy record's id, ``line_of`` each id's line.  Per id: both
+    candidate banks and global sets (``bank_r``/``set_r`` for R-NUCA,
+    ``bank_s``/``set_s`` for S-NUCA), the Mapping Bit ``mbit`` (at the
+    start, the critical flag of the warm frame holding the line: the
+    reference warm-up sets a line's bit on a critical fill and clears it
+    when the line is evicted), the probe memo ``memo`` — a frame holding
+    the line, with :attr:`ArrayBanks.index` semantics (-1: none known) — and
     ``copies``, how many frames hold it (at most two, one per mapping).
     ``tags`` is what the loop sees in each frame: the id of a referenced
     line, ``~line`` for a warm line the stream never references, or -1;
@@ -1118,10 +1070,6 @@ class _LineIds:
     """
 
     def __init__(self, state: ArrayBanks, merged, policy) -> None:
-        tlbs = policy.tlbs
-        self.ncores = len(tlbs)
-        self.shift = tlbs[0]._line_shift
-        self.line_mask = tlbs[0]._line_mask
         line, ids = np.unique(merged.measured_column("line"), return_inverse=True)
         ids = ids.astype(np.int32)
         n = len(line)
@@ -1134,7 +1082,7 @@ class _LineIds:
             )
         del record_core
         self.ids = ids
-        self.line_of, self.core_of = line, core
+        self.line_of = line
         set_idx = (line >> state.index_shift) & (state.num_sets - 1)
         bank_r = _static_banks(policy._rnuca, core, line)
         bank_s = _static_banks(policy._snuca, core, line)
@@ -1146,8 +1094,10 @@ class _LineIds:
         # sets (the S-NUCA one skipped when both are the same set).
         assoc = state.assoc
         owner = state.owner.reshape(-1)
+        crit = state.critical.reshape(-1)
         memo = np.full(n, -1, dtype=np.int64)
         copies = np.zeros(n, dtype=np.uint8)
+        mbit = np.zeros(n, dtype=np.uint8)
         held_at, held_ids = [], []
         for lo in range(0, n, _CHUNK):
             ids = np.arange(lo, min(lo + _CHUNK, n))
@@ -1166,6 +1116,7 @@ class _LineIds:
                 held_ids.append(found)
                 memo[found] = pos
                 copies[found] += 1
+                mbit[found] |= crit[pos]
         tags = state.tags.reshape(-1)
         np.invert(tags, out=tags, where=tags >= 0)
         for pos, found in zip(held_at, held_ids):
@@ -1173,244 +1124,7 @@ class _LineIds:
         self.tags = tags
         self.memo = array("q", memo.tobytes())
         self.copies = bytearray(copies.tobytes())
-        self.mbv_keys, self.mbv_bits = _tlb_mbvs(tlbs)
-        row = _rows(self.mbv_keys, self.page_keys(line, core))
-        known = np.flatnonzero(row >= 0)
-        mbit = np.zeros(n, dtype=np.uint8)
-        mbit[known] = self.mbv_bits[row[known], line[known] & self.line_mask]
         self.mbit = bytearray(mbit.tobytes())
-        # Warm lines the stream never references keep their starting
-        # Mapping Bits until evicted; the loop logs their evictions
-        # apart, as (record, frame, ~line) triples (see _warm_clears).
-        self.warm_owner = owner
-        self.warm_evictions = array("q")
-
-    def page_keys(self, lines: np.ndarray, cores: np.ndarray) -> np.ndarray:
-        """One int64 key per (core, page) of ``lines``."""
-        return (lines >> self.shift) * self.ncores + cores
-
-
-def _tlb_mbvs(tlbs) -> tuple[np.ndarray, np.ndarray]:
-    """Every core's MBVs, resident or backed.
-
-    Returns the sorted (core, page) keys and the MBVs as a bit matrix
-    in key order (:func:`~repro.core.tlb.mbv_bits`).
-    """
-    ncores = len(tlbs)
-    keys: list[int] = []
-    mbvs: list[int] = []
-    for core, tlb in enumerate(tlbs):
-        for ways in tlb._array.set_views():
-            for page, holder in ways.items():
-                keys.append(page * ncores + core)
-                mbvs.append(holder[0])
-        for page, mbv in tlb._backing.items():
-            keys.append(page * ncores + core)
-            mbvs.append(mbv)
-    keys_a = np.asarray(keys, dtype=np.int64)
-    order = np.argsort(keys_a)
-    return keys_a[order], mbv_bits(mbvs, tlbs[0].lines_per_page)[order]
-
-
-def _warm_clears(lines: _LineIds) -> np.ndarray:
-    """The Mapping Bit clears of the logged warm-line evictions.
-
-    Rows of (record, frame, line), in record order, decoded from
-    ``lines.warm_evictions``: evicting an unreferenced warm line clears
-    a bit only if its starting Mapping Bit is set, and only its first
-    such eviction does (the bit stays clear after).
-    """
-    ev = np.frombuffer(lines.warm_evictions, dtype=np.int64).reshape(-1, 3)
-    line = ~ev[:, 2]
-    row = _rows(lines.mbv_keys, lines.page_keys(line, lines.warm_owner[ev[:, 1]]))
-    known = np.flatnonzero(row >= 0)
-    at = known[lines.mbv_bits[row[known], line[known] & lines.line_mask]]
-    at = np.sort(at[np.unique(line[at], return_index=True)[1]])
-    return np.column_stack((ev[at, 0], ev[at, 1], line[at]))
-
-
-def _rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Position of each ``query`` in sorted ``keys`` (-1: absent)."""
-    if not len(keys):
-        return np.full(len(query), -1, dtype=np.int64)
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[at] == query, at, -1)
-
-
-def _replay_tlbs(tlbs, merged, lines: _LineIds, mbv_log, touches, wb_misses) -> None:
-    """Replay the enhanced TLBs' residency and rebuild their exact state.
-
-    Each record touches its core's TLB at the record's page (a refill on
-    a miss, evicting the set's LRU page); nothing else changes
-    residency, so one pass over the (core, page) sequence gives every
-    refill and eviction.  An eviction writes the page's MBV back and a
-    refill restores it when that MBV is non-zero at the touch: the MBV
-    at any record is the starting MBV plus the Mapping Bit changes of
-    earlier records (``mbv_log``).  :func:`_tlb_counts` counts both
-    chunk by chunk, so nothing stream-long is built.  The final set
-    dicts hold the resident pages in LRU order with their final MBVs,
-    and the backing store every other non-zero MBV.
-
-    The replay does not call it: it is the rebuild the replay leaves
-    pending on the policy, run by the first read of ``policy.tlbs``.
-    """
-    ncores = len(tlbs)
-    num_sets = tlbs[0].config.num_sets
-    # Every core's set dicts, flat: core * num_sets + set.  Values are
-    # placeholders until the final MBVs are installed below.
-    sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
-    log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
-    ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
-    warm = _warm_clears(lines)
-    line = np.concatenate((lines.line_of[ids], warm[:, 2]))
-    change_keys = lines.page_keys(
-        line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
-    )
-    # Both logs are in record order; merge them by record.
-    change_at = np.concatenate((log[:, 0], warm[:, 0]))
-    order = np.argsort(change_at, kind="stable")
-    refill_n, evict_n, restore_n, writeback_n = _tlb_counts(
-        sets, merged, lines, num_sets, tlbs[0]._array.assoc,
-        change_at[order], change_keys[order],
-        np.concatenate((
-            np.where(log[:, 1] >= 0, 1, -1), np.full(len(warm), -1, dtype=np.int64)
-        ))[order],
-    )
-
-    # Final MBV per (core, page): the starting bits with the logged
-    # changes toggled.
-    all_keys = np.unique(
-        np.concatenate((lines.mbv_keys, change_keys)), return_index=True
-    )[0]
-    bits = np.zeros((len(all_keys), lines.mbv_bits.shape[1]), dtype=bool)
-    bits[np.searchsorted(all_keys, lines.mbv_keys)] = lines.mbv_bits
-    np.bitwise_xor.at(
-        bits, (np.searchsorted(all_keys, change_keys), line & lines.line_mask), True
-    )
-    # Only the resident pages' MBVs and the backed non-zero ones become
-    # Python ints.
-    resident = np.fromiter(
-        (page * ncores + sid // num_sets for sid, ways in enumerate(sets) for page in ways),
-        dtype=np.int64,
-    )
-    row = _rows(all_keys, resident)
-    mbvs = iter([
-        mbv if r >= 0 else 0
-        for r, mbv in zip(row.tolist(), mbv_ints(bits[np.maximum(row, 0)]))
-    ])
-    for ways in sets:
-        for page in ways:
-            ways[page] = [next(mbvs)]
-    backed = bits.any(axis=1)
-    backed[row[row >= 0]] = False
-    for tlb in tlbs:
-        tlb._backing.clear()
-    for key, mbv in zip(all_keys[backed].tolist(), mbv_ints(bits[backed])):
-        tlbs[key % ncores]._backing[key // ncores] = mbv
-
-    for core, tlb in enumerate(tlbs):
-        stats = tlb.stats
-        lookups = int(touches[core] + wb_misses[core])
-        stats.lookups += lookups
-        stats.hits += lookups - refill_n[core]
-        stats.refills += refill_n[core]
-        stats.evictions += evict_n[core]
-        stats.mbv_restores += restore_n[core]
-        stats.mbv_writebacks += writeback_n[core]
-
-
-def _tlb_counts(sets, merged, lines: _LineIds, num_sets: int, ways_max: int,
-                change_at, change_keys, change_deltas) -> list[list[int]]:
-    """Replay the TLB sets' residency over the merged stream, in place.
-
-    ``sets`` are every core's set dicts (``core * num_sets + set``).
-    Returns, per core: refills, evictions, MBV restores and MBV
-    write-backs.  A refill restores, and an eviction writes back, when
-    its page's MBV popcount just before the touch is non-zero.  The
-    Mapping Bit changes are ``change_keys`` at records ``change_at``
-    (ascending; a change follows its own record's touch), by
-    ``change_deltas``.  The stream goes through in chunks of
-    ``_CHUNK`` records; an event's popcount is the page's starting
-    popcount, plus a running popcount per changed (core, page) key
-    carried across chunks, plus the chunk's own earlier changes.
-    """
-    ncores = lines.ncores
-    shift = lines.shift
-    # Starting popcounts; row -1 (no MBV yet) reads the appended 0.
-    start = np.append(lines.mbv_bits.sum(axis=1), 0)
-    # The plain np.unique form would import numpy.ma (tens of ms).
-    changed = np.unique(change_keys, return_index=True)[0]
-    # Per changed key, its changes in earlier chunks; row -1 (a key that
-    # never changes) reads the trailing 0.
-    running = np.zeros(len(changed) + 1, dtype=np.int64)
-    counts = np.zeros((4, ncores), dtype=np.int64)
-    for rec in merged.chunks(("core", "line")):
-        lo = rec.lo
-        hi = lo + len(rec.line)
-        line = rec.line
-        core = rec.core.astype(np.int64)
-        pages = line >> shift
-        sid_l = (core * num_sets + (pages & (num_sets - 1))).tolist()
-        # Each refill's chunk position, then ``~page`` of the page it
-        # evicted, if any.
-        trail = array("q")
-        log_event = trail.append
-        for i, sid, page in zip(range(hi - lo), sid_l, pages.tolist()):
-            ways = sets[sid]
-            if ways.pop(page, None) is None:
-                log_event(i)
-                if len(ways) >= ways_max:
-                    victim = next(iter(ways))
-                    del ways[victim]
-                    log_event(~victim)
-            ways[page] = True
-
-        trail = np.frombuffer(trail, dtype=np.int64)
-        evicted = np.flatnonzero(trail < 0)
-        refill_at = trail[trail >= 0]
-        evict_at = trail[evicted - 1]
-        n_ref = len(refill_at)
-        ev_keys = np.concatenate((
-            lines.page_keys(line[refill_at], core[refill_at]),
-            ~trail[evicted] * ncores + core[evict_at],
-        ))
-        # Touches at even times, changes at odd ones.
-        ev_times = 2 * (lo + np.concatenate((refill_at, evict_at)))
-        a, b = np.searchsorted(change_at, (lo, hi))
-        keys, deltas = change_keys[a:b], change_deltas[a:b]
-        count = start[_rows(lines.mbv_keys, ev_keys)]
-        count += _counts_before(ev_keys, ev_times, keys, 2 * change_at[a:b] + 1, deltas)
-        count += running[_rows(changed, ev_keys)]
-        np.add.at(running, np.searchsorted(changed, keys), deltas)
-        nonzero = count > 0
-        ev_core = ev_keys % ncores
-        for k, sel in enumerate((
-            slice(0, n_ref), slice(n_ref, None),
-            np.flatnonzero(nonzero[:n_ref]), n_ref + np.flatnonzero(nonzero[n_ref:]),
-        )):
-            counts[k] += np.bincount(ev_core[sel], minlength=ncores)
-    return counts.tolist()
-
-
-def _counts_before(ev_keys, ev_times, keys, times, deltas) -> np.ndarray:
-    """Per event, the sum of the ``deltas`` of its key at earlier ``times``.
-
-    One stable sort by (key, time) of the changes and of the events on
-    keys that change; the other events count 0.  Event and change times
-    must differ.
-    """
-    # The plain np.unique form would import numpy.ma (tens of ms).
-    changed = np.unique(keys, return_index=True)[0]
-    on = np.flatnonzero(_rows(changed, ev_keys) >= 0)
-    keys = np.concatenate((ev_keys[on], keys))
-    order = np.lexsort((np.concatenate((ev_times[on], times)), keys))
-    step = np.concatenate((np.zeros(len(on), dtype=np.int64), deltas))[order]
-    before = np.cumsum(step) - step
-    before -= before[_group_starts(keys[order])]
-    touch = order < len(on)
-    count = np.zeros(len(ev_keys), dtype=np.int64)
-    count[on[order[touch]]] = before[touch]
-    return count
 
 
 class _CptCounters:

@@ -62,11 +62,13 @@ def git_tree_dirty() -> bool | None:
 
     None outside a git checkout.  Not cached: a recorder may run before
     and after an edit in one process.  A dirty tree's measurement is of
-    code that :func:`current_git_sha` does not name.
+    code that :func:`current_git_sha` does not name.  The top-level
+    ``BENCH_*.json`` trajectory files do not count: appending a point to
+    one must not mark the next point dirty.
     """
     try:
         out = subprocess.run(
-            ["git", "status", "--porcelain"],
+            ["git", "status", "--porcelain", "--", ":/", ":(top,exclude)BENCH_*.json"],
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):

@@ -8,24 +8,22 @@ including the float accumulations; the unit classes cover the array
 engine's batched prefill, the closed-form array warm-up against the
 object-graph warm-up it replaces, the support gate with its named
 fallback reasons and the ``use_kernel`` tri-state.  Re-NUCA gets two
-more: its TLB/CPT object state after a replay, and a Hypothesis
+more: its CPT object state after a replay, and a Hypothesis
 differential test over drawn TLB, predictor, NoC and L3 settings; the
 static and Naive replays get a differential test over drawn NoC and L3
 settings.  Both differential tests stream the records in small odd
 chunks.
 
-Two oracles keep the whole-stream forms the kernel replaced: the warm-up
-that concatenates the warm stream (:func:`_warm_state_oracle`) and the
-TLB pass that builds stream-long event arrays
-(:func:`_replay_tlbs_oracle`, which filters the warm-line evictions one
-by one).  The streamed warm-up and the chunked TLB pass are checked
-against them on drawn inputs.  The kernel leaves the TLB pass pending on
-the policy; :class:`TestDeferredTlbRebuild` checks when it runs.
+An oracle keeps the whole-stream warm-up the kernel replaced, which
+concatenates the warm stream (:func:`_warm_state_oracle`); the streamed
+warm-up is checked against it on drawn inputs.  The kernel keeps
+Re-NUCA's Mapping Bits per line and no TLB state: the warm frames'
+critical flags must hold the reference TLBs' set bits, and
+:class:`TestKernelKeepsNoTlbs` checks that the TLBs cannot be read
+after a kernel replay.
 """
 
 import dataclasses
-from array import array
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -35,9 +33,8 @@ from hypothesis import strategies as st
 
 from repro.cache.lru import lru_survivors
 from repro.common.errors import ReproError, SimulationError
-from repro.config import CacheConfig, FaultConfig, TlbConfig, baseline_config, scaled_config
+from repro.config import CacheConfig, FaultConfig, baseline_config, scaled_config
 from repro.core.renuca import ReNucaPolicy
-from repro.core.tlb import EnhancedTlb, mbv_ints
 from repro.faults.injector import FaultInjector
 from repro.mem.model import MainMemory
 from repro.noc.mesh import Mesh
@@ -51,9 +48,6 @@ from repro.nuca.kernel import (
     warm_state,
 )
 from repro.nuca.naive import NaivePolicy
-from repro.nuca.private import PrivatePolicy
-from repro.nuca.rnuca import RNucaPolicy
-from repro.nuca.snuca import SNucaPolicy
 from repro.obs.spans import SpanRecorder
 from repro.reram.wear import WearTracker
 from repro.sim import runner
@@ -198,6 +192,22 @@ def _bank_snapshot(llc):
     return sets
 
 
+def _mapped_lines(tlb) -> set[int]:
+    """The lines whose Mapping Bit is set in ``tlb``, resident or backed."""
+    return {
+        (page << tlb._line_shift) + i
+        for page in [*tlb.resident_pages(), *tlb._backing]
+        for mbv in [tlb.mbv_of_page(page)]
+        for i in range(tlb.lines_per_page)
+        if mbv >> i & 1
+    }
+
+
+def _critical_lines(state, core) -> set[int]:
+    """The lines in ``core``'s critical frames of a warm state."""
+    return set(state.tags[state.critical & (state.owner == core)].tolist())
+
+
 def _array_snapshot(state):
     return [
         [
@@ -262,30 +272,19 @@ class TestArrayWarmState:
         assert ref.wear.total_writes() > 0
         assert np.array_equal(ref.wear.bank_writes, fast.wear.bank_writes)
 
-    def test_policy_metadata_matches_prefill(self, warmed, workload, config,
-                                             seed):
-        ref, fast, _, results = warmed
+    def test_policy_metadata_matches_prefill(self, warmed):
+        ref, fast, state, _ = warmed
         if isinstance(ref.policy, NaivePolicy):
             assert fast.policy._directory == ref.policy._directory
         if isinstance(ref.policy, ReNucaPolicy):
-            mapped_pages = 0
-            for core, (tlb_ref, tlb_fast) in enumerate(
-                zip(ref.policy.tlbs, fast.policy.tlbs)
-            ):
-                assert tlb_fast.resident_pages() == tlb_ref.resident_pages()
-                assert tlb_fast._backing == tlb_ref._backing
-                pages = {
-                    tlb_ref.page_of(line)
-                    for c, lines, _ in runner._warm_blocks(
-                        ref, workload, config, results, seed=seed
-                    )
-                    if c == core
-                    for line in lines.tolist()
-                }
-                for page in pages:
-                    assert tlb_fast.mbv_of_page(page) == tlb_ref.mbv_of_page(page)
-                mapped_pages += sum(1 for p in pages if tlb_ref.mbv_of_page(p))
-            assert mapped_pages > 0
+            # The kernel takes each line's starting Mapping Bit from the
+            # critical flag of its warm frame.
+            mapped = 0
+            for core, tlb in enumerate(ref.policy.tlbs):
+                lines = _mapped_lines(tlb)
+                assert lines == _critical_lines(state, core), core
+                mapped += len(lines)
+            assert mapped > 0
 
     def test_warm_streams_are_duplicate_free(self, warmed, workload, config,
                                              seed):
@@ -358,15 +357,8 @@ class TestWarmStateDifferential:
         if isinstance(ref.policy, NaivePolicy):
             assert fast.policy._directory == ref.policy._directory
         if isinstance(ref.policy, ReNucaPolicy):
-            for core, (tlb_ref, tlb_fast) in enumerate(
-                zip(ref.policy.tlbs, fast.policy.tlbs)
-            ):
-                assert tlb_fast.resident_pages() == tlb_ref.resident_pages()
-                assert tlb_fast._backing == tlb_ref._backing
-                pages = {tlb_ref.page_of(x) for c, lines, _ in runs if c == core
-                         for x in lines.tolist()}
-                for page in pages:
-                    assert tlb_fast.mbv_of_page(page) == tlb_ref.mbv_of_page(page)
+            for core, tlb in enumerate(ref.policy.tlbs):
+                assert _mapped_lines(tlb) == _critical_lines(state, core), core
 
 
 def _warm_state_oracle(llc, lines, cores, critical) -> ArrayBanks:
@@ -404,26 +396,9 @@ def _warm_state_oracle(llc, lines, cores, critical) -> ArrayBanks:
     state.occ[:] = occ
     state.clock = len(keep)
     llc.wear.add_writes(wear)
-    ptype = type(policy)
-    if ptype is NaivePolicy:
+    if type(policy) is NaivePolicy:
         policy._directory.update(zip(kept.tolist(), (gset[keep] // num_sets).tolist()))
-    elif ptype not in (SNucaPolicy, PrivatePolicy, RNucaPolicy):
-        mapped = np.zeros(n, dtype=bool)
-        mapped[keep] = True
-        mapped &= critical
-        for core, tlb in enumerate(policy.tlbs):
-            mine = cores == core
-            tlb.load_warm_state(lines[mine], lines[mine & mapped])
     return state
-
-
-def _tlb_state(tlb):
-    """A TLB's sets in LRU order with their MBVs, and its backing store."""
-    return (
-        [[(page, entry[0]) for page, entry in ways.items()]
-         for ways in tlb._array.set_views()],
-        dict(tlb._backing),
-    )
 
 
 class TestStreamedWarmStateMatchesOracle:
@@ -466,9 +441,6 @@ class TestStreamedWarmStateMatchesOracle:
             assert list(llc.policy._directory.items()) == list(
                 oracle_llc.policy._directory.items()
             )
-        if isinstance(llc.policy, ReNucaPolicy):
-            for tlb, tlb_oracle in zip(llc.policy.tlbs, oracle_llc.policy.tlbs):
-                assert _tlb_state(tlb) == _tlb_state(tlb_oracle)
 
 
 class TestWarmStateGuards:
@@ -508,12 +480,6 @@ class TestWarmStateGuards:
             lambda: [(0, [10, 40], None), (1, [20, 30, 50], None), (0, [60, 35], None)],
         )
         assert int(state.occ.sum()) == 7
-
-    def test_tlb_needs_fresh_state(self):
-        tlb = _fresh_llc("Re-NUCA", CFG8).policy.tlbs[0]
-        tlb.set_mapping_bit(64, True)
-        with pytest.raises(SimulationError, match="fresh TLB"):
-            tlb.load_warm_state([64], [64])
 
 
 class TestKernelGate:
@@ -627,24 +593,8 @@ class TestConfigSignatureMemo:
 
 
 def _renuca_object_state(prep):
-    """Per-core TLB sets/backing and CPT table of a replayed Re-NUCA run."""
-    tlbs = [
-        (
-            [[(page, e[0]) for page, e in ways.items()]
-             for ways in tlb._array.set_views()],
-            tlb._backing,
-        )
-        for tlb in prep.policy.tlbs
-    ]
-    cpts = [(list(cpt.snapshot().items()), cpt.stats) for cpt in prep.cpts]
-    return tlbs, cpts
-
-
-def _tlb_stats_delta(before, after):
-    return {
-        f.name: getattr(after, f.name) - getattr(before, f.name)
-        for f in dataclasses.fields(after)
-    }
+    """Per-core CPT table and statistics of a replayed Re-NUCA run."""
+    return [(list(cpt.snapshot().items()), cpt.stats) for cpt in prep.cpts]
 
 
 SMALL_CPT = dataclasses.replace(
@@ -663,7 +613,11 @@ WIDE_MBV = dataclasses.replace(
 )
 @pytest.mark.parametrize("seed", SEEDS)
 class TestReNucaObjectState:
-    """The kernel's inlined TLB/CPT leave the reference's object state."""
+    """The kernel's inlined CPT leaves the reference's object state.
+
+    The kernel keeps no TLB state (:class:`TestKernelKeepsNoTlbs`); the
+    page geometries still vary the reference's TLBs under it.
+    """
 
     def test_tlb_and_cpt_state_identical(self, stage1, config, seed):
         runs = []
@@ -672,9 +626,6 @@ class TestReNucaObjectState:
                 MIX8, "Re-NUCA", config, seed=seed, n_instructions=INSTR,
                 stage1=stage1, use_kernel=use_kernel,
             )
-            # The reference warm-up counts TLB lookups, load_warm_state
-            # does not: compare the replay's deltas.
-            before = [dataclasses.replace(t.stats) for t in prep.policy.tlbs]
             kwargs = dict(cpts=prep.cpts, threshold=prep.threshold,
                           block_cycles=prep.block_cycles)
             if use_kernel:
@@ -682,42 +633,21 @@ class TestReNucaObjectState:
                                      **kwargs)
             else:
                 runner._replay_reference(prep.llc, prep.merged, **kwargs)
-            deltas = [
-                _tlb_stats_delta(b, t.stats)
-                for b, t in zip(before, prep.policy.tlbs)
-            ]
-            runs.append((prep.path, _renuca_object_state(prep), deltas))
-        (ref_path, ref_state, ref_deltas), (fast_path, fast_state, fast_deltas) = runs
+            runs.append((prep.path, _renuca_object_state(prep)))
+        (ref_path, ref_state), (fast_path, fast_state) = runs
         assert (ref_path, fast_path) == ("reference.pinned", "kernel")
         assert fast_state == ref_state
-        assert fast_deltas == ref_deltas
-        # Both rare paths are exercised: TLB evictions under the default
-        # geometry, CPT evictions under the 16-entry table.
-        assert sum(d["evictions"] for d in ref_deltas) > 0
+        # The rare path is exercised: CPT evictions under the 16-entry
+        # table.
         if config is SMALL_CPT:
-            assert sum(stats.evictions for _, stats in ref_state[1]) > 0
+            assert sum(stats.evictions for _, stats in ref_state) > 0
 
 
-class TestDeferredTlbRebuild:
-    """The kernel leaves Re-NUCA's TLB pass pending on the policy.
+class TestKernelKeepsNoTlbs:
+    """The kernel keeps Re-NUCA's Mapping Bits per line, in no TLB."""
 
-    No result reads the TLB objects, so a kernel run never rebuilds
-    them; the first read of ``policy.tlbs`` does, once.
-    """
-
-    @pytest.fixture()
-    def rebuilds(self, monkeypatch):
-        calls = []
-        real = kernel._replay_tlbs
-
-        def spy(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(kernel, "_replay_tlbs", spy)
-        return calls
-
-    def _replayed(self, stage1):
+    @staticmethod
+    def _replayed(stage1):
         prep = prepare_replay(MIX8, "Re-NUCA", CFG8, seed=3, n_instructions=INSTR,
                               stage1=stage1, use_kernel=True)
         runner.kernel_replay(prep.llc, prep.merged, state=prep.state,
@@ -725,305 +655,20 @@ class TestDeferredTlbRebuild:
                              block_cycles=prep.block_cycles)
         return prep.policy
 
-    def test_kernel_run_never_rebuilds(self, stage1, rebuilds):
-        run_info = {}
-        run_workload(MIX8, "Re-NUCA", CFG8, seed=3, n_instructions=INSTR,
-                     stage1=stage1, run_info=run_info)
-        assert run_info["replay_path"] == "kernel"
-        assert rebuilds == []
-
-    def test_first_read_rebuilds_once(self, stage1, rebuilds):
+    def test_tlbs_raise_after_a_kernel_replay(self, stage1):
         policy = self._replayed(stage1)
-        assert rebuilds == []
-        tlbs = policy.tlbs
-        assert rebuilds == [1]
-        assert policy.tlbs is tlbs
-        assert rebuilds == [1]
-        assert sum(t.stats.lookups for t in tlbs) > 0
+        with pytest.raises(SimulationError, match="reference replay path"):
+            policy.tlbs
+        # The storage overhead is structure, not TLB content.
+        assert policy.storage_overhead_bytes() == 8 * 1024
 
-    def test_reset_discards_a_pending_rebuild(self, stage1, rebuilds):
+    def test_reset_makes_fresh_tlbs(self, stage1):
         policy = self._replayed(stage1)
         policy.reset()
-        assert not any(t.resident_pages() or t.stats.lookups for t in policy.tlbs)
-        assert rebuilds == []
-
-
-def _replay_tlbs_oracle(tlbs, merged, lines, mbv_log, touches, wb_misses) -> None:
-    """The whole-stream TLB pass that :func:`kernel._replay_tlbs` chunks.
-
-    One residency pass keeps a stream-long trail of refills and
-    evictions; their keys and times, and one sort with every Mapping Bit
-    change, give each event's MBV popcount.
-    """
-    ncores = len(tlbs)
-    num_sets = tlbs[0].config.num_sets
-    ways_max = tlbs[0]._array.assoc
-    sets = [ways for tlb in tlbs for ways in tlb._array.set_views()]
-    trail = array("q")
-    chunks = list(merged.chunks())
-    stream_line = np.concatenate([rec.line for rec in chunks])
-    stream_core = np.concatenate([rec.core for rec in chunks])
-    pages = stream_line >> lines.shift
-    sids = stream_core.astype(np.int64) * num_sets + (pages & (num_sets - 1))
-    for i, (sid, page) in enumerate(zip(sids.tolist(), pages.tolist())):
-        ways = sets[sid]
-        if ways.pop(page, None) is None:
-            trail.append(i)
-            if len(ways) >= ways_max:
-                victim = next(iter(ways))
-                del ways[victim]
-                trail.append(~victim)
-        ways[page] = True
-    trail = np.frombuffer(trail, dtype=np.int64)
-    evicted = np.flatnonzero(trail < 0)
-    refill_at = trail[trail >= 0]
-    evict_at = trail[evicted - 1]
-    n_ref = len(refill_at)
-    ev_keys = np.concatenate((
-        lines.page_keys(stream_line[refill_at], stream_core[refill_at]),
-        ~trail[evicted] * ncores + stream_core[evict_at],
-    ))
-    ev_times = 2 * np.concatenate((refill_at, evict_at))
-
-    log = np.frombuffer(mbv_log, dtype=np.int64).reshape(-1, 2)
-    ids = np.where(log[:, 1] >= 0, log[:, 1], ~log[:, 1])
-    warm = _warm_clears_oracle(lines)
-    line = np.concatenate((lines.line_of[ids], warm[:, 2]))
-    change_keys = lines.page_keys(
-        line, np.concatenate((lines.core_of[ids], lines.warm_owner[warm[:, 1]]))
-    )
-    count = kernel._counts_before(
-        ev_keys, ev_times, change_keys,
-        np.concatenate((2 * log[:, 0] + 1, 2 * warm[:, 0] + 1)),
-        np.concatenate((
-            np.where(log[:, 1] >= 0, 1, -1), np.full(len(warm), -1, dtype=np.int64)
-        )),
-    )
-    count += np.append(lines.mbv_bits.sum(axis=1), 0)[
-        kernel._rows(lines.mbv_keys, ev_keys)
-    ]
-    nonzero = count > 0
-    ev_core = ev_keys % ncores
-    refill_n, evict_n, restore_n, writeback_n = [
-        np.bincount(ev_core[sel], minlength=ncores).tolist()
-        for sel in (
-            slice(0, n_ref), slice(n_ref, None),
-            np.flatnonzero(nonzero[:n_ref]), n_ref + np.flatnonzero(nonzero[n_ref:]),
+        assert len(policy.tlbs) == CFG8.num_cores
+        assert not any(
+            t.resident_pages() or t._backing or t.stats.lookups for t in policy.tlbs
         )
-    ]
-
-    all_keys = np.unique(np.concatenate((lines.mbv_keys, change_keys)))
-    bits = np.zeros((len(all_keys), lines.mbv_bits.shape[1]), dtype=bool)
-    bits[np.searchsorted(all_keys, lines.mbv_keys)] = lines.mbv_bits
-    np.bitwise_xor.at(
-        bits, (np.searchsorted(all_keys, change_keys), line & lines.line_mask), True
-    )
-    final = dict(zip(all_keys.tolist(), mbv_ints(bits)))
-    resident = set()
-    for sid, ways in enumerate(sets):
-        for page in ways:
-            key = page * ncores + sid // num_sets
-            resident.add(key)
-            ways[page] = [final.get(key, 0)]
-    for tlb in tlbs:
-        tlb._backing.clear()
-    for key, mbv in final.items():
-        if mbv and key not in resident:
-            tlbs[key % ncores]._backing[key // ncores] = mbv
-    for core, tlb in enumerate(tlbs):
-        stats = tlb.stats
-        lookups = int(touches[core] + wb_misses[core])
-        stats.lookups += lookups
-        stats.hits += lookups - refill_n[core]
-        stats.refills += refill_n[core]
-        stats.evictions += evict_n[core]
-        stats.mbv_restores += restore_n[core]
-        stats.mbv_writebacks += writeback_n[core]
-
-
-def _warm_clears_oracle(lines) -> np.ndarray:
-    """The per-eviction filter that :func:`kernel._warm_clears` replaced.
-
-    Walks the log of warm-line evictions in order: an eviction clears a
-    bit when the line's starting Mapping Bit is set and no earlier
-    eviction of the line cleared it.
-    """
-    start_mbvs = dict(zip(lines.mbv_keys.tolist(), mbv_ints(lines.mbv_bits)))
-    cleared, rows = set(), []
-    evictions = np.frombuffer(lines.warm_evictions, dtype=np.int64).reshape(-1, 3)
-    for i, pos, tag in evictions.tolist():
-        line = ~tag
-        key = (line >> lines.shift) * lines.ncores + int(lines.warm_owner[pos])
-        if (start_mbvs.get(key, 0) >> (line & lines.line_mask)) & 1 and (
-            line not in cleared
-        ):
-            cleared.add(line)
-            rows.append((i, pos, line))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
-
-
-class _Columns:
-    """A merged stream's ``chunks`` of plain line/core columns."""
-
-    def __init__(self, line, core) -> None:
-        self.line, self.core = line, core
-
-    def chunks(self, names=("core", "line")):
-        step = kernel._CHUNK
-        for lo in range(0, len(self.line), step):
-            yield SimpleNamespace(lo=lo, line=self.line[lo:lo + step],
-                                  core=self.core[lo:lo + step])
-
-
-class _TlbLines:
-    """What the TLB pass reads of :class:`kernel._LineIds`, built directly."""
-
-    page_keys = kernel._LineIds.page_keys
-
-    def __init__(self, tlbs, line_of, core_of, warm_owner, warm_clears) -> None:
-        self.ncores = len(tlbs)
-        self.shift = tlbs[0]._line_shift
-        self.line_mask = tlbs[0]._line_mask
-        self.line_of, self.core_of = line_of, core_of
-        self.warm_owner, self.warm_evictions = warm_owner, warm_clears
-        self.mbv_keys, self.mbv_bits = kernel._tlb_mbvs(tlbs)
-
-
-def _drawn_tlb_pass(seed, ncores, tlb_sets, tlb_assoc, page_bytes, records,
-                    change_rate):
-    """TLBs, a stream and its Mapping Bit logs for one TLB pass.
-
-    Each core's lines sit in eight pages of its own; the TLBs start
-    with pages resident and backed (set through the MBV protocol, which
-    evicts into the backing store).  The referenced lines' Mapping Bits
-    toggle at random records.  Warm lines the stream never references
-    are evicted at random records, each from a frame of its own (the
-    replay loop's raw log of ``(record, frame, ~line)``): lines whose
-    starting bit is set, lines whose starting bit is 0, and some of
-    them twice, whose second eviction clears nothing.  Returns a
-    builder of fresh TLBs and the pass's other arguments.
-    """
-    rng = np.random.default_rng(seed)
-    config = TlbConfig(entries=tlb_sets * tlb_assoc, assoc=tlb_assoc,
-                       page_bytes=page_bytes)
-    per_page = page_bytes // 64
-    shift = per_page.bit_length() - 1
-
-    def line_at(core, page, index):
-        return ((core * 8 + page) << shift) + index
-
-    warm_set = [
-        line_at(int(c), int(p), int(i))
-        for c, p, i in zip(rng.integers(0, ncores, 24), rng.integers(0, 8, 24),
-                           rng.integers(0, per_page, 24))
-    ]
-
-    def build():
-        tlbs = [EnhancedTlb(config) for _ in range(ncores)]
-        for line in warm_set:
-            tlbs[(line >> shift) // 8].set_mapping_bit(line, True)
-        return tlbs
-
-    core = rng.integers(0, ncores, records)
-    line = np.array([
-        line_at(int(c), int(p), int(i))
-        for c, p, i in zip(core, rng.integers(0, 8, records),
-                           rng.integers(0, per_page, records))
-    ], dtype=np.int64)
-    line_of, ids = np.unique(line, return_inverse=True)
-    core_of = ((line_of >> shift) // 8).astype(np.int16)
-    bit = np.isin(line_of, warm_set)
-    mbv_log = array("q")
-    for i in range(records):
-        for _ in range(rng.binomial(2, change_rate)):
-            lid = int(ids[rng.integers(0, records)])
-            bit[lid] = not bit[lid]
-            mbv_log.extend((i, lid if bit[lid] else ~lid))
-    referenced = set(line_of.tolist())
-    warm = sorted(set(warm_set) - referenced)
-    evicted = [w for w in warm if rng.random() < 0.6]
-    # Lines whose starting bit is 0 and second evictions draw from a
-    # stream of their own, so the warm lines cleared stay as before.
-    extra = np.random.default_rng([seed, 1])
-    unset = sorted({
-        line_at(int(c), int(p), int(i))
-        for c, p, i in zip(extra.integers(0, ncores, 16), extra.integers(0, 8, 16),
-                           extra.integers(0, per_page, 16))
-    } - set(warm_set) - referenced)
-    evicted += [w for w in unset if extra.random() < 0.6]
-    evicted += [w for w in evicted if extra.random() < 0.3]
-    at = np.sort(rng.integers(0, records, len(evicted)))
-    order = rng.permutation(len(evicted))
-    warm_clears = array("q")
-    for i, pos in zip(at.tolist(), order.tolist()):
-        warm_clears.extend((i, pos, ~evicted[pos]))
-    warm_owner = ((np.array(evicted, dtype=np.int64) >> shift) // 8).astype(np.int16)
-    touches = np.bincount(core, minlength=ncores)
-    wb_misses = rng.integers(0, 3, ncores)
-    stream = _Columns(line, core.astype(np.int16))
-    return build, (stream, line_of, core_of, warm_owner, warm_clears, mbv_log,
-                   touches, wb_misses)
-
-
-class TestChunkedTlbPass:
-    """The chunked TLB pass equals the whole-stream oracle at any chunk size.
-
-    Tiny TLBs make pages refill, evict and round-trip their MBVs through
-    the backing store; Mapping Bit changes and warm clears land inside
-    chunks, on their edges and across them.  The pass decodes the warm
-    evictions with numpy (:func:`kernel._warm_clears`), the oracle with
-    the per-eviction filter the replay loop once ran.
-    """
-
-    @pytest.mark.parametrize("chunk", [1, 7, 97])
-    @given(
-        seed=st.integers(0, 2**16),
-        ncores=st.integers(1, 3),
-        tlb_sets=st.sampled_from([1, 2]),
-        tlb_assoc=st.sampled_from([1, 2, 4]),
-        page_bytes=st.sampled_from([256, 1024]),
-        records=st.integers(1, 150),
-        change_rate=st.sampled_from([0.0, 0.2, 0.6]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_whole_stream_oracle(self, chunk, seed, ncores, tlb_sets,
-                                         tlb_assoc, page_bytes, records, change_rate):
-        build, (stream, line_of, core_of, warm_owner, warm_clears, mbv_log,
-                touches, wb_misses) = _drawn_tlb_pass(
-            seed, ncores, tlb_sets, tlb_assoc, page_bytes, records, change_rate
-        )
-        runs = []
-        for replay in (_replay_tlbs_oracle, kernel._replay_tlbs):
-            tlbs = build()
-            lines = _TlbLines(tlbs, line_of, core_of, warm_owner, warm_clears)
-            with mock.patch.object(kernel, "_CHUNK", chunk):
-                replay(tlbs, stream, lines, mbv_log, touches, wb_misses)
-            runs.append([(tlb.stats, _tlb_state(tlb)) for tlb in tlbs])
-        assert runs[1] == runs[0]
-
-    def test_draws_round_trip_mbvs(self):
-        # The draws reach what the property is about: Mapping Bit
-        # changes and warm clears, MBVs written back and restored.
-        build, (stream, line_of, core_of, warm_owner, warm_clears, mbv_log,
-                touches, wb_misses) = _drawn_tlb_pass(0, 2, 2, 1, 256, 120, 0.2)
-        tlbs = build()
-        lines = _TlbLines(tlbs, line_of, core_of, warm_owner, warm_clears)
-        _replay_tlbs_oracle(tlbs, stream, lines, mbv_log, touches, wb_misses)
-        assert len(mbv_log) and len(warm_clears)
-        assert sum(tlb.stats.mbv_restores for tlb in tlbs) > 0
-        assert sum(tlb.stats.mbv_writebacks for tlb in tlbs) > 0
-
-    def test_draws_evict_warm_lines_twice_and_with_unset_bits(self):
-        # The warm-eviction log holds what the decode filters out: a
-        # second eviction of a line, and lines whose starting bit is 0.
-        build, (_, line_of, core_of, warm_owner, warm_evictions, *_) = (
-            _drawn_tlb_pass(0, 2, 2, 1, 1024, 120, 0.2)
-        )
-        lines = _TlbLines(build(), line_of, core_of, warm_owner, warm_evictions)
-        evicted = ~np.frombuffer(warm_evictions, dtype=np.int64)[2::3]
-        cleared = kernel._warm_clears(lines)[:, 2]
-        assert len(np.unique(evicted)) < len(evicted)
-        assert 0 < len(np.unique(cleared)) == len(cleared) < len(np.unique(evicted))
 
 
 class TestFrameViews:
@@ -1078,17 +723,13 @@ ODD_CHUNK = 97
 
 
 def _run_capturing_prep(config, workload, scheme, seed, stage1, use_kernel):
-    """run_workload plus its replay inputs and the TLB stats before replay."""
+    """run_workload plus its replay inputs."""
     captured = {}
     real = runner.prepare_replay
 
     def prepare(*args, **kwargs):
         prep = real(*args, **kwargs)
         captured["prep"] = prep
-        captured["before"] = [
-            dataclasses.replace(t.stats)
-            for t in getattr(prep.policy, "tlbs", ())
-        ]
         return prep
 
     with mock.patch.object(runner, "prepare_replay", prepare), \
@@ -1097,18 +738,15 @@ def _run_capturing_prep(config, workload, scheme, seed, stage1, use_kernel):
             workload, scheme, config, seed=seed, n_instructions=INSTR,
             stage1=stage1, use_kernel=use_kernel,
         )
-    return captured["prep"], result, captured["before"]
+    return captured["prep"], result
 
 
 def _run_capturing_state(config, workload, seed, stage1, use_kernel):
-    """run_workload plus the replay's TLB/CPT state and TLB stats deltas."""
-    prep, result, before = _run_capturing_prep(
+    """run_workload plus the replay's CPT state."""
+    prep, result = _run_capturing_prep(
         config, workload, "Re-NUCA", seed, stage1, use_kernel
     )
-    deltas = [
-        _tlb_stats_delta(b, t.stats) for b, t in zip(before, prep.policy.tlbs)
-    ]
-    return prep, result, _renuca_object_state(prep), deltas
+    return prep, result, _renuca_object_state(prep)
 
 
 def _assert_same_run(ref_prep, ref, fast_prep, fast):
@@ -1132,9 +770,9 @@ class TestReNucaDifferential:
     A shrunken L3 bank forces what the default geometry never reaches:
     evictions of lines the replay touched, dirty write-backs to memory,
     and re-allocations of write-back misses.  Small predictor tables
-    take the ``OrderedDict`` path with evictions, and small TLBs evict
-    pages whose MBVs must round-trip through the backing store.  Pages
-    of 16 to 256 lines give MBVs narrower and wider than 64 bits.
+    take the ``OrderedDict`` path with evictions.  The TLB geometry is
+    drawn too (small TLBs, pages of 16 to 256 lines), and no result may
+    depend on it: the kernel keeps no TLB.
     """
 
     @given(
@@ -1175,15 +813,14 @@ class TestReNucaDifferential:
         )
         workload = Workload("kdiff8", tuple(apps))
         memo = _BaseStage1(CFG8, stage1)
-        ref_prep, ref, ref_state, ref_deltas = _run_capturing_state(
+        ref_prep, ref, ref_state = _run_capturing_state(
             config, workload, seed, memo, False
         )
-        fast_prep, fast, fast_state, fast_deltas = _run_capturing_state(
+        fast_prep, fast, fast_state = _run_capturing_state(
             config, workload, seed, memo, True
         )
         _assert_same_run(ref_prep, ref, fast_prep, fast)
         assert fast_state == ref_state
-        assert fast_deltas == ref_deltas
         # The shrunken L3 evicts dirty lines the replay wrote.
         assert ref_prep.llc.stats.memory_writes > 0
 
@@ -1220,10 +857,10 @@ class TestBlindDifferential:
         )
         workload = Workload("kdiff8", tuple(apps))
         memo = _BaseStage1(CFG8, stage1)
-        ref_prep, ref, _ = _run_capturing_prep(
+        ref_prep, ref = _run_capturing_prep(
             config, workload, scheme, seed, memo, False
         )
-        fast_prep, fast, _ = _run_capturing_prep(
+        fast_prep, fast = _run_capturing_prep(
             config, workload, scheme, seed, memo, True
         )
         _assert_same_run(ref_prep, ref, fast_prep, fast)

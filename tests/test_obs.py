@@ -485,22 +485,22 @@ class TestBenchValidation:
 class TestBenchProvenance:
     """Every point says whether the tree held uncommitted changes."""
 
+    @staticmethod
+    def git(repo, *args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
     @pytest.fixture
     def repo(self, tmp_path, monkeypatch):
         if shutil.which("git") is None:
             pytest.skip("git is not installed")
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
-                 "-c", "commit.gpgsign=false", *args],
-                cwd=tmp_path, check=True, capture_output=True,
-            )
-
-        git("init", "-q")
+        self.git(tmp_path, "init", "-q")
         (tmp_path / "a.txt").write_text("a")
-        git("add", "a.txt")
-        git("commit", "-qm", "a")
+        self.git(tmp_path, "add", "a.txt")
+        self.git(tmp_path, "commit", "-qm", "a")
         monkeypatch.chdir(tmp_path)
         return tmp_path
 
@@ -521,6 +521,23 @@ class TestBenchProvenance:
 
     def test_untracked_file_makes_the_tree_dirty(self, repo):
         (repo / "new.txt").write_text("n")
+        assert git_tree_dirty() is True
+
+    def test_recording_into_a_tracked_trajectory_stays_clean(self, repo, monkeypatch):
+        path = repo / "BENCH_x.json"
+        append_bench_point(path, throughput_point("t", count=1, seconds=1.0))
+        self.git(repo, "add", "BENCH_x.json")
+        self.git(repo, "commit", "-qm", "bench")
+        dirty = []
+        for _ in range(2):
+            point = throughput_point("t", count=1, seconds=1.0)
+            dirty.append(point["dirty"])
+            append_bench_point(path, point)
+        assert dirty == [False, False]
+        # An edited source still reads dirty, from a subdirectory too.
+        (repo / "sub").mkdir()
+        monkeypatch.chdir(repo / "sub")
+        (repo / "a.txt").write_text("b")
         assert git_tree_dirty() is True
 
     def test_outside_a_checkout_is_unknown(self, tmp_path, monkeypatch):
