@@ -72,7 +72,7 @@ from repro.common.errors import ReproError, SweepCancelled
 from repro.config import baseline_config
 from repro.experiments.report import format_table, render_table2
 from repro.experiments.table2 import run_table2
-from repro.sim.runner import Stage1Cache, run_workload
+from repro.sim.runner import Stage1Cache
 from repro.telemetry import Telemetry
 from repro.trace.profiles import get_profile, intensity_class
 from repro.trace.workloads import make_workloads
@@ -208,6 +208,13 @@ def _make_telemetry(args) -> Telemetry | None:
     return Telemetry(trace=True) if args.trace_out else None
 
 
+def _export_trace(args, telemetry: Telemetry | None) -> None:
+    """``--trace-out``: write the run's merged, cell-stamped events."""
+    if args.trace_out and telemetry is not None and telemetry.trace is not None:
+        traced = telemetry.trace.export_jsonl(args.trace_out)
+        print(f"\nwrote {traced} events to {args.trace_out}")
+
+
 def _span_target(args):
     """What a command records spans into, for ``run_jobs(spans=...)``.
 
@@ -260,6 +267,8 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.jobs.scheduler import matrix_jobs, run_jobs
+
     config = baseline_config()
     workloads = make_workloads(num_cores=config.num_cores, seed=args.seed)
     index = args.workload - 1
@@ -268,74 +277,32 @@ def _cmd_compare(args) -> int:
         return 2
     workload = workloads[index]
     print(f"{workload.name}: {', '.join(workload.apps)}\n")
-    stage1 = Stage1Cache(store=args.stage1_cache)
     telemetry = _make_telemetry(args)
     spans = _span_target(args)
-    rows = []
-    traced = 0
-    # Span recording and the monitor endpoint live in the sweep engine,
-    # so either flag routes through it even single-worker.
-    engine = args.jobs > 1 or args.spans is not None or args.serve is not None
+    jobs = matrix_jobs(
+        [workload], tuple(args.schemes), config,
+        seed=args.seed, n_instructions=args.instructions,
+    )
     with _monitoring(
-        args, len(args.schemes), label=workload.name,
+        args, len(jobs), label=workload.name,
         registry=telemetry.registry if telemetry is not None else None,
     ) as observer:
-        if engine:
-            from repro.jobs.scheduler import matrix_jobs, run_jobs
-
-            jobs = matrix_jobs(
-                [workload], tuple(args.schemes), config,
-                seed=args.seed, n_instructions=args.instructions,
-            )
-            results, _report = run_jobs(
-                jobs, max_workers=args.jobs, telemetry=telemetry,
-                stage1_store=args.stage1_cache, observer=observer,
-                ledger=args.ledger,
-                retries=args.retries, job_timeout_s=args.job_timeout,
-                spans=spans,
-            )
-        else:
-            import time as _time
-
-            from repro.obs.progress import JobEvent
-
-            results = []
-            for number, scheme in enumerate(args.schemes):
-                label = f"{workload.name}/{scheme}"
-                if observer is not None:
-                    observer(JobEvent("dispatch", label, number))
-                started = _time.perf_counter()
-                results.append(run_workload(
-                    workload, scheme, config, seed=args.seed,
-                    n_instructions=args.instructions, stage1=stage1,
-                    telemetry=telemetry, ledger=args.ledger, spans=spans,
-                ))
-                if observer is not None:
-                    observer(JobEvent(
-                        "done", label, number,
-                        wall_time_s=_time.perf_counter() - started,
-                    ))
-                if telemetry is not None and telemetry.trace is not None:
-                    traced += telemetry.trace.export_jsonl(
-                        args.trace_out, append=number > 0,
-                        extra={"scheme": scheme},
-                    )
-                    telemetry.trace.clear()
-    if engine and telemetry is not None and telemetry.trace is not None:
-        # Merged worker events arrive stamped with their scheme, so one
-        # export replaces the serial per-scheme flush.
-        traced = telemetry.trace.export_jsonl(args.trace_out)
-    for result in results:
-        rows.append((
-            result.scheme, result.ipc, result.min_lifetime,
-            result.wear_cov,
-            result.llc_fetch_hit_rate,
-        ))
+        results, _report = run_jobs(
+            jobs, max_workers=args.jobs, telemetry=telemetry,
+            stage1_store=args.stage1_cache, observer=observer,
+            ledger=args.ledger,
+            retries=args.retries, job_timeout_s=args.job_timeout,
+            spans=spans,
+        )
+    rows = [
+        (result.scheme, result.ipc, result.min_lifetime, result.wear_cov,
+         result.llc_fetch_hit_rate)
+        for result in results
+    ]
     print(format_table(
         ["scheme", "IPC", "min life [y]", "wear CV", "LLC hit"], rows
     ))
-    if args.trace_out:
-        print(f"\nwrote {traced} events to {args.trace_out}")
+    _export_trace(args, telemetry)
     _print_profile(args, spans)
     return 0
 
@@ -472,9 +439,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         save_matrix(args.out, matrix)
         print(f"\nwrote matrix to {args.out}")
-    if args.trace_out and telemetry.trace is not None:
-        traced = telemetry.trace.export_jsonl(args.trace_out)
-        print(f"\nwrote {traced} events to {args.trace_out}")
+    _export_trace(args, telemetry)
     _print_profile(args, spans)
     if report.failed:
         where = f" (quarantine: {args.quarantine})" if args.quarantine else ""
@@ -618,27 +583,9 @@ def _cmd_endoflife(args) -> int:
     )
 
     telemetry = _make_telemetry(args)
-    # The sweep shares one Telemetry handle; the event ring is flushed to
-    # the JSONL file per (scheme, age) cell — `progress` fires just
-    # before each cell, so flushing there stamps the right cell labels.
-    state = {"cell": None, "events": 0, "flushed": False}
-
-    def _flush() -> None:
-        scheme, age = state["cell"]
-        state["events"] += telemetry.trace.export_jsonl(
-            args.trace_out, append=state["flushed"],
-            extra={"scheme": scheme, "age": age},
-        )
-        state["flushed"] = True
-        telemetry.trace.clear()
 
     def _progress(scheme: str, age: float) -> None:
-        if not args.progress:
-            print(f"  running {scheme} at age {age:.2f} ...", file=sys.stderr)
-        if args.jobs == 1 and telemetry is not None and telemetry.trace is not None:
-            if state["cell"] is not None:
-                _flush()
-            state["cell"] = (scheme, age)
+        print(f"  running {scheme} at age {age:.2f} ...", file=sys.stderr)
 
     ages = tuple(sorted(set(args.ages)))
     swept_ages = (0.0, *[a for a in ages if a > 0])
@@ -658,7 +605,8 @@ def _cmd_endoflife(args) -> int:
             stage1_store=args.stage1_cache,
             bank_failures=tuple(args.fail_bank),
             transient_rate=args.transient_rate,
-            progress=_progress,
+            # The live status line owns stderr; per-cell narration yields.
+            progress=None if args.progress else _progress,
             telemetry=telemetry,
             max_workers=args.jobs,
             observer=observer,
@@ -667,20 +615,15 @@ def _cmd_endoflife(args) -> int:
             job_timeout_s=args.job_timeout,
             spans=spans,
         )
-    if state["cell"] is not None:
-        _flush()
-    elif args.jobs > 1 and telemetry is not None and telemetry.trace is not None:
-        # Parallel cells merge back stamped with scheme/age; one export.
-        state["events"] = telemetry.trace.export_jsonl(args.trace_out)
     print(render_endoflife(curves))
-    if args.trace_out:
-        print(f"\nwrote {state['events']} events to {args.trace_out}")
+    _export_trace(args, telemetry)
     _print_profile(args, spans)
     return 0
 
 
 def _cmd_stats(args) -> int:
     from repro.experiments.ascii_plot import interval_heatmap
+    from repro.jobs.scheduler import matrix_jobs, run_jobs
 
     if args.from_spans:
         from repro.obs.spans import load_spans
@@ -707,21 +650,24 @@ def _cmd_stats(args) -> int:
     traced = 0
     for number, scheme in enumerate(args.schemes):
         # One handle per scheme keeps each counter/interval series
-        # isolated; the JSONL file is shared, with the scheme stamped
-        # onto each record.
+        # isolated; the JSONL file is shared, and the engine stamps
+        # each record with its cell.
         telemetry = Telemetry(
             trace=bool(args.trace_out),
             interval_instructions=args.interval,
         )
         spans = _span_target(args)
-        result = run_workload(
-            workload, scheme, config, seed=args.seed,
-            n_instructions=args.instructions, stage1=stage1,
-            telemetry=telemetry, ledger=args.ledger, spans=spans,
+        (result,), _report = run_jobs(
+            matrix_jobs(
+                [workload], (scheme,), config,
+                seed=args.seed, n_instructions=args.instructions,
+            ),
+            stage1=stage1, telemetry=telemetry, ledger=args.ledger,
+            spans=spans,
         )
         if telemetry.trace is not None:
             traced += telemetry.trace.export_jsonl(
-                args.trace_out, append=number > 0, extra={"scheme": scheme},
+                args.trace_out, append=number > 0,
             )
         print(f"\n=== {scheme} ===")
         print(telemetry.registry.render())

@@ -104,14 +104,14 @@ def run_endoflife(
         bank_failures: scheduled whole-bank failures, applied at every
             age whose value reaches the failure age.
         transient_rate: per-read soft-fault probability.
-        progress: optional ``(scheme, age) -> None`` narration callback.
-        telemetry: optional shared :class:`~repro.telemetry.Telemetry`
-            handle; it sees every (scheme, age) cell, so counters
-            accumulate over the sweep and the event ring retains the
-            most recent cells.  ``progress`` fires before each cell —
-            callers that export traces per cell can flush there (serial
-            runs only; with ``max_workers > 1`` the merged events carry
-            ``scheme``/``age`` stamps instead).
+        progress: optional ``(scheme, age) -> None`` narration callback,
+            fired before each cell.
+        telemetry: optional :class:`~repro.telemetry.Telemetry` handle
+            that every (scheme, age) cell merges into, at any
+            ``max_workers``: counters accumulate over the sweep, and the
+            event ring retains the most recent events, each stamped
+            with its cell's ``workload``/``scheme`` (and ``age`` once
+            faults are injected).  Export it once the sweep returns.
         max_workers: worker processes for the (scheme, age) cells; 1
             keeps the historical in-process sweep.  Results are
             deterministic either way (see ``docs/SWEEPS.md``).

@@ -3,17 +3,19 @@
 :func:`run_jobs` resolves a list of :class:`SweepJob` cells in three
 tiers — journal replay (``resume=True``), content-addressed cache
 lookup, then actual simulation — and executes the remainder either
-in-process (``max_workers=1``, the exact legacy serial path: shared
-:class:`~repro.sim.runner.Stage1Cache`, parent telemetry threaded
-straight through) or on a ``ProcessPoolExecutor``.
+in-process (``max_workers=1``) or on a ``ProcessPoolExecutor``.  Both
+engines run a cell through the same :func:`_execute_payload` and fold
+its outcome back through the same :func:`_merge_outcome`; the serial
+engine only runs it in this process, on one
+:class:`~repro.sim.runner.Stage1Cache` shared by the whole sweep.
 
 A telemetry handle serves two purposes that are kept apart: its
 registry collects the engine accounting (the ``jobs.*`` counters,
-including each worker's ``jobs.stage1.*`` and ``jobs.replay.*``
-counts), and only when it instruments cells (event trace or interval
-dumps — :attr:`~repro.telemetry.Telemetry.instruments_cells`)
-is it handed to the simulations, which then take the reference replay.
-A plain accounting handle leaves every cell on the replay kernel.
+including each cell's ``jobs.stage1.*`` and ``jobs.replay.*``
+counts), and only when it traces events or dumps intervals does each
+cell get an instrumenting handle of its own, which puts the cell on
+the reference replay.  A plain accounting handle leaves every cell on
+the replay kernel.
 
 Determinism guarantee: per-job randomness derives from
 ``(seed, workload, scheme)`` (see :mod:`repro.common.rng`), never from
@@ -97,7 +99,7 @@ from repro.obs.spans import (
 from repro.sim.metrics import WorkloadSchemeResult
 from repro.sim.runner import DEFAULT_INSTRUCTIONS, Stage1Cache, run_workload
 from repro.sim.stage1_store import Stage1Store
-from repro.telemetry import Telemetry
+from repro.telemetry import StatsRegistry, Telemetry
 from repro.trace.workloads import Workload
 
 #: Default per-job retry budget for transient failures.
@@ -223,29 +225,66 @@ class _Outcome:
     replay_path: str | None = None
 
 
-def _cell_telemetry(telemetry: Telemetry | None) -> Telemetry | None:
-    """The handle a cell's simulation gets: only an instrumenting one."""
-    if telemetry is not None and telemetry.instruments_cells:
-        return telemetry
-    return None
+def _payload(
+    job: SweepJob,
+    *,
+    telemetry: Telemetry | None,
+    span_recorder: SpanRecorder | None,
+    stage1_store: Stage1Store | None,
+    chaos: ChaosPlan | None,
+) -> _Payload:
+    """The payload of one job's first attempt, for either engine."""
+    want_trace = telemetry is not None and telemetry.trace is not None
+    return _Payload(
+        spec=job.spec,
+        config=job.config,
+        collect_telemetry=telemetry is not None,
+        trace=want_trace,
+        trace_capacity=telemetry.trace.capacity if want_trace else 1,
+        interval_instructions=(
+            telemetry.interval_instructions if telemetry is not None else 0
+        ),
+        chaos=chaos,
+        spans=span_recorder is not None,
+        trace_id=span_recorder.trace_id if span_recorder is not None else None,
+        stage1_store=(
+            str(stage1_store.root) if stage1_store is not None else None
+        ),
+    )
 
 
 def _worker_store_root(cache: Stage1Cache) -> str | None:
     return str(cache.store.root) if cache.store is not None else None
 
 
-def _execute_payload(payload: _Payload) -> _Outcome:
-    """Run one job inside a worker process (also usable in-process)."""
+def _execute_payload(
+    payload: _Payload, stage1: Stage1Cache | None = None,
+) -> _Outcome:
+    """Run one job: in a pool worker, or in-process for a serial sweep.
+
+    ``stage1`` is the serial sweep's shared memo; a pool worker passes
+    none and uses its process-global one.  The cell gets fresh
+    telemetry whatever the engine: a registry for the engine accounting
+    and, only when the sweep traces events or dumps intervals, a
+    :class:`~repro.telemetry.Telemetry` that instruments the run (and
+    so keeps it on the reference replay).  Both are kept apart, so an
+    interval sample holds the simulation's instruments and never the
+    stage-1 memo's counts, which depend on what ran before in the same
+    process.
+    """
     global _WORKER_STAGE1
     if payload.chaos is not None:
         payload.chaos.apply(payload.spec.label(), payload.attempt)
-    if (
-        _WORKER_STAGE1 is None
-        or _worker_store_root(_WORKER_STAGE1) != payload.stage1_store
-    ):
-        _WORKER_STAGE1 = Stage1Cache(store=payload.stage1_store)
+    if stage1 is None:
+        if (
+            _WORKER_STAGE1 is None
+            or _worker_store_root(_WORKER_STAGE1) != payload.stage1_store
+        ):
+            _WORKER_STAGE1 = Stage1Cache(store=payload.stage1_store)
+        stage1 = _WORKER_STAGE1
+    accounting = StatsRegistry() if payload.collect_telemetry else None
     telemetry = None
-    if payload.collect_telemetry:
+    if payload.trace or payload.interval_instructions > 0:
         telemetry = Telemetry(
             trace=payload.trace,
             trace_capacity=payload.trace_capacity,
@@ -273,31 +312,26 @@ def _execute_payload(payload: _Payload) -> _Outcome:
             payload.config,
             seed=payload.spec.seed,
             n_instructions=payload.spec.n_instructions,
-            stage1=_WORKER_STAGE1,
+            stage1=stage1,
             fault_config=payload.spec.fault,
-            telemetry=_cell_telemetry(telemetry),
+            telemetry=telemetry,
             spans=recorder,
-            accounting=telemetry.registry if telemetry is not None else None,
+            accounting=accounting,
             run_info=run_info,
         )
-    wall_time_s = time.perf_counter() - started
-    span_state = recorder.export_state() if recorder is not None else None
-    replay_path = run_info.get("replay_path")
-    if telemetry is None:
-        return _Outcome(
-            result=result, wall_time_s=wall_time_s, span_state=span_state,
-            replay_path=replay_path,
-        )
-    return _Outcome(
+    outcome = _Outcome(
         result=result,
-        registry_state=telemetry.registry.export_state(),
-        events=(
-            telemetry.trace.events() if telemetry.trace is not None else []
-        ),
-        wall_time_s=wall_time_s,
-        span_state=span_state,
-        replay_path=replay_path,
+        wall_time_s=time.perf_counter() - started,
+        span_state=recorder.export_state() if recorder is not None else None,
+        replay_path=run_info.get("replay_path"),
     )
+    if accounting is not None:
+        outcome.registry_state = accounting.export_state()
+    if telemetry is not None:
+        outcome.registry_state.update(telemetry.registry.export_state())
+        if telemetry.trace is not None:
+            outcome.events = telemetry.trace.events()
+    return outcome
 
 
 # -- parent side -------------------------------------------------------------
@@ -442,13 +476,16 @@ def run_jobs(
 
     Args:
         jobs: the cells to resolve (duplicate fingerprints are an error).
-        max_workers: 1 executes in-process — the exact serial path, with
-            ``stage1`` shared across cells and ``telemetry`` threaded
-            directly into the simulations; >1 fans out over a process
-            pool with per-worker stage-1 caches and post-hoc telemetry
-            merging.  Either way the cells only see ``telemetry`` when
-            it instruments them; its registry always collects the
-            engine accounting.
+        max_workers: 1 executes in-process, with ``stage1`` shared
+            across cells; >1 fans out over a process pool with
+            per-worker stage-1 caches.  Either way each cell runs as a
+            pool worker runs it, with telemetry of its own that is
+            merged into ``telemetry`` in job order: trace events come
+            back stamped with ``workload``/``scheme`` (and ``age`` for
+            a faulted cell), and interval series are equal at any
+            worker count.  The cells are instrumented only when
+            ``telemetry`` traces events or dumps intervals; its
+            registry always collects the engine accounting.
         cache: a :class:`~repro.jobs.cache.ResultCache` (or its root
             directory) consulted before executing and updated after.
         stage1_store: a :class:`~repro.sim.stage1_store.Stage1Store`
@@ -724,10 +761,6 @@ def _count(telemetry: Telemetry | None, name: str, amount: int = 1) -> None:
         telemetry.registry.counter(name).inc(amount)
 
 
-def _count_executed(telemetry: Telemetry | None) -> None:
-    _count(telemetry, "jobs.executed")
-
-
 def _retry_kind(exc: BaseException | str) -> str:
     """Counter-safe failure kind: lowercased exception class name."""
     name = exc if isinstance(exc, str) else type(exc).__name__
@@ -743,16 +776,47 @@ def _count_retry(telemetry: Telemetry | None, kind: str) -> None:
     _count(telemetry, f"jobs.retry.{kind}")
 
 
-def _complete(
+def _executed(
     job: SweepJob,
-    result: WorkloadSchemeResult,
+    index: int,
+    outcome: _Outcome,
+    attempt: int,
+    *,
+    resolved,
+    report: SweepReport,
+    res: _Resilience,
+    telemetry: Telemetry | None,
+    provenance,
+    observer,
     cache: ResultCache | None,
     journal: SweepJournal | None,
 ) -> None:
+    """Book one successful execution: either engine calls this.
+
+    The cell's ledger ``profile`` sums the phase spans of the attempt
+    that succeeded.
+    """
+    resolved[index] = outcome.result
+    report.executed += 1
+    _count(telemetry, "jobs.executed")
+    if provenance is not None:
+        provenance[index] = (
+            "executed",
+            outcome.wall_time_s,
+            phase_totals(
+                Span.from_dict(record) for record in outcome.span_state or ()
+            ),
+            outcome.replay_path,
+        )
+    if observer is not None:
+        observer(JobEvent(
+            "done", job.spec.label(), index, wall_time_s=outcome.wall_time_s,
+        ))
     if cache is not None:
-        cache.put(job.spec, result)
+        cache.put(job.spec, outcome.result)
     if journal is not None:
-        journal.record(job.spec, result)
+        journal.record(job.spec, outcome.result)
+    _chaos_corrupt(res, job, attempt, cache)
 
 
 def _chaos_corrupt(
@@ -856,13 +920,14 @@ def _run_serial(
     observer=None, provenance=None,
     span_recorder=None, span_observer=None,
 ) -> None:
-    """In-process execution: the legacy sequential sweep, plus retries.
+    """In-process execution, one cell at a time, plus retries.
 
-    Serial runs thread the parent telemetry straight through when it
-    instruments cells, and otherwise hand the cells only its registry
-    for the engine accounting.  A cell's ledger ``profile`` sums the
-    phase spans of its successful attempt.  The watchdog does not
-    apply here (there is no second process to kill); chaos
+    Each attempt runs exactly what a pool worker runs
+    (:func:`_execute_payload`), only in this process and on the
+    sweep's shared ``stage1`` memo, and its outcome is merged at once.
+    A failed attempt leaves nothing behind: its telemetry and phase
+    spans are dropped with its outcome, as in the pool.  The watchdog
+    does not apply here (there is no second process to kill); chaos
     ``kill``/``exit`` rules would take the parent down and belong in
     parallel runs.
     """
@@ -873,40 +938,23 @@ def _run_serial(
             progress(job)
         if observer is not None:
             observer(JobEvent("dispatch", job.spec.label(), index))
+        first = _payload(
+            job, telemetry=telemetry, span_recorder=span_recorder,
+            stage1_store=stage1.store, chaos=res.chaos,
+        )
         attempts = 0
-        started = time.perf_counter()
-        failed = False
+        outcome = None
         while True:
+            payload = replace(
+                first,
+                attempt=attempts,
+                span_parent=(
+                    span_observer.open_span_id(index)
+                    if span_observer is not None else None
+                ),
+            )
             try:
-                if res.chaos is not None:
-                    res.chaos.apply(job.spec.label(), attempts)
-                scope = nullcontext()
-                first_span = 0
-                if span_recorder is not None:
-                    first_span = len(span_recorder.spans)
-                    scope = span_recorder.scope(
-                        parent_id=span_observer.open_span_id(index),
-                        workload=job.spec.workload,
-                        scheme=job.spec.scheme,
-                        attempt=attempts,
-                    )
-                run_info: dict = {}
-                with scope:
-                    result = run_workload(
-                        job.spec.to_workload(),
-                        job.spec.scheme,
-                        job.config,
-                        seed=job.spec.seed,
-                        n_instructions=job.spec.n_instructions,
-                        stage1=stage1,
-                        fault_config=job.spec.fault,
-                        telemetry=_cell_telemetry(telemetry),
-                        spans=span_recorder,
-                        accounting=(
-                            telemetry.registry if telemetry is not None else None
-                        ),
-                        run_info=run_info,
-                    )
+                outcome = _execute_payload(payload, stage1=stage1)
                 break
             except ReproError as exc:
                 if not res.keep_going:
@@ -917,7 +965,6 @@ def _run_serial(
                     telemetry=telemetry, provenance=provenance,
                     observer=observer, cause=exc,
                 )
-                failed = True
                 break
             except Exception as exc:
                 attempts += 1
@@ -932,7 +979,6 @@ def _run_serial(
                             f"{attempts} attempt(s): {exc}"
                         ),
                     )
-                    failed = True
                     break
                 report.retries += 1
                 _count_retry(telemetry, _retry_kind(exc))
@@ -943,25 +989,15 @@ def _run_serial(
                 )
                 if delay > 0:
                     time.sleep(delay)
-        if failed:
+        if outcome is None:
             continue
-        wall_time_s = time.perf_counter() - started
-        report.executed += 1
-        _count_executed(telemetry)
-        resolved[index] = result
-        if provenance is not None:
-            provenance[index] = (
-                "executed", wall_time_s,
-                phase_totals(span_recorder.spans[first_span:])
-                if span_recorder is not None else {},
-                run_info.get("replay_path"),
-            )
-        if observer is not None:
-            observer(JobEvent(
-                "done", job.spec.label(), index, wall_time_s=wall_time_s,
-            ))
-        _complete(job, result, cache, journal)
-        _chaos_corrupt(res, job, attempts, cache)
+        _merge_outcome(telemetry, job, outcome, span_recorder)
+        _executed(
+            job, index, outcome, attempts,
+            resolved=resolved, report=report, res=res, telemetry=telemetry,
+            provenance=provenance, observer=observer,
+            cache=cache, journal=journal,
+        )
     if res.cancel is not None and res.cancel.soft:
         raise SweepCancelled(_cancel_message(report, journal))
 
@@ -1052,27 +1088,10 @@ def _run_parallel(
     *suspects* — jobs requeued by an unattributed pool crash — one at a
     time so a repeat crash identifies its culprit.
     """
-    want_trace = telemetry is not None and telemetry.trace is not None
     payloads = {
-        index: _Payload(
-            spec=job.spec,
-            config=job.config,
-            collect_telemetry=telemetry is not None,
-            trace=want_trace,
-            trace_capacity=(
-                telemetry.trace.capacity if want_trace else 1
-            ),
-            interval_instructions=(
-                telemetry.interval_instructions if telemetry is not None else 0
-            ),
-            chaos=res.chaos,
-            spans=span_recorder is not None,
-            trace_id=(
-                span_recorder.trace_id if span_recorder is not None else None
-            ),
-            stage1_store=(
-                str(stage1_store.root) if stage1_store is not None else None
-            ),
+        index: _payload(
+            job, telemetry=telemetry, span_recorder=span_recorder,
+            stage1_store=stage1_store, chaos=res.chaos,
         )
         for index, job in pending
     }
@@ -1237,22 +1256,12 @@ def _run_parallel(
                     _charge(flight, _retry_kind(exc), str(exc), exc)
                 else:
                     outcomes[index] = outcome
-                    resolved[index] = outcome.result
-                    report.executed += 1
-                    _count_executed(telemetry)
-                    if provenance is not None:
-                        provenance[index] = (
-                            "executed",
-                            outcome.wall_time_s,
-                            phase_totals(
-                                Span.from_dict(record)
-                                for record in outcome.span_state or ()
-                            ),
-                            outcome.replay_path,
-                        )
-                    _event("done", index, wall_time_s=outcome.wall_time_s)
-                    _complete(job, outcome.result, cache, journal)
-                    _chaos_corrupt(res, job, flight.attempts, cache)
+                    _executed(
+                        job, index, outcome, flight.attempts,
+                        resolved=resolved, report=report, res=res,
+                        telemetry=telemetry, provenance=provenance,
+                        observer=observer, cache=cache, journal=journal,
+                    )
 
             if crashed:
                 # The pool is broken: every remaining in-flight future

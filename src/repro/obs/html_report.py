@@ -468,6 +468,19 @@ def _series_css() -> str:
     )
 
 
+def _document(title: str, body: str) -> str:
+    """The standalone HTML document every report renders into."""
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
+        f"<title>{_esc(title)}</title>\n"
+        f"<style>{_STYLE}\n{_series_css()}</style>\n"
+        "</head>\n<body>\n"
+        f"{body}\n"
+        "</body>\n</html>\n"
+    )
+
+
 def _first_intervals(
     matrix: MatrixResult,
 ) -> list[tuple[str, str, WorkloadSchemeResult]]:
@@ -754,16 +767,7 @@ def render_html_report(
         )
     chunks.append("</section>")
 
-    body = "\n".join(chunks)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>{_esc(title)}</title>\n"
-        f"<style>{_STYLE}\n{_series_css()}</style>\n"
-        "</head>\n<body>\n"
-        f"{body}\n"
-        "</body>\n</html>\n"
-    )
+    return _document(title, "\n".join(chunks))
 
 
 # -- design-space search report ----------------------------------------------
@@ -893,16 +897,7 @@ def render_search_report(
     ))
     chunks.append("</section>")
 
-    body = "\n".join(chunks)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>{_esc(title)}</title>\n"
-        f"<style>{_STYLE}\n{_series_css()}</style>\n"
-        "</head>\n<body>\n"
-        f"{body}\n"
-        "</body>\n</html>\n"
-    )
+    return _document(title, "\n".join(chunks))
 
 
 # -- longitudinal history report ----------------------------------------------
@@ -992,7 +987,7 @@ def render_history_report(
             "at a directory holding run ledgers, BENCH_*.json files or "
             "saved search outcomes.</p>"
         )
-        return _history_document(title, chunks)
+        return _document(title, "\n".join(chunks))
 
     tiles = (
         ("ledger runs", str(len(index.records)),
@@ -1197,17 +1192,4 @@ def render_history_report(
         ))
     chunks.append("</section>")
 
-    return _history_document(title, chunks)
-
-
-def _history_document(title: str, chunks: list[str]) -> str:
-    body = "\n".join(chunks)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>{_esc(title)}</title>\n"
-        f"<style>{_STYLE}\n{_series_css()}</style>\n"
-        "</head>\n<body>\n"
-        f"{body}\n"
-        "</body>\n</html>\n"
-    )
+    return _document(title, "\n".join(chunks))

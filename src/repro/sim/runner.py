@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from repro.nuca import NucaLLC, make_policy
 from repro.nuca import kernel as nuca_kernel
 from repro.nuca.kernel import ArrayBanks, kernel_fallback_reason, warm_state
 from repro.nuca.kernel import replay as kernel_replay
-from repro.obs.spans import DISABLED_SPANS, phase_totals
+from repro.obs.spans import DISABLED_SPANS
 from repro.reram.endurance import lifetimes_for_banks
 from repro.reram.energy import energy_of_result
 from repro.reram.wear import WearTracker
@@ -733,7 +732,6 @@ def run_workload(
     stage1: Stage1Cache | None = None,
     fault_config: FaultConfig | None = None,
     telemetry: Telemetry | None = None,
-    ledger=None,
     use_kernel: bool | None = None,
     spans=None,
     accounting=None,
@@ -756,13 +754,6 @@ def run_workload(
     series.  Passing ``None`` (the default) leaves the
     simulation on its un-instrumented fast path.
 
-    ``ledger`` — a :class:`~repro.obs.ledger.RunLedger` or its path —
-    appends one provenance record for this run (identity, fingerprint,
-    wall time, headline metrics, and — when ``spans`` records — this
-    run's per-phase wall seconds).  Sweeps should pass the ledger
-    to :func:`run_matrix`/``run_jobs`` instead, which also stamp how
-    each cell was resolved.
-
     ``use_kernel`` selects the measured-loop implementation: ``None``
     (default) auto-engages the vectorized replay kernel
     (:mod:`repro.nuca.kernel`) whenever the run is un-instrumented —
@@ -779,8 +770,7 @@ def run_workload(
     live-monitoring layer (see ``docs/OBSERVABILITY.md``).  It is
     deliberately separate from ``telemetry``: span brackets sit outside
     the measured loop, so a spans-only run keeps the vectorized kernel
-    engaged.  Defaults to ``telemetry.spans`` when a handle carries
-    one, else to the disabled recorder.
+    engaged.  Defaults to the disabled recorder.
 
     ``accounting`` — a :class:`~repro.telemetry.StatsRegistry` — receives
     the engine counters of the run without instrumenting it: the stage-1
@@ -791,7 +781,8 @@ def run_workload(
     ``run_info`` — a dict — receives how the run was simulated:
     ``replay_path``, the replay taken (``kernel`` or
     ``reference.<reason>``).  The sweep engine stamps it on the cell's
-    ledger record.
+    ledger record; :func:`~repro.jobs.scheduler.run_jobs` writes the
+    ledger, so a run that needs provenance goes through it.
     """
     stage1 = Stage1Cache() if stage1 is None else stage1
     if accounting is None and telemetry is not None:
@@ -799,15 +790,7 @@ def run_workload(
     if accounting is not None:
         stage1.bind_telemetry(accounting)
     if spans is None:
-        spans = (
-            telemetry.spans
-            if telemetry is not None and telemetry.spans is not None
-            else DISABLED_SPANS
-        )
-    # Ledger provenance: wall time from here; phase totals from the
-    # spans this run records (a reused recorder holds earlier runs too).
-    run_started = time.perf_counter()
-    first_span = len(spans.spans)
+        spans = DISABLED_SPANS
     config = config or baseline_config()
     prep = prepare_replay(
         workload, scheme, config,
@@ -928,27 +911,6 @@ def run_workload(
         accounting.counter(f"jobs.replay.{prep.path}").inc()
     if run_info is not None:
         run_info["replay_path"] = prep.path
-
-    if ledger is not None:
-        from repro.jobs.spec import JobSpec
-        from repro.obs.ledger import RunRecord, as_ledger
-
-        fingerprint = JobSpec.for_run(
-            workload, scheme, config,
-            seed=seed, n_instructions=n_instructions,
-            fault_config=fault_config,
-        ).fingerprint()
-        with as_ledger(ledger) as run_ledger:
-            run_ledger.append(RunRecord.for_result(
-                result,
-                seed=seed,
-                n_instructions=n_instructions,
-                wall_time_s=time.perf_counter() - run_started,
-                fingerprint=fingerprint,
-                profile=phase_totals(spans.spans[first_span:]),
-                replay_path=prep.path,
-            ))
-
     return result
 
 
@@ -1071,22 +1033,21 @@ def run_matrix(
     ``progress`` is an optional callback ``(workload, scheme) -> None``
     invoked before each stage-2 run (the benches use it for narration).
     ``fault_config`` applies the same fault-injection point to every cell.
-    ``telemetry`` is shared by every cell: counters accumulate across the
-    grid while gauges always reflect the most recent run.  Only a handle
-    that instruments cells (trace, intervals) reaches the
-    simulations; a registry-only handle collects the engine accounting
-    and leaves the cells on the replay kernel.
+    ``telemetry`` collects every cell: each cell runs with telemetry of
+    its own, merged back in job order, so counters accumulate across the
+    grid while gauges reflect the most recent run.  Only a handle that
+    traces events or dumps intervals instruments the cells; a
+    registry-only handle collects the engine accounting and leaves the
+    cells on the replay kernel.
 
     The grid is resolved by the sweep engine (see ``docs/SWEEPS.md``):
 
     * ``parallel`` — worker processes; 1 (the default) runs in-process
-      with ``stage1`` shared across cells, exactly the historical serial
-      behaviour.  For the same seed a parallel run produces a matrix
-      field-for-field equal to the serial one (per-job randomness
-      derives from ``(seed, workload, scheme)``, never from scheduling).
-      With ``parallel > 1`` the per-cell telemetry of each worker is
-      merged back deterministically; a caller-supplied ``stage1`` is
-      not consulted (workers keep their own).
+      with ``stage1`` shared across cells.  For the same seed a parallel
+      run produces a matrix field-for-field equal to the serial one
+      (per-job randomness derives from ``(seed, workload, scheme)``,
+      never from scheduling).  With ``parallel > 1`` a caller-supplied
+      ``stage1`` is not consulted (workers keep their own).
     * ``cache_dir`` — content-addressed result cache directory; cells
       whose inputs are unchanged are served without simulating.
     * ``stage1_store`` — shared on-disk stage-1 store

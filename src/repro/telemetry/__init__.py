@@ -1,8 +1,7 @@
 """Telemetry: counters/gauges/histograms, event tracing and interval
 dumps for the NUCA simulation pipeline.
 
-One :class:`Telemetry` handle bundles the three facilities (plus an
-optional span recorder, the phase timer) and is
+One :class:`Telemetry` handle bundles the three facilities and is
 threaded through :func:`~repro.sim.runner.run_workload`; every
 instrumented component (:class:`~repro.nuca.llc.NucaLLC`, the mapping
 policies, the criticality predictor, the enhanced TLB, the wear tracker,
@@ -11,19 +10,25 @@ and does **nothing** when it is absent — the un-instrumented hot path is
 byte-for-byte the pre-telemetry code plus one ``is None`` test per
 guarded block (see ``benchmarks/test_bench_telemetry_overhead.py`` for
 the enforced bound, and ``docs/OBSERVABILITY.md`` for the full contract).
+The phase timer is separate: :func:`~repro.sim.runner.run_workload`
+takes a :class:`~repro.obs.spans.SpanRecorder` as ``spans=``.
+
+In a sweep (:func:`~repro.jobs.scheduler.run_jobs`, at any worker
+count) the caller's handle never enters a cell: each cell runs with
+telemetry of its own, which the engine merges back in job order —
+registry states add up, trace events arrive stamped with their cell's
+``workload``/``scheme`` (and ``age`` when faulted), and each result
+keeps its own interval series.
 
 Quick start::
 
     from repro import System, Telemetry
 
-    from repro.obs.spans import phase_wall_table
-
-    tel = Telemetry(trace=True, interval_instructions=5_000, spans=True)
+    tel = Telemetry(trace=True, interval_instructions=5_000)
     result = System(seed=1).run(0, "Re-NUCA", telemetry=tel)
     print(tel.registry.render())            # counter/gauge summary
     print(result.intervals.bank_write_matrix())   # wear time series
     tel.trace.export_jsonl("events.jsonl")  # structured event log
-    print(phase_wall_table(tel.spans.spans))  # where the wall time went
 """
 
 from __future__ import annotations
@@ -70,9 +75,6 @@ class Telemetry:
         trace_capacity: ring-buffer retention when tracing is enabled.
         interval_instructions: snapshot the registry every N committed
             instructions (0 disables interval dumps).
-        spans: enable span tracing, the phase timer (``True`` for a
-            fresh :class:`~repro.obs.spans.SpanRecorder`, or pass a
-            recorder to share a sweep-wide trace id and sink).
 
     The registry is always live — counters and gauges are cheap and the
     summary they feed is the point of asking for telemetry at all.
@@ -84,7 +86,6 @@ class Telemetry:
         trace: bool = False,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         interval_instructions: int = 0,
-        spans=False,
     ) -> None:
         if interval_instructions < 0:
             raise TelemetryError("interval_instructions must be >= 0")
@@ -93,29 +94,6 @@ class Telemetry:
             EventTrace(trace_capacity) if trace else None
         )
         self.interval_instructions = interval_instructions
-        if spans is False or spans is None:
-            self.spans = None
-        elif spans is True:
-            # Local import: repro.obs.spans has no telemetry imports,
-            # but keeping it lazy spares every un-instrumented run the
-            # module load.
-            from repro.obs.spans import SpanRecorder
-
-            self.spans = SpanRecorder()
-        else:
-            self.spans = spans
-
-    @property
-    def instruments_cells(self) -> bool:
-        """True when runs need this handle inside the simulation.
-
-        Event tracing and interval dumps hook into the run itself (and
-        so keep it on the reference replay); a registry-only handle is
-        engine accounting, which the sweep engine collects without
-        instrumenting its cells.  Spans bracket phases outside the
-        measured loop and do not count.
-        """
-        return self.trace is not None or self.interval_instructions > 0
 
     def counter(self, name: str) -> Counter:
         """Shorthand for ``telemetry.registry.counter(name)``."""

@@ -317,6 +317,37 @@ class TestObservabilityCommands:
         assert len(records) == 1 and records[0].scheme == "Re-NUCA"
 
 
+class TestSweepTraceLabels:
+    """``--trace-out`` events carry their cell at any ``-j``."""
+
+    @staticmethod
+    def _counts(tmp_path, extra):
+        from collections import Counter
+
+        from repro.telemetry import load_events
+
+        trace = tmp_path / f"trace{'-'.join(extra)}.jsonl"
+        assert main([
+            "sweep", "--workloads", "1", "--schemes", "S-NUCA", "Re-NUCA",
+            "--instructions", "3000", "--seed", "1",
+            "--trace-out", str(trace), *extra,
+        ]) == 0
+        events = load_events(trace)
+        assert all(
+            "workload" in e.fields and "scheme" in e.fields for e in events
+        )
+        return Counter(
+            (e.fields["workload"], e.fields["scheme"], e.kind) for e in events
+        )
+
+    def test_serial_and_parallel_traces_agree(self, tmp_path, capsys):
+        serial = self._counts(tmp_path, ())
+        assert {scheme for _wl, scheme, _kind in serial} == {
+            "S-NUCA", "Re-NUCA",
+        }
+        assert serial == self._counts(tmp_path, ("-j", "2"))
+
+
 class TestSweepReplayPath:
     """A plain ``repro sweep`` runs its cells on the replay kernel."""
 

@@ -378,6 +378,24 @@ class TestParallelTelemetry:
         )
 
 
+    def test_interval_series_equal_at_any_worker_count(self, flat_cpi):
+        # Each cell runs with its own telemetry at any -j, so a sample
+        # holds that cell's instruments, never the engine's counters.
+        series = {}
+        for workers in (1, 2):
+            telemetry = Telemetry(interval_instructions=2_000)
+            results, _ = run_jobs(
+                grid_jobs()[:2], max_workers=workers, telemetry=telemetry,
+            )
+            series[workers] = [r.intervals.to_dict() for r in results]
+        assert all(len(s["samples"]) > 1 for s in series[1])
+        assert series[1] == series[2]
+        assert not any(
+            name.startswith("jobs.")
+            for s in series[1] for sample in s["samples"] for name in sample
+        )
+
+
 class TestEndOfLifeParallel:
     def test_parallel_endoflife_matches_serial(self, flat_cpi):
         from repro.experiments.endoflife import run_endoflife

@@ -816,13 +816,3 @@ class TestMonitoredSweepE2E:
     def test_top_cli_requires_a_source(self, capsys):
         assert main(["top"]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestTelemetrySpansHandle:
-    def test_telemetry_spans_flag(self):
-        assert Telemetry().spans is None
-        assert Telemetry(spans=False).spans is None
-        handle = Telemetry(spans=True)
-        assert isinstance(handle.spans, SpanRecorder)
-        rec = SpanRecorder(trace_id="tfixed")
-        assert Telemetry(spans=rec).spans is rec

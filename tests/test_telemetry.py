@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import baseline_config
-from repro.obs.spans import phase_totals
+from repro.obs.spans import SpanRecorder, phase_totals
 from repro.sim.runner import Stage1Cache, run_workload
 from repro.telemetry import (
     KNOWN_KINDS,
@@ -226,7 +226,6 @@ class TestTelemetryHandle:
     def test_defaults_are_cheap(self):
         tel = Telemetry()
         assert tel.trace is None
-        assert tel.spans is None
         assert tel.interval_instructions == 0
 
     def test_negative_interval_rejected(self):
@@ -249,14 +248,13 @@ class TestRunnerIntegration:
     def instrumented(self):
         config = baseline_config()
         workload = make_workloads(num_cores=config.num_cores, seed=5)[0]
-        telemetry = Telemetry(
-            trace=True, interval_instructions=20_000, spans=True,
-        )
+        telemetry = Telemetry(trace=True, interval_instructions=20_000)
+        spans = SpanRecorder()
         result = run_workload(
             workload, "Re-NUCA", config, seed=5, n_instructions=6000,
-            stage1=Stage1Cache(), telemetry=telemetry,
+            stage1=Stage1Cache(), telemetry=telemetry, spans=spans,
         )
-        return result, telemetry
+        return result, telemetry, spans
 
     def test_disabled_telemetry_changes_nothing(self):
         config = baseline_config()
@@ -264,10 +262,10 @@ class TestRunnerIntegration:
         stage1 = Stage1Cache()
         plain = run_workload(workload, "Re-NUCA", config, seed=5,
                              n_instructions=6000, stage1=stage1)
-        tel = Telemetry(trace=True, interval_instructions=10_000, spans=True)
+        tel = Telemetry(trace=True, interval_instructions=10_000)
         traced = run_workload(workload, "Re-NUCA", config, seed=5,
                               n_instructions=6000, stage1=stage1,
-                              telemetry=tel)
+                              telemetry=tel, spans=SpanRecorder())
         np.testing.assert_array_equal(plain.per_core_ipc, traced.per_core_ipc)
         np.testing.assert_array_equal(plain.bank_writes, traced.bank_writes)
         assert plain.elapsed_cycles == traced.elapsed_cycles
@@ -275,7 +273,7 @@ class TestRunnerIntegration:
         assert traced.intervals is not None
 
     def test_counters_match_result(self, instrumented):
-        result, telemetry = instrumented
+        result, telemetry, _ = instrumented
         snap = telemetry.registry.snapshot()
         assert snap["llc.fetches"] == result.llc_fetches
         assert snap["llc.fetch_hit_rate"] == pytest.approx(
@@ -284,7 +282,7 @@ class TestRunnerIntegration:
         assert snap["llc.total_writes"] == result.bank_writes.sum()
 
     def test_interval_series_closed_and_consistent(self, instrumented):
-        result, _ = instrumented
+        result, _, _ = instrumented
         series = result.intervals
         assert len(series.accesses) >= 2
         assert series.accesses == sorted(series.accesses)
@@ -296,18 +294,18 @@ class TestRunnerIntegration:
         )
 
     def test_trace_kinds_are_known(self, instrumented):
-        _, telemetry = instrumented
+        _, telemetry, _ = instrumented
         kinds = {event.kind for event in telemetry.trace.events()}
         assert kinds
         assert kinds <= KNOWN_KINDS
 
     def test_spans_saw_all_phases(self, instrumented):
-        _, telemetry = instrumented
-        totals = phase_totals(telemetry.spans.spans)
+        _, _, spans = instrumented
+        totals = phase_totals(spans.spans)
         assert set(totals) == {"stage1", "warm-up", "measure", "reduce"}
 
     def test_trace_round_trip_through_file(self, instrumented, tmp_path):
-        _, telemetry = instrumented
+        _, telemetry, _ = instrumented
         path = tmp_path / "run.jsonl"
         count = telemetry.trace.export_jsonl(path)
         events = load_events(path)
